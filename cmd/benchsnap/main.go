@@ -6,8 +6,9 @@
 // (BenchmarkRecordTraceVprP/BenchmarkReplayVprP bracket one cell's record
 // and replay cost against BenchmarkSimVprPPreexec's full simulation;
 // BenchmarkSweepReplayGrid/BenchmarkSweepFullSimGrid are the same selection
-// grid with the replay fast path on and forced off), and the
-// workload-synthesis pair (BenchmarkSynthGenerate/BenchmarkAssemble,
+// grid with the replay fast path on and forced off), the functional profiler
+// (BenchmarkProfileVprR, mirroring internal/slice's BenchmarkProfile), and
+// the workload-synthesis pair (BenchmarkSynthGenerate/BenchmarkAssemble,
 // mirroring synth/bench_test.go) into a JSON baseline, and checks a fresh
 // run against a committed baseline.
 //
@@ -149,6 +150,25 @@ func replayBench() (func(b *testing.B), error) {
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := timing.Replay(context.Background(), tr, res.PThreads, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}, nil
+}
+
+// profileBench returns the closure for BenchmarkProfileVprR, the shape of
+// internal/slice's BenchmarkProfile: one whole-run functional profile (trace,
+// caches, backward slicing, slice trees) of 50k vpr.r instructions. Its
+// allocs/op gate catches the slicer falling back to per-miss allocation.
+func profileBench() (func(b *testing.B), error) {
+	w, err := workload.ByName("vpr.r")
+	if err != nil {
+		return nil, err
+	}
+	p := w.Build(1)
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := slice.ProfileWhole(p, slice.ProfileOptions{MaxInsts: 50_000}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -307,6 +327,7 @@ func measure() (map[string]Result, error) {
 	}{
 		{"BenchmarkRecordTraceVprP", recordBench},
 		{"BenchmarkReplayVprP", replayBench},
+		{"BenchmarkProfileVprR", profileBench},
 		{"BenchmarkSweepCached", func() (func(b *testing.B), error) { return sweepBench(true) }},
 		{"BenchmarkSweepUncached", func() (func(b *testing.B), error) { return sweepBench(false) }},
 		{"BenchmarkSweepReplayGrid", func() (func(b *testing.B), error) { return replaySweepBench(true) }},

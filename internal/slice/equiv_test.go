@@ -1,0 +1,213 @@
+package slice_test
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"preexec/internal/cpu"
+	"preexec/internal/isa"
+	"preexec/internal/program"
+	"preexec/internal/slice"
+	"preexec/internal/trace"
+	"preexec/internal/workload"
+	"preexec/synth"
+)
+
+// TestBackwardMatchesReference pins Slicer.Backward to the frozen reference
+// slicer (refslice_test.go): over every built-in workload and every synth.Zoo
+// scenario, at two slicing scopes and two maximum lengths, whole-run and
+// regioned profiles must produce deeply equal forests. Every forest must also
+// satisfy the slice-tree invariant, and since each miss is inserted into
+// exactly one tree, L2Misses must equal the trees' summed Misses.
+func TestBackwardMatchesReference(t *testing.T) {
+	type prog struct {
+		name string
+		p    *program.Program
+	}
+	var progs []prog
+	for _, w := range workload.All() {
+		progs = append(progs, prog{w.Name, w.Build(1)})
+	}
+	for _, z := range synth.Zoo() {
+		p, err := synth.Generate(z)
+		if err != nil {
+			t.Fatalf("zoo %s: %v", z.Name, err)
+		}
+		progs = append(progs, prog{z.Name, p})
+	}
+	measure := int64(20_000)
+	if testing.Short() {
+		measure = 5_000
+	}
+	for _, pr := range progs {
+		t.Run(pr.name, func(t *testing.T) {
+			t.Parallel()
+			for _, scope := range []int{64, 1024} {
+				for _, maxLen := range []int{4, 32} {
+					for _, region := range []int64{0, measure / 4} {
+						opts := slice.ProfileOptions{
+							WarmInsts: 5_000, MaxInsts: measure,
+							Scope: scope, MaxSlice: maxLen, RegionInsts: region,
+						}
+						cell := fmt.Sprintf("scope=%d maxlen=%d region=%d", scope, maxLen, region)
+						got, err := slice.Profile(pr.p, opts)
+						if err != nil {
+							t.Fatalf("%s: %v", cell, err)
+						}
+						ref := func(tr *trace.Tracker, miss *trace.Entry) []slice.Inst {
+							return refBackward(maxLen, tr, miss)
+						}
+						want, err := slice.ProfileWithBackward(context.Background(), pr.p, opts, ref)
+						if err != nil {
+							t.Fatalf("%s (reference): %v", cell, err)
+						}
+						if len(got) != len(want) {
+							t.Fatalf("%s: %d regions, reference %d", cell, len(got), len(want))
+						}
+						for i := range got {
+							if !reflect.DeepEqual(got[i], want[i]) {
+								t.Errorf("%s: region %d differs from the reference slicer", cell, i)
+							}
+							checkForest(t, cell, got[i].Forest)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// checkForest asserts the per-forest invariants: every tree satisfies
+// CheckInvariant, and the forest's misses are exactly the inserted slices.
+func checkForest(t *testing.T, cell string, f *slice.Forest) {
+	t.Helper()
+	var inserted int64
+	for pc, tree := range f.Trees {
+		if err := tree.CheckInvariant(); err != nil {
+			t.Errorf("%s: tree %d: %v", cell, pc, err)
+		}
+		inserted += tree.Misses
+	}
+	if inserted != f.L2Misses {
+		t.Errorf("%s: trees hold %d misses, forest counts %d L2 misses", cell, inserted, f.L2Misses)
+	}
+}
+
+// fuzzOps is the opcode alphabet FuzzBackward draws from: register
+// producers with zero, one and two sources, loads and stores (store-to-load
+// links), and instructions that produce nothing a load consumes.
+var fuzzOps = [...]isa.Op{isa.LI, isa.ADD, isa.ADDI, isa.MOV, isa.LD, isa.ST, isa.MUL, isa.LD, isa.ADD, isa.NOP, isa.BEQ, isa.JAL}
+
+// fuzzStream decodes fuzz input into a slicing scope, a maximum slice length
+// and a cpu.Exec stream. Three header bytes pick the scope (1..16, so
+// producers routinely fall out of it), the maximum length (1..40) and the
+// first Seq (observation may start mid-run). Every further three bytes are
+// one instruction over registers r0..r7 and four memory words, so repeated
+// sources (add r3,r1,r1), shared producers and store-to-load links are
+// common.
+func fuzzStream(data []byte) (scope, maxLen int, execs []cpu.Exec) {
+	if len(data) < 3 {
+		return 0, 0, nil
+	}
+	scope, maxLen = 1+int(data[0]%16), 1+int(data[1]%40)
+	seq := int64(data[2]) * 1000
+	data = data[3:]
+	for len(data) >= 3 && len(execs) < 4096 {
+		b0, b1, b2 := data[0], data[1], data[2]
+		data = data[3:]
+		in := isa.Inst{
+			Op:  fuzzOps[int(b0)%len(fuzzOps)],
+			Rd:  isa.Reg(b1 & 7),
+			Rs1: isa.Reg(b1 >> 3 & 7),
+			Rs2: isa.Reg(b2 & 7),
+		}
+		e := cpu.Exec{Seq: seq, PC: int(b0 >> 4), Inst: in}
+		if in.IsMem() {
+			e.EffAddr = int64(b2>>3&3) * 8
+		}
+		execs = append(execs, e)
+		seq++
+	}
+	return scope, maxLen, execs
+}
+
+// FuzzBackward is the slicer differential: for random instruction streams
+// through a small-scope tracker, Slicer.Backward must agree with the frozen
+// reference on the slice of every load. One Slicer serves the whole stream,
+// so reuse of its scratch across calls is exercised too.
+func FuzzBackward(f *testing.F) {
+	// Header (scope, maxlen, first seq), then (op, rd|rs1<<3, rs2|word<<3)
+	// triples; op indexes fuzzOps.
+	f.Add([]byte{15, 31, 0,
+		0, 1, 0, // li r1
+		2, 1<<3 | 2, 0, // addi r2, r1
+		1, 2<<3 | 3, 2, // add r3, r2, r2
+		4, 3<<3 | 4, 0, // ld r4, (r3)
+	})
+	f.Add([]byte{15, 31, 7,
+		0, 2, 0, // li r2
+		5, 1 << 3, 2 | 1<<3, // st r2 -> word 1
+		4, 1<<3 | 3, 1 << 3, // ld r3 <- word 1
+		1, 3<<3 | 5, 3, // add r5, r3, r3
+		4, 5<<3 | 6, 2 << 3, // ld r6, (r5)
+	})
+	f.Add([]byte{2, 3, 1,
+		0, 1, 0, // li r1 (falls out of a 3-entry window)
+		9, 0, 0, 9, 0, 0, 9, 0, 0, // nops
+		2, 1<<3 | 1, 0, // addi r1, r1
+		2, 1<<3 | 1, 0, // addi r1, r1
+		4, 1<<3 | 2, 0, // ld r2, (r1)
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		scope, maxLen, execs := fuzzStream(data)
+		if len(execs) == 0 {
+			return
+		}
+		tr := trace.NewTracker(scope)
+		sl := &slice.Slicer{MaxLen: maxLen}
+		for _, e := range execs {
+			ent := tr.Observe(e)
+			if e.Inst.Op != isa.LD {
+				continue
+			}
+			got := sl.Backward(tr, ent)
+			want := refBackward(maxLen, tr, ent)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seq %d (scope %d, maxlen %d): slice\n%+v\nreference\n%+v", e.Seq, scope, maxLen, got, want)
+			}
+		}
+	})
+}
+
+// TestBackwardSteadyStateAllocs pins the slicer's zero-allocation contract:
+// once its scratch has grown to a miss's slice, slicing it again allocates
+// nothing.
+func TestBackwardSteadyStateAllocs(t *testing.T) {
+	w, err := workload.ByName("vpr.r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := cpu.New(w.Build(1))
+	tr := trace.NewTracker(1024)
+	// The first load after 20k instructions, sliced while it is the newest
+	// entry in a full window.
+	var miss *trace.Entry
+	for miss == nil {
+		e, err := st.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ent := tr.Observe(e); e.Inst.Op == isa.LD && st.Count >= 20_000 {
+			miss = ent
+		}
+	}
+	sl := &slice.Slicer{MaxLen: 32}
+	if n := len(sl.Backward(tr, miss)); n < 2 {
+		t.Fatalf("slice of %d instructions: want a load with producers", n)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sl.Backward(tr, miss) }); allocs != 0 {
+		t.Errorf("warm Slicer.Backward allocates %.0f times per call, want 0", allocs)
+	}
+}

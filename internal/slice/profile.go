@@ -86,6 +86,14 @@ const ctxCheckMask = 1<<12 - 1
 // ctx.Err().
 func ProfileContext(ctx context.Context, p *program.Program, opts ProfileOptions) ([]Region, error) {
 	opts.fill()
+	sl := &Slicer{MaxLen: opts.MaxSlice}
+	return profile(ctx, p, opts, sl.Backward)
+}
+
+// profile is ProfileContext with the backward slicer supplied by the caller
+// (tests pin the slicer against a frozen reference through it). opts must be
+// filled.
+func profile(ctx context.Context, p *program.Program, opts ProfileOptions, backward func(*trace.Tracker, *trace.Entry) []Inst) ([]Region, error) {
 	done := ctx.Done()
 	if opts.Sampling != nil {
 		if err := opts.Sampling.Validate(); err != nil {
@@ -96,7 +104,6 @@ func ProfileContext(ctx context.Context, p *program.Program, opts ProfileOptions
 	tr := trackerPool.Get().(*trace.Tracker)
 	tr.Reset(opts.Scope)
 	defer trackerPool.Put(tr)
-	sl := &Slicer{MaxLen: opts.MaxSlice}
 
 	if opts.Sampling == nil {
 		// Warm-up: train the caches without recording anything.
@@ -182,8 +189,7 @@ func ProfileContext(ctx context.Context, p *program.Program, opts ProfileOptions
 					forest.Loads++
 					if res == cache.MissL2 {
 						forest.L2Misses++
-						s := sl.Backward(tr, ent)
-						forest.TreeFor(e.PC, e.Inst).Insert(s)
+						forest.TreeFor(e.PC, e.Inst).Insert(backward(tr, ent))
 					}
 				}
 			}

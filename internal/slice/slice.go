@@ -4,8 +4,6 @@
 package slice
 
 import (
-	"sort"
-
 	"preexec/internal/isa"
 	"preexec/internal/trace"
 )
@@ -31,18 +29,32 @@ type Inst struct {
 	MemDepPos int
 }
 
-// Slicer extracts backward slices from a Tracker's window.
+// Slicer extracts backward slices from a Tracker's window. A Slicer carries
+// scratch reused across Backward calls, so one Slicer serves one profiling
+// run (it is not safe for concurrent use); once warm it allocates nothing.
 type Slicer struct {
 	// MaxLen bounds the number of instructions in a slice (the paper's
 	// maximum p-thread length; default configuration uses 32).
 	MaxLen int
+
+	pending []int64        // max-heap of producer Seqs still to expand
+	ents    []*trace.Entry // the slice's entries, in decreasing Seq
+	out     []Inst         // the returned slice's backing array
 }
 
 // Backward builds the dynamic backward data-dependence slice of the given
 // miss entry. The slice includes the load itself at position 0 and follows
 // register producers and (for loads) store producers, bounded by the
-// tracker's scope window and by MaxLen instructions. The returned slice is
-// ordered by decreasing Seq (equivalently, increasing Dist).
+// tracker's scope window and by MaxLen instructions.
+//
+// Producers are expanded in decreasing-Seq order: the latest pending
+// instruction always comes next, so the MaxLen cutoff keeps the
+// instructions nearest the miss — the ones that form the shortest candidate
+// p-threads. The returned slice is therefore ordered by decreasing Seq
+// (equivalently, increasing Dist).
+//
+// The returned slice aliases the Slicer's scratch and stays valid only until
+// the next Backward call on the same Slicer; Tree.Insert copies what it keeps.
 //
 // Slices follow dataflow only — control instructions never appear because
 // they produce no register values the computation consumes (JAL link values
@@ -53,65 +65,102 @@ func (s *Slicer) Backward(tr *trace.Tracker, miss *trace.Entry) []Inst {
 	if maxLen <= 0 {
 		maxLen = 32
 	}
-	// Collect the slice's dynamic instructions by walking producers
-	// breadth-first in decreasing-Seq order. A max-heap keyed by Seq ensures
-	// we always expand the latest unprocessed instruction first, so the
-	// MaxLen cutoff keeps the instructions nearest the miss — the ones that
-	// form the shortest candidate p-threads.
-	inSlice := map[int64]*trace.Entry{miss.Seq: miss}
-	heap := []int64{miss.Seq}
-	pop := func() int64 {
-		sort.Slice(heap, func(i, j int) bool { return heap[i] > heap[j] })
-		v := heap[0]
-		heap = heap[1:]
-		return v
-	}
-	var ordered []*trace.Entry
-	for len(heap) > 0 && len(ordered) < maxLen {
-		seq := pop()
-		ent := inSlice[seq]
-		ordered = append(ordered, ent)
-		expand := func(prodSeq int64) {
-			if prodSeq == trace.NoProducer {
-				return
-			}
-			if _, seen := inSlice[prodSeq]; seen {
-				return
-			}
-			prod, ok := tr.Get(prodSeq)
-			if !ok {
-				return // outside the slicing scope: live-in
-			}
-			inSlice[prodSeq] = prod
-			heap = append(heap, prodSeq)
+	// A producer's Seq is always smaller than its consumer's, so popping the
+	// largest pending Seq visits the in-scope closure in strictly decreasing
+	// Seq order. A producer reached twice (add r3,r1,r1, or two consumers
+	// sharing it) therefore pops right after its twin and is skipped there:
+	// no seen-set is needed.
+	s.pending = append(s.pending[:0], miss.Seq)
+	ents := s.ents[:0]
+	for len(s.pending) > 0 && len(ents) < maxLen {
+		seq := s.popMax()
+		if len(ents) > 0 && ents[len(ents)-1].Seq == seq {
+			continue
 		}
-		expand(ent.SrcProd[0])
-		expand(ent.SrcProd[1])
-		expand(ent.MemProd)
+		ent := miss
+		if seq != miss.Seq {
+			ent, _ = tr.Get(seq) // in scope: checked when pushed
+		}
+		ents = append(ents, ent)
+		// A producer outside the slicing scope is a live-in: never pushed.
+		for _, prod := range [3]int64{ent.SrcProd[0], ent.SrcProd[1], ent.MemProd} {
+			if prod != trace.NoProducer && tr.InScope(prod) {
+				s.push(prod)
+			}
+		}
 	}
-	// ordered is in decreasing Seq already (max-heap pop order).
-	pos := make(map[int64]int, len(ordered))
-	for i, ent := range ordered {
-		pos[ent.Seq] = i
-	}
-	out := make([]Inst, len(ordered))
-	for i, ent := range ordered {
-		si := Inst{
+	s.ents = ents
+
+	out := s.out[:0]
+	for _, ent := range ents {
+		out = append(out, Inst{
 			PC:        ent.PC,
 			Op:        ent.Inst,
 			Dist:      miss.Seq - ent.Seq,
-			DepPos:    [2]int{NoDep, NoDep},
-			MemDepPos: NoDep,
-		}
-		for k := 0; k < 2; k++ {
-			if p, ok := pos[ent.SrcProd[k]]; ok && ent.SrcProd[k] != trace.NoProducer {
-				si.DepPos[k] = p
-			}
-		}
-		if p, ok := pos[ent.MemProd]; ok && ent.MemProd != trace.NoProducer {
-			si.MemDepPos = p
-		}
-		out[i] = si
+			DepPos:    [2]int{posOf(ents, ent.SrcProd[0]), posOf(ents, ent.SrcProd[1])},
+			MemDepPos: posOf(ents, ent.MemProd),
+		})
 	}
+	s.out = out
 	return out
+}
+
+// posOf returns the position of the entry with the given Seq in ents (sorted
+// by decreasing Seq), or NoDep if the slice does not contain it.
+func posOf(ents []*trace.Entry, seq int64) int {
+	if seq == trace.NoProducer {
+		return NoDep
+	}
+	lo, hi := 0, len(ents)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ents[mid].Seq > seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(ents) && ents[lo].Seq == seq {
+		return lo
+	}
+	return NoDep
+}
+
+// push adds seq to the pending max-heap.
+func (s *Slicer) push(seq int64) {
+	h := append(s.pending, seq)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if h[parent] >= h[i] {
+			break
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+	s.pending = h
+}
+
+// popMax removes and returns the largest pending Seq.
+func (s *Slicer) popMax() int64 {
+	h := s.pending
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		big, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && h[l] > h[big] {
+			big = l
+		}
+		if r < len(h) && h[r] > h[big] {
+			big = r
+		}
+		if big == i {
+			break
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
+	}
+	s.pending = h
+	return top
 }
