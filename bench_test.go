@@ -235,8 +235,8 @@ func BenchmarkReplayVprP(b *testing.B) {
 
 // replayGrid is the selection-only sweep the trace-replay benchmarks run: a
 // Figure-5-style optimization x merging grid where every cell shares one
-// base-run identity per benchmark, so the full-sim path re-simulates each
-// selection while the replay path records once and replays.
+// base-run identity per benchmark, so the streamed path re-runs the front
+// end for each selection while the replay path records once and replays.
 func replayGrid(b *testing.B) ([]preexec.SweepBench, []preexec.ConfigPoint) {
 	b.Helper()
 	benches, err := preexec.SweepBenches([]string{"crafty", "gcc", "vpr.p"}, 1)
@@ -271,7 +271,7 @@ func benchSweepGrid(b *testing.B, replay bool) {
 
 // BenchmarkSweepReplayGrid runs the selection-only grid with the
 // trace-replay fast path on (the default); BenchmarkSweepFullSimGrid is the
-// same grid forced through full simulation with WithReplay(false). Their
+// same grid with every run streaming its front end, WithReplay(false). Their
 // ratio is the sweep-level speedup of trace replay; the README "Trace
 // replay" section records measured numbers.
 func BenchmarkSweepReplayGrid(b *testing.B)  { benchSweepGrid(b, true) }

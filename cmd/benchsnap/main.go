@@ -4,7 +4,7 @@
 // (BenchmarkSweepCached/BenchmarkSweepUncached: the same selection grid with
 // and without the stage cache), the trace-replay benchmarks
 // (BenchmarkRecordTraceVprP/BenchmarkReplayVprP bracket one cell's record
-// and replay cost against BenchmarkSimVprPPreexec's full simulation;
+// and replay cost against BenchmarkSimVprPPreexec's streamed simulation;
 // BenchmarkSweepReplayGrid/BenchmarkSweepFullSimGrid are the same selection
 // grid with the replay fast path on and forced off), the functional profiler
 // (BenchmarkProfileVprR, mirroring internal/slice's BenchmarkProfile), and

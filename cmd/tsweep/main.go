@@ -22,14 +22,14 @@
 //	tsweep -memlat 70,140 -selmemlat 70,140                 # Figure 8
 //
 // -cache=off disables stage memoization (every cell recomputes everything);
-// -replay=off forces every selection-dependent run through full simulation
-// instead of replaying the memoized base-run trace. Results are bit-for-bit
-// identical any way these are set. The cache's run/hit counters are reported
+// -replay=off streams the front end on every selection-dependent run
+// instead of memoizing a base-run trace and replaying it. Results are
+// bit-for-bit identical any way these are set. The cache's run/hit counters are reported
 // on stderr.
 //
 // -trace records the sweep's stage executions as spans — one "sweep" root
 // plus one "stage:<name>" span per base run, profile, selection, trace
-// recording, replay, and full simulation actually executed (cache hits
+// recording, replay, and streamed simulation actually executed (cache hits
 // record nothing) — and writes them NDJSON to the given file. Tracing never
 // touches stdout: the sweep output is byte-identical with and without it.
 package main
@@ -100,7 +100,7 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "emit the full sweep result as JSON")
 		csvOut    = flag.Bool("csv", false, "emit per-cell rows as CSV")
 		cacheArg  = flag.String("cache", "on", "stage memoization: on or off")
-		replayArg = flag.String("replay", "on", "trace-replay fast path: on or off")
+		replayArg = flag.String("replay", "on", "trace-replay fast path: on, or off to stream the front end on every run")
 		progress  = flag.Bool("progress", false, "stream per-cell completion to stderr")
 		traceOut  = flag.String("trace", "", "write stage spans as NDJSON to this file")
 

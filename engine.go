@@ -34,11 +34,12 @@ type Simulator interface {
 // fast path: RecordTrace captures the base run's front-end event stream once
 // (fetch order, effective addresses, predictor verdicts — all
 // selection-independent), and Replay scores a p-thread set against the
-// recorded stream without re-simulating, bit-identical to Simulate. Engines
-// with a stage cache route selection-dependent timing runs through this
-// interface automatically when their Simulator implements it (the reference
-// simulator does); a Simulator without it simply always simulates in full.
-// See WithReplay for the escape hatch.
+// recorded stream instead of re-running the front end, bit-identical to
+// Simulate. Engines with a stage cache route selection-dependent timing
+// runs through this interface automatically when their Simulator
+// implements it (the reference simulator does, with one backend behind
+// both paths); a Simulator without it simply always simulates, streaming
+// the front end on every run. See WithReplay for the escape hatch.
 type TraceReplayer interface {
 	RecordTrace(ctx context.Context, p *Program, cfg TimingConfig) (*Trace, error)
 	Replay(ctx context.Context, t *Trace, pts []*PThread, cfg TimingConfig) (Stats, error)
@@ -157,10 +158,10 @@ func WithStageCache(c *StageCache) Option { return func(e *Engine) { e.cache = c
 // WithReplay toggles the trace-replay fast path (on by default). With a
 // stage cache attached, a Simulator implementing TraceReplayer, and a run
 // small enough to record (timing.Traceable), selection-dependent timing runs
-// are scored against a memoized base-run trace instead of re-simulating —
-// bit-identical results, several times faster on selection-only grids.
-// WithReplay(false) is the escape hatch forcing every cell through full
-// simulation (the -replay=off flag of cmd/tsweep).
+// are scored against a memoized base-run trace instead of re-running the
+// front end — bit-identical results, faster on selection-only grids.
+// WithReplay(false) streams the front end on every run instead of
+// memoizing a trace (the -replay=off flag of cmd/tsweep).
 func WithReplay(on bool) Option { return func(e *Engine) { e.replay = on } }
 
 // WithStageObserver installs an observer called around every stage
@@ -213,9 +214,9 @@ func (e *Engine) stages() core.Stages {
 				return e.simulate(ctx, p, pts, cfg, "base")
 			}
 			// Selection-dependent runs replay against the memoized base-run
-			// trace when the fast path applies; otherwise they simulate in
-			// full. Results are bit-identical either way (the refsim-style
-			// equivalence suite in internal/timing and synth pins this).
+			// trace when the fast path applies; otherwise they stream the
+			// front end. Results are bit-identical either way (the
+			// equivalence suites in internal/timing and synth pin this).
 			if e.replay && e.cache != nil && timing.Traceable(cfg) {
 				if tr, ok := e.simulator.(TraceReplayer); ok {
 					return e.replaySimulate(ctx, tr, p, pts, cfg)
@@ -241,7 +242,7 @@ func (e *Engine) simulate(ctx context.Context, p *Program, pts []*PThread, cfg T
 // p-threads against it. The observer sees real work only — a "trace" stage
 // inside the cache's compute closure when the recording actually happens,
 // and a "replay" stage per replayed run. Errors propagate; there is no
-// silent fall back to full simulation, so a replay bug can never hide as a
+// silent fall back to streamed simulation, so a replay bug can never hide as a
 // performance regression.
 func (e *Engine) replaySimulate(ctx context.Context, tr TraceReplayer, p *Program, pts []*PThread, cfg TimingConfig) (Stats, error) {
 	t, err := e.cache.traceFor(ctx, p, cfg, func() (*Trace, error) {

@@ -52,7 +52,7 @@ type Budget struct {
 	Gcflags string `json:"gcflags"`
 	// Hot lists the hot-path functions the gate covers, named as
 	// (*types.Func).FullName with the package path stripped — e.g.
-	// "(*Sim).fetch", "busWait".
+	// "(*replaySim).fetch", "busWait".
 	Hot []string `json:"hot"`
 	// Allowed maps each hot function to its budgeted escape messages,
 	// sorted; a message occurring N times at distinct sites appears N times.
@@ -77,10 +77,10 @@ func LoadBudget(path string) (*Budget, error) {
 
 // Escape is one heap-escape diagnostic attributed to a function.
 type Escape struct {
-	File    string // base name, e.g. "sim.go"
+	File    string // base name, e.g. "replay.go"
 	Line    int
 	Col     int
-	Message string // e.g. "make([]uop, 256) escapes to heap"
+	Message string // e.g. "make([]int32, c) escapes to heap"
 	Func    string // enclosing function, "" for package scope
 }
 
@@ -173,8 +173,8 @@ func (x *funcIndex) funcAt(file string, line int) string {
 }
 
 // declName renders a function declaration the way the budget names it:
-// "(*Sim).fetch" for pointer-receiver methods, "(Config).withDefaults" for
-// value receivers, "busWait" for package functions.
+// "(*replaySim).fetch" for pointer-receiver methods, "(Config).withDefaults"
+// for value receivers, "busWait" for package functions.
 func declName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return fd.Name.Name

@@ -13,16 +13,16 @@ import (
 func budgetFixture() *lint.Budget {
 	return &lint.Budget{
 		Package: "example",
-		Hot:     []string{"(*Sim).fetch", "busWait"},
+		Hot:     []string{"(*replaySim).fetch", "busWait"},
 		Allowed: map[string][]string{
-			"(*Sim).fetch": {"make([]int, n) escapes to heap"},
+			"(*replaySim).fetch": {"make([]int, n) escapes to heap"},
 		},
 	}
 }
 
 func TestCheckBudgetInBudget(t *testing.T) {
 	escapes := []lint.Escape{
-		{File: "sim.go", Line: 10, Message: "make([]int, n) escapes to heap", Func: "(*Sim).fetch"},
+		{File: "replay.go", Line: 10, Message: "make([]int, n) escapes to heap", Func: "(*replaySim).fetch"},
 	}
 	if diags := lint.CheckBudget(budgetFixture(), escapes, nil); len(diags) != 0 {
 		t.Fatalf("budgeted escape reported: %v", diags)
@@ -31,14 +31,14 @@ func TestCheckBudgetInBudget(t *testing.T) {
 
 func TestCheckBudgetNewEscape(t *testing.T) {
 	escapes := []lint.Escape{
-		{File: "sim.go", Line: 10, Message: "make([]int, n) escapes to heap", Func: "(*Sim).fetch"},
-		{File: "sim.go", Line: 20, Message: "&x escapes to heap", Func: "(*Sim).fetch"},
+		{File: "replay.go", Line: 10, Message: "make([]int, n) escapes to heap", Func: "(*replaySim).fetch"},
+		{File: "replay.go", Line: 20, Message: "&x escapes to heap", Func: "(*replaySim).fetch"},
 	}
 	diags := lint.CheckBudget(budgetFixture(), escapes, nil)
 	if len(diags) != 1 {
 		t.Fatalf("got %d findings, want 1: %v", len(diags), diags)
 	}
-	if !strings.Contains(diags[0].Message, "heap escape in hot function (*Sim).fetch: &x escapes to heap") {
+	if !strings.Contains(diags[0].Message, "heap escape in hot function (*replaySim).fetch: &x escapes to heap") {
 		t.Fatalf("unexpected message: %s", diags[0].Message)
 	}
 }
@@ -47,8 +47,8 @@ func TestCheckBudgetNewEscape(t *testing.T) {
 // over budget on the second occurrence.
 func TestCheckBudgetMultiset(t *testing.T) {
 	escapes := []lint.Escape{
-		{File: "sim.go", Line: 10, Message: "make([]int, n) escapes to heap", Func: "(*Sim).fetch"},
-		{File: "sim.go", Line: 30, Message: "make([]int, n) escapes to heap", Func: "(*Sim).fetch"},
+		{File: "replay.go", Line: 10, Message: "make([]int, n) escapes to heap", Func: "(*replaySim).fetch"},
+		{File: "replay.go", Line: 30, Message: "make([]int, n) escapes to heap", Func: "(*replaySim).fetch"},
 	}
 	diags := lint.CheckBudget(budgetFixture(), escapes, nil)
 	if len(diags) != 1 {
@@ -59,7 +59,7 @@ func TestCheckBudgetMultiset(t *testing.T) {
 func TestCheckBudgetColdFunctionIgnored(t *testing.T) {
 	b := budgetFixture()
 	escapes := []lint.Escape{
-		{File: "sim.go", Line: 10, Message: "make([]int, n) escapes to heap", Func: "(*Sim).fetch"},
+		{File: "replay.go", Line: 10, Message: "make([]int, n) escapes to heap", Func: "(*replaySim).fetch"},
 		{File: "cold.go", Line: 5, Message: "new(big) escapes to heap", Func: "setup"},
 		{File: "cold.go", Line: 9, Message: "x escapes to heap", Func: ""},
 	}
@@ -76,7 +76,7 @@ func TestCheckBudgetStale(t *testing.T) {
 		t.Fatalf("got %d findings, want 1 stale entry: %v", len(diags), diags)
 	}
 	if !strings.Contains(diags[0].Message, "stale allocation budget") ||
-		!strings.Contains(diags[0].Message, "(*Sim).fetch") {
+		!strings.Contains(diags[0].Message, "(*replaySim).fetch") {
 		t.Fatalf("unexpected message: %s", diags[0].Message)
 	}
 }
@@ -109,16 +109,16 @@ func TestAllocBudgetTimingPackage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The uop arena's chunk growth is the canonical amortized allocation:
-	// it must be present and attributed to (*uopArena).get.
+	// The slot-id ring's doubling is the canonical amortized allocation:
+	// it must be present and attributed to (*i32ring).push.
 	found := false
 	for _, e := range escapes {
-		if e.Func == "(*uopArena).get" && e.Message == "make([]uop, 256) escapes to heap" {
+		if e.Func == "(*i32ring).push" && e.Message == "make([]int32, len(r.buf) * 2) escapes to heap" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("arena chunk allocation not attributed to (*uopArena).get; escapes: %+v", escapes)
+		t.Fatalf("ring growth allocation not attributed to (*i32ring).push; escapes: %+v", escapes)
 	}
 
 	budget, err := lint.LoadBudget(filepath.Join(root, lint.AllocBudgetPath))

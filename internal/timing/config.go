@@ -14,12 +14,13 @@
 // whose own selection model also ignores wrong-path triggers (§4.3); see
 // DESIGN.md.
 //
-// Performance invariant: the hot path (sim.go) is heavily optimized — uop
-// arena, event-driven issue scheduling, idle-cycle fast-forward — but
+// Performance invariant: the one backend (replay.go), fed by the streamed
+// or recorded front end (trace.go), is heavily optimized — slot rings,
+// event-driven issue scheduling, idle-cycle fast-forward — but
 // optimizations must preserve bit-for-bit identical Stats. The frozen
 // pre-optimization core in refsim_test.go and the equivalence tests in
-// equiv_test.go enforce this; model changes must update both cores in the
-// same commit. BENCH_baseline.json at the repository root records the
+// equiv_test.go and synth_equiv_test.go enforce this; an intentional model
+// change updates that frozen copy in the same commit. BENCH_baseline.json at the repository root records the
 // micro-benchmark baseline that CI guards (cmd/benchsnap).
 package timing
 

@@ -2,11 +2,12 @@ package timing
 
 // Equivalence, determinism, and allocation tests for the optimized core.
 // The load-bearing invariant of this package is that performance work never
-// changes results: the optimized Sim must produce Stats bit-for-bit
+// changes results: the optimized core must produce Stats bit-for-bit
 // identical to the frozen reference core (refsim_test.go) on every workload
 // in every mode, and identical to itself across repeated runs.
 
 import (
+	"context"
 	"testing"
 
 	"preexec/internal/advantage"
@@ -114,8 +115,9 @@ func TestOptimizedCoreMatchesReferenceEdgeConfigs(t *testing.T) {
 }
 
 // TestRunDeterministic asserts two independent runs of the same simulation
-// are bit-for-bit identical (the arena and maps must not leak iteration
-// order or address-dependent behaviour into results).
+// are bit-for-bit identical (the p-thread arena and the front end's maps
+// must not leak iteration order or address-dependent behaviour into
+// results).
 func TestRunDeterministic(t *testing.T) {
 	for _, wname := range []string{"mcf", "vpr.p"} {
 		w, err := workload.ByName(wname)
@@ -142,10 +144,12 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 // TestSteadyStateAllocs pins the core's zero-steady-state-allocation
-// property: growing the measured window by 100k instructions must not grow
-// the per-run allocation count (everything per-instruction comes from the
-// arena and the reused scratch; remaining allocations are setup — oracle
-// memory clone, caches, predictor — and are window-independent).
+// property for both front-end sources: growing the measured window by 100k
+// instructions must not grow the per-run allocation count of a streamed
+// Run or of a Replay (everything per-instruction lives in the slot and
+// record rings, the p-thread arena, and reused scratch; remaining
+// allocations are setup — memory image, caches, predictor — and are
+// window-independent).
 func TestSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is slow under -short")
@@ -156,23 +160,41 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	prog := w.Build(1)
 	pts := selectFor(t, prog, 0, 30_000)
-	allocs := func(maxInsts int64) float64 {
+	config := func(maxInsts int64) Config {
 		cfg := DefaultConfig()
 		cfg.MaxInsts = maxInsts
 		cfg.Mode = ModeNormal
+		return cfg
+	}
+	runAllocs := func(maxInsts int64) float64 {
+		cfg := config(maxInsts)
 		return testing.AllocsPerRun(3, func() {
 			if _, err := Run(prog, pts, cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	small := allocs(20_000)
-	large := allocs(120_000)
-	// 100k extra instructions under the old core cost >100k allocations;
-	// the arena core must stay flat. A little slack covers lazily mapped
-	// memory pages and map growth in the larger footprint.
-	if grown := large - small; grown > 500 {
-		t.Errorf("allocations scale with instruction count: %0.f @20k insts vs %0.f @120k insts (+%0.f)", small, large, grown)
+	replayAllocs := func(maxInsts int64) float64 {
+		cfg := config(maxInsts)
+		tr := recordFor(t, prog, cfg)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Replay(context.Background(), tr, pts, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// 100k extra instructions under the original per-uop core cost >100k
+	// allocations; both sources must stay flat. A little slack covers
+	// lazily mapped memory pages and map growth in the larger footprint.
+	for _, c := range []struct {
+		name   string
+		allocs func(int64) float64
+	}{{"Run", runAllocs}, {"Replay", replayAllocs}} {
+		small := c.allocs(20_000)
+		large := c.allocs(120_000)
+		if grown := large - small; grown > 500 {
+			t.Errorf("%s allocations scale with instruction count: %0.f @20k insts vs %0.f @120k insts (+%0.f)", c.name, small, large, grown)
+		}
 	}
 }
 

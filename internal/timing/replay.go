@@ -7,53 +7,67 @@ import (
 
 	"preexec/internal/cpu"
 	"preexec/internal/isa"
-	"preexec/internal/mem"
+	"preexec/internal/program"
 	"preexec/internal/pthread"
 )
 
-// This file is the replay half of trace replay: a re-timing engine that
-// consumes a recorded Trace (trace.go) instead of stepping the functional
-// oracle and querying the branch predictor. It mirrors sim.go stage for
-// stage — retire/issue/rename/fetch in the same order, the same event-driven
-// scheduler, the same idle fast-forward, the same memory system — so its
-// Stats are bit-identical to RunContext's (pinned by replay_equiv_test.go
-// across every workload, mode, and the synth zoo, the refsim discipline).
+// This file is the simulator's backend: the fetch, rename, schedule,
+// issue, complete and retire stages of the SMT pipeline. Its front-end
+// records (trace.go) come from one of two sources that produce identical
+// streams: RunContext steps the functional oracle and the branch predictor
+// inside fetch, and Replay reads a Trace recorded ahead of time, so one
+// base-run recording re-times any selection in any mode. Either way the
+// Stats equal the frozen reference core's (refsim_test.go), pinned by
+// equiv_test.go, replay_equiv_test.go and the synth corpus differentials in
+// synth_equiv_test.go.
 //
-// Beyond skipping the oracle and the predictor, replay is specialized for
-// being run many times per trace (once per sweep cell):
+// The hot path is built around three ideas, none of which changes Stats:
 //
-//   - Main-thread instructions live in a ring of slots indexed by their trace
-//     record sequence. No allocation, no free list, and no reference counts:
-//     every reference to a main-thread slot dies by the time it retires (the
+//  1. Zero steady-state allocation. Main-thread instructions live in a ring
+//     of slots indexed by dynamic sequence number; their front-end records
+//     sit in a ring of the same size when streaming and in the recorded
+//     trace when replaying. No free list and no reference counts: every
+//     reference to a main-thread slot dies by the time it retires (the
 //     waiter chain drains at issue, producer links resolve against issued or
-//     retired producers, the ROB entry leaves at retire), and the ring spans
+//     retired producers, the ROB entry leaves at retire), and the rings span
 //     the maximum fetch-ahead, so a slot cannot be overwritten while
 //     reachable. Only p-thread slots, whose lifetime is not program-ordered,
-//     keep the arena-and-pins discipline.
-//   - Producer links are not re-derived through a rename table: the trace
-//     records each instruction's producer record index (trace.go), and the
-//     strictly program-ordered retirement watermark distinguishes live
-//     producers from retired ones — the same trick the store-forwarding walk
-//     uses on the prevStore links.
-//   - The ready "heap" is a winSeq-indexed bitmap ring (readyQ): window
-//     sequence numbers are unique, so ascending-bit order is exactly the
-//     uopHeap's pop order, at one bit set per wakeup and a short word scan
-//     per issue instead of O(log n) sift chains.
+//     are reference-counted in an arena recycled through a free list. The
+//     front-end queue and ROB are rings, and launches reuse per-run scratch.
+//  2. Event-driven scheduling. A slot waiting on an unissued producer parks
+//     on that producer's waiter list; once all its producers have issued,
+//     their completion times fold into its ready time and it waits in a
+//     timing wheel until it matures into the ready queue, a winSeq-indexed
+//     bitmap ring whose ascending-bit order is oldest-first issue. Producer
+//     links are the front end's precomputed record links, resolved against
+//     the strictly program-ordered retirement watermark; store-to-load
+//     forwarding walks the backward same-word store links the same way.
+//     Reservation-station occupancy is a counter.
+//  3. Idle-cycle fast-forward. When a cycle performs no work, the next cycle
+//     at which any stage could act is computed from the in-flight timestamps
+//     and the clock jumps there directly — the common case in the
+//     miss-dominated regime the paper evaluates, where the whole machine
+//     sits behind a ~100-cycle memory access. All state is timestamp-based,
+//     so skipped cycles are observationally identical to ticked ones (the
+//     one per-cycle statistic, FetchStalls, is accounted for explicitly).
+//
+// Dynamic indices (sequence numbers, window order, the retired count) are
+// int64 throughout: a streamed run has no instruction cap.
 
-// rslot is one in-flight instruction in the replay engine — the uop struct
-// flattened into a slot. Producer references (prod) are either p-thread slot
-// ids (>= 0, always in the arena region) or encoded main-thread record
-// indices (mainRef, <= -2); none (-1) is empty. `pins` reference-counts
-// p-thread slots exactly as uop.pins does; it is unused for ring slots.
+// rslot is one in-flight instruction, main-thread or p-thread. Producer
+// references (prod) are either p-thread slot ids (>= 0, always in the arena
+// region) or encoded main-thread sequence numbers (mainRef, <= -2); none
+// (-1) is empty. pins reference-counts p-thread slots; it is unused for ring
+// slots.
 type rslot struct {
 	readyMin int64
 	availC   int64
 	compC    int64
 	effAddr  int64
+	seq      int64 // dynamic instruction index; -1 for p-thread slots
+	winSeq   int64 // window-entry order (issue priority: oldest first)
+	prod     [3]int64
 
-	prod       [3]int32
-	seq        int32 // trace record index; -1 for p-thread slots
-	winSeq     int32
 	waiterHead int32
 	nextWaiter int32
 	pins       int32
@@ -67,7 +81,7 @@ type rslot struct {
 }
 
 // none is the nil slot id / producer reference.
-const none = int32(-1)
+const none = -1
 
 // wheelSize is the timing wheel's horizon in cycles (power of two). It
 // comfortably covers ordinary completion latencies (memory plus queueing);
@@ -75,11 +89,11 @@ const none = int32(-1)
 // any horizon — the size only trades memory for spill frequency.
 const wheelSize = 2048
 
-// mainRef encodes a main-thread producer reference by trace record index;
-// mainSeq decodes it. The encoding keeps record indices (which overlap slot
-// ids numerically) distinct from p-thread slot ids in prod entries.
-func mainRef(seq int32) int32 { return -2 - seq }
-func mainSeq(ref int32) int32 { return -2 - ref }
+// mainRef encodes a main-thread producer reference by sequence number;
+// mainSeq decodes it. The encoding keeps sequence numbers (which overlap
+// slot ids numerically) distinct from p-thread slot ids in prod entries.
+func mainRef(seq int64) int64 { return -2 - seq }
+func mainSeq(ref int64) int64 { return -2 - ref }
 
 // khent is a pending-heap entry: the inline readyMin key plus the slot id,
 // keeping the sift loops free of slot-array indirections.
@@ -88,12 +102,9 @@ type khent struct {
 	id  int32
 }
 
-// keyHeap is a binary min-heap over inline keys. Its sift comparisons are
-// the same as uopHeap's (strict < to prefer the later child, <= to stop), so
-// equal-key entries pop in the same order as the simulator's heaps. (For the
-// pending heap the equal-key order is additionally irrelevant: every entry
-// with key <= cycle transfers to the ready queue before any issue, and the
-// ready queue orders by unique winSeq.)
+// keyHeap is a binary min-heap over inline keys. Equal-key order is
+// irrelevant: every entry with key <= cycle transfers to the ready queue
+// before any issue, and the ready queue orders by unique winSeq.
 type keyHeap []khent
 
 func (h *keyHeap) push(key int64, id int32) {
@@ -144,21 +155,21 @@ func (h *keyHeap) pop() int32 {
 type readyQ struct {
 	idOf  []int32
 	bits  []uint64
-	mask  int32
-	min   int32 // lower bound on the smallest set winSeq; exact after a pop
-	max   int32 // upper bound on the largest set winSeq
+	mask  int64
+	min   int64 // lower bound on the smallest set winSeq; exact after a pop
+	max   int64 // upper bound on the largest set winSeq
 	count int32
 }
 
 func newReadyQ(capacity int) readyQ {
-	c := int32(64)
+	c := int64(64)
 	for int(c) < capacity {
 		c <<= 1
 	}
 	return readyQ{idOf: make([]int32, c), bits: make([]uint64, c/64), mask: c - 1}
 }
 
-func (q *readyQ) push(ws, id int32) {
+func (q *readyQ) push(ws int64, id int32) {
 	if q.count == 0 {
 		q.min, q.max = ws, ws
 	} else {
@@ -209,7 +220,7 @@ func (q *readyQ) grow() {
 // ring word shared by the window's two ends keeps its low/high halves in
 // disjoint bit ranges, so the absolute walk reads each live bit exactly once.
 func (q *readyQ) pop() int32 {
-	nw := int32(len(q.bits))
+	nw := int64(len(q.bits))
 	ws := q.min
 	aw := ws >> 6
 	w := q.bits[aw&(nw-1)] >> uint(ws&63)
@@ -218,7 +229,7 @@ func (q *readyQ) pop() int32 {
 		ws = aw << 6
 		w = q.bits[aw&(nw-1)]
 	}
-	ws += int32(bits.TrailingZeros64(w))
+	ws += int64(bits.TrailingZeros64(w))
 	i := ws & q.mask
 	q.bits[i>>6] &^= 1 << uint(i&63)
 	q.min = ws + 1
@@ -226,7 +237,7 @@ func (q *readyQ) pop() int32 {
 	return q.idOf[i]
 }
 
-// i32ring is uopRing over slot ids.
+// i32ring is a power-of-two FIFO of slot ids.
 type i32ring struct {
 	buf  []int32
 	head int
@@ -263,11 +274,13 @@ func (r *i32ring) pop() int32 {
 	return id
 }
 
-// rctx is ptContext over slot ids.
+// rctx is one of the additional SMT contexts p-threads run in. The pending
+// slice's backing array is reused across launches; head marks the injection
+// point so draining never reslices the backing away.
 type rctx struct {
-	pending []int32
+	pending []int32 // body slots, pending[head:] not yet injected
 	head    int
-	burstAt int64
+	burstAt int64 // next injection cycle
 }
 
 func (c *rctx) busy() bool { return c.head < len(c.pending) }
@@ -280,12 +293,11 @@ type ptBodyMeta struct {
 	latAdd []uint8
 }
 
-// replaySim is one replay of a recorded trace. It is the Sim structure with
-// the oracle, predictor, rename table, and store-chain map replaced by the
-// trace.
+// replaySim is one timing simulation: the backend state plus the front-end
+// source feeding it.
 type replaySim struct {
 	cfg   Config
-	trace *Trace
+	prog  *program.Program
 	mem   *memsys
 	stats Stats
 
@@ -298,7 +310,7 @@ type replaySim struct {
 	l2Lat           int64
 
 	// Slot storage: slots[0:ringSz] is the main-thread ring (slot id ==
-	// record sequence & slotMask); slots[ringSz:] is the p-thread arena,
+	// sequence number & slotMask); slots[ringSz:] is the p-thread arena,
 	// recycled through freeL when a slot's pin count drops to zero. Callers
 	// must not hold *rslot across an allocPt (the backing array may grow).
 	slots    []rslot
@@ -306,19 +318,27 @@ type replaySim struct {
 	ringSz   int32
 	slotMask int64
 
-	// Front end: pos is the next trace record to fetch; regs/memImg track
-	// the architectural state at the fetch frontier (the simulator's oracle
-	// state) for p-thread launches.
+	// Front end. Records come from fe when streaming and from trace when
+	// replaying (exactly one is set). rec(seq) is the record of sequence
+	// number seq: recs is a ring beside the slot ring when streaming
+	// (recMask = slotMask) and the recorded trace itself when replaying
+	// (recMask all ones). pos is the next sequence number to fetch. arch is
+	// the architectural state at the fetch frontier that p-thread launches
+	// read: the oracle itself when streaming, a replica the records'
+	// effects are applied to when replaying.
+	fe        *frontEnd
+	trace     *Trace
+	arch      *cpu.State
+	recs      []traceRec
+	recMask   int64
+	pos       int64
 	fetchQ    i32ring
 	blocker   int32
 	fetchDone bool
 	exhausted bool // fetch ran off a non-truncated trace: trace too short
-	pos       int
-	regs      [isa.NumRegs]int64
-	memImg    *mem.Memory
 
 	rsCount int
-	winSeq  int32
+	winSeq  int64
 	ready   readyQ
 
 	// Pending instructions (scheduled, producers resolved, completion-gated)
@@ -349,21 +369,18 @@ type replaySim struct {
 }
 
 // Replay scores the p-thread selection pts under cfg against the recorded
-// trace t, without re-simulating fetch: the returned Stats are bit-identical
-// to RunContext(ctx, t.Program(), pts, cfg). The trace must have been
-// recorded under the same TraceVersion, the same machine geometry, and a run
-// extent covering cfg's WarmInsts+MaxInsts (RecordTrace with the same Config
-// family guarantees all three); a too-short trace returns an error, never
-// silently wrong numbers.
+// trace t instead of re-running the front end: the returned Stats are
+// bit-identical to RunContext(ctx, t.Program(), pts, cfg). The trace must
+// have been recorded under the same TraceVersion, the same machine
+// geometry, and a run extent covering cfg's WarmInsts+MaxInsts
+// (RecordTrace with the same Config family guarantees all three); a
+// too-short trace returns an error, never silently wrong numbers.
 func Replay(ctx context.Context, t *Trace, pts []*pthread.PThread, cfg Config) (Stats, error) {
 	if t.version != TraceVersion {
 		return Stats{}, fmt.Errorf("timing: trace version %q does not match simulator %q", t.version, TraceVersion)
 	}
 	cfg = cfg.withDefaults()
-	total := cfg.WarmInsts + cfg.MaxInsts
-	if total < 0 { // overflow of the "unbounded" default
-		total = cfg.MaxInsts
-	}
+	total := runTotal(cfg)
 	// A trace ending in HALT (or truncated by an oracle error) covers the
 	// whole fetch stream; an extent-bounded trace must cover this run's
 	// total plus its maximum fetch-ahead.
@@ -372,19 +389,23 @@ func Replay(ctx context.Context, t *Trace, pts []*pthread.PThread, cfg Config) (
 	if !complete && total+traceExtent(cfg) > int64(len(t.recs)) {
 		return Stats{}, fmt.Errorf("timing: trace of %d records too short for a %d-instruction run", len(t.recs), total)
 	}
-	return newReplay(t, pts, cfg).run(ctx, total)
+	return newReplay(t.prog, t, pts, cfg).run(ctx, total)
 }
 
-func newReplay(t *Trace, pts []*pthread.PThread, cfg Config) *replaySim {
-	// The ring must span the maximum distance between the retirement
-	// watermark and the fetch frontier: ROB occupancy plus the fetch queue's
-	// high-water mark (under 3xWidth).
+// newReplay prepares a simulation of prog fed from the recorded trace t, or
+// streamed from a fresh front end when t is nil. cfg has its defaults
+// applied.
+func newReplay(prog *program.Program, t *Trace, pts []*pthread.PThread, cfg Config) *replaySim {
+	// The slot and record rings must span the maximum distance between the
+	// retirement watermark and the fetch frontier: ROB occupancy plus the
+	// fetch queue's high-water mark (under 3xWidth).
 	sz := int32(8)
 	for int(sz) < cfg.ROB+4*cfg.Width {
 		sz <<= 1
 	}
 	r := &replaySim{
 		cfg:             cfg,
+		prog:            prog,
 		trace:           t,
 		frontEndDepth:   int64(cfg.FrontEndDepth),
 		redirectPenalty: int64(cfg.RedirectPenalty),
@@ -402,14 +423,21 @@ func newReplay(t *Trace, pts []*pthread.PThread, cfg Config) *replaySim {
 		wheelMask:       wheelSize - 1,
 		blocker:         none,
 		ctxs:            make([]rctx, cfg.PtContexts),
-		memImg:          t.prog.Data.Clone(),
+	}
+	if t == nil {
+		r.fe = newFrontEnd(prog)
+		r.arch = r.fe.oracle
+		r.recs, r.recMask = make([]traceRec, sz), r.slotMask
+	} else {
+		r.arch = cpu.New(prog)
+		r.recs, r.recMask = t.recs, -1
 	}
 	for i := range r.wheel {
 		r.wheel[i] = none
 	}
 	r.mem = newMemsys(cfg, &r.stats)
 	if cfg.Mode != ModeBase && len(pts) > 0 {
-		r.trig = make([]int32, len(t.prog.Insts))
+		r.trig = make([]int32, len(prog.Insts))
 		r.ptMeta = make(map[*pthread.PThread]ptBodyMeta, len(pts))
 		for _, pt := range pts {
 			if pt.TriggerPC >= 0 && pt.TriggerPC < len(r.trig) {
@@ -441,15 +469,21 @@ func newReplay(t *Trace, pts []*pthread.PThread, cfg Config) *replaySim {
 // allocPt hands out a recycled (or fresh) p-thread arena slot, reset with
 // nil references and one pin (the caller's pending-list reference).
 func (r *replaySim) allocPt() int32 {
-	blank := rslot{prod: [3]int32{none, none, none}, seq: -1, waiterHead: none, nextWaiter: none, isPt: true, pins: 1}
+	var id int32
 	if n := len(r.freeL); n > 0 {
-		id := r.freeL[n-1]
+		id = r.freeL[n-1]
 		r.freeL = r.freeL[:n-1]
-		r.slots[id] = blank
-		return id
+	} else {
+		r.slots = append(r.slots, rslot{})
+		id = int32(len(r.slots) - 1)
 	}
-	r.slots = append(r.slots, blank)
-	return int32(len(r.slots) - 1)
+	// Reset in place, like fetch: assigning a literal would block-copy it.
+	u := &r.slots[id]
+	*u = rslot{}
+	u.prod, u.seq = [3]int64{none, none, none}, -1
+	u.waiterHead, u.nextWaiter = none, none
+	u.isPt, u.pins = true, 1
+	return id
 }
 
 // unpin drops one reference from a p-thread slot; the last reference
@@ -463,8 +497,9 @@ func (r *replaySim) unpin(id int32) {
 	}
 }
 
-// run executes the replay loop — the same cadence, warm snapshot, livelock
-// guard, and idle fast-forward as Sim.RunContext.
+// run executes the simulation loop for a run of total instructions: one
+// cycle of every stage per iteration, a warm-up snapshot, the livelock
+// guard, and the idle fast-forward.
 func (r *replaySim) run(ctx context.Context, total int64) (Stats, error) {
 	guard := livelockGuard(total)
 	done := ctx.Done()
@@ -498,6 +533,9 @@ func (r *replaySim) run(ctx context.Context, total int64) (Stats, error) {
 			break
 		}
 		if !retired && !issued && !renamed && !fetched {
+			// Idle cycle: nothing can happen until the earliest in-flight
+			// timestamp matures, so jump the clock there. A stalled front
+			// end would have counted one FetchStalls per skipped cycle.
 			if next := r.nextEventCycle(); next > r.cycle {
 				if next > guard+1 {
 					next = guard + 1
@@ -509,11 +547,11 @@ func (r *replaySim) run(ctx context.Context, total int64) (Stats, error) {
 			}
 		}
 		if r.cycle > guard {
-			return r.stats, fmt.Errorf("timing: no forward progress after %d cycles (%s)", r.cycle, r.trace.prog.Name)
+			return r.stats, fmt.Errorf("timing: no forward progress after %d cycles (%s)", r.cycle, r.prog.Name)
 		}
 	}
 	if r.exhausted {
-		return r.stats, fmt.Errorf("timing: trace of %d records exhausted mid-run (%s)", len(r.trace.recs), r.trace.prog.Name)
+		return r.stats, fmt.Errorf("timing: trace of %d records exhausted mid-run (%s)", len(r.trace.recs), r.prog.Name)
 	}
 	st := subStats(r.stats, warm)
 	st.Cycles = r.cycle - warmCycle
@@ -570,17 +608,28 @@ func (r *replaySim) nextPendingCycle(sentinel int64) int64 {
 	return next
 }
 
-// nextEventCycle mirrors Sim.nextEventCycle over slot ids.
+// nextEventCycle returns the earliest future cycle at which any pipeline
+// stage could make progress, given that the cycle just simulated made none.
+// Every stage's enabling condition is a monotone comparison of the clock
+// against an in-flight timestamp (completion, delivery, burst, redirect), so
+// the minimum of those timestamps bounds the next state change from below;
+// extra candidates only shorten the jump, never skip work.
 func (r *replaySim) nextEventCycle() int64 {
 	next := unboundedGuard + 1
+	// Retire: the ROB head completes.
 	if r.rob.len() > 0 {
 		if h := &r.slots[r.rob.front()]; h.issued && h.compC < next {
 			next = h.compC
 		}
 	}
+	// Issue: the earliest pending slot matures. (Slots parked on an unissued
+	// producer wake on that producer's issue — itself a covered event — and
+	// a non-empty ready queue would have made this a work cycle.)
 	if t := r.nextPendingCycle(next); t < next {
 		next = t
 	}
+	// Rename: a p-thread burst comes due (bursts blocked on the RS throttle
+	// instead wait on an issue event), or the front-end head is delivered.
 	if r.busyCtxs > 0 {
 		for i := range r.ctxs {
 			if c := &r.ctxs[i]; c.busy() && c.burstAt >= r.cycle && c.burstAt < next {
@@ -593,6 +642,7 @@ func (r *replaySim) nextEventCycle() int64 {
 			next = a
 		}
 	}
+	// Fetch: a resolved mispredicted branch finishes its redirect penalty.
 	if b := r.blocker; b != none && r.slots[b].issued {
 		if t := r.slots[b].compC + r.redirectPenalty; t < next {
 			next = t
@@ -601,12 +651,11 @@ func (r *replaySim) nextEventCycle() int64 {
 	return next
 }
 
-// fetch mirrors Sim.fetch, consuming trace records instead of oracle steps
-// and applying each record's architectural effect to the replay's register
-// file and memory image (keeping them at the fetch frontier, exactly the
-// oracle state the simulator's launches read). Fetched instructions land in
-// their ring slot directly: the slot's previous occupant retired at least a
-// full ROB ago.
+// fetch delivers up to Width front-end records into their ring slots; a
+// mispredicted branch blocks fetch until it resolves plus the redirect
+// penalty, and a taken branch or jump ends the fetch group. The slot's
+// previous occupant retired at least a full ROB ago. fetch reports whether
+// any state changed (FetchStalls accounting aside).
 func (r *replaySim) fetch() bool {
 	if r.fetchDone {
 		return false
@@ -622,38 +671,23 @@ func (r *replaySim) fetch() bool {
 		work = true
 	}
 	if r.fetchQ.len() >= 2*r.cfg.Width {
-		return work
+		return work // front-end buffer full
 	}
-	recs := r.trace.recs
 	for n := 0; n < r.cfg.Width; n++ {
-		if r.pos >= len(recs) {
-			// The simulator's fetch stops on an oracle error at exactly the
-			// truncation point; a non-truncated trace ending here is too
-			// short for this run — fail the replay rather than diverge.
-			if !r.trace.truncated {
-				r.exhausted = true
-			}
+		rec := r.next()
+		if rec == nil {
 			r.fetchDone = true
 			return true
 		}
-		rec := &recs[r.pos]
-		id := int32(int64(r.pos) & r.slotMask)
-		r.slots[id] = rslot{
-			effAddr:    rec.effAddr,
-			availC:     r.cycle + r.frontEndDepth,
-			prod:       [3]int32{none, none, none},
-			seq:        int32(r.pos),
-			waiterHead: none,
-			nextWaiter: none,
-			class:      rec.class,
-			latAdd:     rec.latAdd,
-		}
-		if rec.flags&tfHasDest != 0 {
-			r.regs[rec.rd] = rec.val
-		} else if rec.flags&tfStore != 0 {
-			r.slots[id].isStore = true
-			r.memImg.Write(rec.effAddr, rec.val)
-		}
+		id := int32(r.pos & r.slotMask)
+		// Reset in place: a composite literal of this size is built on the
+		// stack and block-copied, a measurable cost once per instruction.
+		u := &r.slots[id]
+		*u = rslot{}
+		u.availC, u.effAddr, u.seq = r.cycle+r.frontEndDepth, rec.effAddr, r.pos
+		u.prod = [3]int64{none, none, none}
+		u.waiterHead, u.nextWaiter = none, none
+		u.class, u.latAdd, u.isStore = rec.class, rec.latAdd, rec.flags&tfStore != 0
 		r.fetchQ.push(id)
 		r.pos++
 		work = true
@@ -676,13 +710,51 @@ func (r *replaySim) fetch() bool {
 	return work
 }
 
-// rename mirrors Sim.rename: p-thread burst injection under the RS
-// throttle, then main-thread rename with producers taken from the trace's
-// precomputed links and triggers launched.
+// next returns the front-end record at r.pos, or nil at the end of the
+// stream. Streaming steps the oracle, which leaves its registers and memory
+// at the new fetch frontier; replaying applies the recorded record's
+// architectural effect to the replica. The stream ends where the oracle
+// errors out, which a recording marks as truncation; a recording ending
+// anywhere else was too short for this run, which fails the replay rather
+// than letting it diverge.
+func (r *replaySim) next() *traceRec {
+	if r.fe != nil {
+		rec := r.rec(r.pos)
+		if r.fe.step(rec) != nil {
+			return nil
+		}
+		return rec
+	}
+	if r.pos >= int64(len(r.recs)) {
+		r.exhausted = !r.trace.truncated
+		return nil
+	}
+	rec := r.rec(r.pos)
+	if rec.flags&tfHasDest != 0 {
+		r.arch.Regs[rec.rd] = rec.val
+	} else if rec.flags&tfStore != 0 {
+		r.arch.Mem.Write(rec.effAddr, rec.val)
+	}
+	return rec
+}
+
+// rec returns the front-end record of main-thread instruction seq, which
+// must be fetched and not yet overwritten (in flight, when streaming).
+func (r *replaySim) rec(seq int64) *traceRec { return &r.recs[seq&r.recMask] }
+
+// rename moves instructions from the front end into the backend, injects
+// p-thread bursts (stealing sequencing slots), and launches p-threads when
+// triggers rename. It reports whether anything was injected or renamed.
 func (r *replaySim) rename() bool {
 	budget := r.cfg.Width
 	work := false
 
+	// P-thread injection first: bursts preempt main-thread slots. Injection
+	// is throttled when the shared reservation stations back up, leaving
+	// headroom for the main thread (ICOUNT-style SMT fairness): without
+	// this, long p-thread bodies full of cache misses would park in the RS
+	// and starve the main thread outright. rsCount tracks exactly the
+	// renamed-but-unissued instructions, i.e. the RS occupancy.
 	rsHeadroom := r.cfg.RS - 2*r.cfg.Width
 	for i := 0; r.busyCtxs > 0 && i < len(r.ctxs); i++ {
 		ctx := &r.ctxs[i]
@@ -690,7 +762,7 @@ func (r *replaySim) rename() bool {
 			continue
 		}
 		if !r.cfg.NoRSThrottle && r.cfg.Mode != ModeOverheadSequence && r.rsCount >= rsHeadroom {
-			continue
+			continue // retry next cycle
 		}
 		n := r.cfg.PtBurst
 		if pend := len(ctx.pending) - ctx.head; n > pend {
@@ -708,7 +780,7 @@ func (r *replaySim) rename() bool {
 		for _, id := range ctx.pending[ctx.head : ctx.head+n] {
 			r.stats.PtInsts++
 			if r.cfg.Mode == ModeOverheadSequence {
-				r.unpin(id)
+				r.unpin(id) // sequenced and immediately discarded
 				continue
 			}
 			u := &r.slots[id]
@@ -727,6 +799,7 @@ func (r *replaySim) rename() bool {
 		work = true
 	}
 
+	// Main thread.
 	for budget > 0 && r.fetchQ.len() > 0 {
 		id := r.fetchQ.front()
 		u := &r.slots[id]
@@ -739,13 +812,13 @@ func (r *replaySim) rename() bool {
 		r.fetchQ.pop()
 		budget--
 		work = true
-		rec := &r.trace.recs[u.seq]
-		// The trace's producer links point at the most recent earlier writer
-		// of each source; a link at or past the retirement watermark is the
-		// producer the live rename table would have held, a retired link is
-		// a dependency the table had already cleared.
+		rec := r.rec(u.seq)
+		// The record's producer links point at the most recent earlier
+		// writer of each source; an in-flight link is the producer a live
+		// rename table would hold, a retired one a dependency the table
+		// would already have cleared.
 		for i := 0; i < 2; i++ {
-			if j := rec.prod[i]; j >= 0 && int64(j) >= r.stats.Retired {
+			if j := linkBack(u.seq, rec.prod[i]); r.inFlight(j) {
 				u.prod[i] = mainRef(j)
 			}
 		}
@@ -764,7 +837,9 @@ func (r *replaySim) rename() bool {
 	return work
 }
 
-// enterWindow mirrors Sim.enterWindow.
+// enterWindow admits a renamed slot to the issue scheduler: it takes the
+// next age stamp, counts against the reservation stations, and is
+// folded/parked by schedule.
 func (r *replaySim) enterWindow(id int32) {
 	r.slots[id].winSeq = r.winSeq
 	r.winSeq++
@@ -772,9 +847,13 @@ func (r *replaySim) enterWindow(id int32) {
 	r.schedule(id)
 }
 
-// schedule mirrors Sim.schedule over slot ids. Main-thread producer
-// references resolve through the retirement watermark: a retired producer
-// completed at or before the current cycle, so it constrains nothing.
+// schedule folds the completion times of already-issued producers into the
+// slot's ready time, releasing each folded producer reference, and then
+// places it: parked on the first still-unissued producer's waiter list (to
+// be re-scheduled when it issues), ready for issue, or pending until its
+// ready cycle matures. Main-thread producer references resolve through the
+// retirement watermark: a retired producer completed at or before the
+// current cycle, so it constrains nothing.
 func (r *replaySim) schedule(id int32) {
 	u := &r.slots[id]
 	for i, p := range u.prod {
@@ -784,11 +863,11 @@ func (r *replaySim) schedule(id int32) {
 		var ps *rslot
 		if p < none {
 			seq := mainSeq(p)
-			if int64(seq) < r.stats.Retired {
+			if !r.inFlight(seq) {
 				u.prod[i] = none
 				continue
 			}
-			ps = &r.slots[int64(seq)&r.slotMask]
+			ps = &r.slots[seq&r.slotMask]
 		} else {
 			ps = &r.slots[p]
 		}
@@ -802,7 +881,7 @@ func (r *replaySim) schedule(id int32) {
 		}
 		u.prod[i] = none
 		if p >= 0 {
-			r.unpin(p)
+			r.unpin(int32(p))
 		}
 	}
 	if u.readyMin <= r.cycle {
@@ -812,13 +891,14 @@ func (r *replaySim) schedule(id int32) {
 	}
 }
 
-// launch mirrors Sim.launch: body execution runs against the replay's own
-// fetch-frontier register file and memory image, which are identical to the
-// simulator's oracle state at the same rename event.
+// launch starts dynamic instances of the static p-threads triggered by the
+// main-thread slot triggerID. Each body executes functionally against the
+// architectural state at the fetch frontier to learn its effective
+// addresses.
 func (r *replaySim) launch(pts []*pthread.PThread, triggerID int32) {
 	trigSeq := r.slots[triggerID].seq
 	for _, pt := range pts {
-		if !pt.ActiveAt(int64(trigSeq)) {
+		if !pt.ActiveAt(trigSeq) {
 			continue
 		}
 		var ctx *rctx
@@ -836,6 +916,7 @@ func (r *replaySim) launch(pts []*pthread.PThread, triggerID int32) {
 		ctx.pending = ctx.pending[:0]
 		ctx.head = 0
 		if r.cfg.Mode == ModeOverheadSequence {
+			// Bodies are discarded at injection; only sizes matter.
 			for range pt.Body {
 				ctx.pending = append(ctx.pending, r.allocPt())
 			}
@@ -846,10 +927,10 @@ func (r *replaySim) launch(pts []*pthread.PThread, triggerID int32) {
 			continue
 		}
 		regs := r.launchRegs
-		copy(regs[:isa.NumRegs], r.regs[:])
+		copy(regs[:isa.NumRegs], r.arch.Regs[:])
 		clear(regs[isa.NumRegs:])
 		meta := r.ptMeta[pt]
-		res := r.bodyExec.Exec(meta.insts, regs, r.memImg)
+		res := r.bodyExec.Exec(meta.insts, regs, r.arch.Mem)
 		for i, bi := range pt.Body {
 			id := r.allocPt()
 			u := &r.slots[id]
@@ -861,7 +942,7 @@ func (r *replaySim) launch(pts []*pthread.PThread, triggerID int32) {
 				switch d := bi.Dep[k]; {
 				case d >= 0 && d < i:
 					p := ctx.pending[d]
-					u.prod[k] = p
+					u.prod[k] = int64(p)
 					r.slots[p].pins++
 				case d == pthread.DepTrigger:
 					u.prod[k] = mainRef(trigSeq)
@@ -869,7 +950,7 @@ func (r *replaySim) launch(pts []*pthread.PThread, triggerID int32) {
 			}
 			if d := bi.MemDep; d >= 0 && d < i {
 				p := ctx.pending[d]
-				u.prod[2] = p
+				u.prod[2] = int64(p)
 				r.slots[p].pins++
 			}
 			u.fwdHit = res.FromStoreBuf[i]
@@ -882,9 +963,11 @@ func (r *replaySim) launch(pts []*pthread.PThread, triggerID int32) {
 	}
 }
 
-// issue mirrors Sim.issue: transfer every pending slot whose cycle arrived
-// (this cycle's wheel bucket, plus any due spill entries), then pop ready
-// slots in winSeq order up to the issue width.
+// issue transfers every pending slot whose cycle arrived (this cycle's
+// wheel bucket, plus any due spill entries) to the ready queue, then issues
+// up to Width ready slots oldest first, computing their completion times
+// (memory access included) and waking the consumers parked on them. It
+// reports whether anything issued.
 func (r *replaySim) issue() bool {
 	if r.wheelCount > 0 {
 		if i := r.cycle & r.wheelMask; r.wheelBits[i>>6]&(1<<uint(i&63)) != 0 {
@@ -924,8 +1007,7 @@ func (r *replaySim) issue() bool {
 	return issued > 0
 }
 
-// complete mirrors Sim.complete, with the instruction class and non-memory
-// latency read from the slot instead of re-derived from the opcode.
+// complete computes the slot's completion cycle given that it issues now.
 func (r *replaySim) complete(id int32) int64 {
 	u := &r.slots[id]
 	now := r.cycle
@@ -937,6 +1019,7 @@ func (r *replaySim) complete(id int32) int64 {
 				return t + r.forwardLat
 			}
 			if r.cfg.Mode == ModeOverheadExecute {
+				// Execute but do not access the data cache (§4.3).
 				return t + r.l2Lat
 			}
 			return r.mem.ptLoad(u.effAddr, t)
@@ -956,28 +1039,32 @@ func (r *replaySim) complete(id int32) int64 {
 	}
 }
 
-// forwardFrom mirrors Sim.forwardFrom against the trace's precomputed
-// backward same-word store links: it reports whether any in-flight older
-// store to the load's word has issued. The simulator's per-word chain holds
-// exactly the renamed-but-unretired stores; here "in flight" is the record
-// index being at or past the retirement watermark (retirement is strictly
-// program-ordered), and prevStore links are strictly decreasing, so the walk
-// stops at the first retired store. Renamed-but-unissued stores are in both
-// structures and in neither case forward.
+// forwardFrom reports whether an older in-flight store to the load's word
+// has issued, walking the records' backward same-word store links. Links
+// are strictly decreasing and retirement is program-ordered, so the walk
+// stops at the first retired store. Renamed-but-unissued stores never
+// forward.
 func (r *replaySim) forwardFrom(u *rslot) bool {
-	recs := r.trace.recs
-	for j := recs[u.seq].prevStore; j >= 0 && int64(j) >= r.stats.Retired; j = recs[j].prevStore {
-		if r.slots[int64(j)&r.slotMask].issued {
+	seq := u.seq
+	for d := r.rec(seq).prevStore; d != 0; d = r.rec(seq).prevStore {
+		if seq -= int64(d); !r.inFlight(seq) {
+			break
+		}
+		if r.slots[seq&r.slotMask].issued {
 			return true
 		}
 	}
 	return false
 }
 
-// retire mirrors Sim.retire. The per-word store chains need no maintenance
-// here (the trace's links are static; forwardFrom's watermark excludes
-// retired stores), so retiring a store just updates the memory system and
-// releases its store-queue slot.
+// inFlight reports whether main-thread instruction seq has not retired yet.
+// Retirement is strictly program-ordered, so the retired count is a
+// watermark over sequence numbers.
+func (r *replaySim) inFlight(seq int64) bool { return seq >= r.stats.Retired }
+
+// retire commits up to Width completed instructions in program order;
+// retiring stores update the memory system and release their store-queue
+// slot. It reports whether anything retired.
 func (r *replaySim) retire() bool {
 	n := 0
 	for n < r.cfg.Width && r.rob.len() > 0 {

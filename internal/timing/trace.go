@@ -3,6 +3,7 @@ package timing
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"preexec/internal/branch"
 	"preexec/internal/cpu"
@@ -10,29 +11,31 @@ import (
 	"preexec/internal/program"
 )
 
-// This file implements the recording half of trace replay (ROADMAP item 1).
+// This file is the simulator's front end and its recording.
 //
-// The key observation is that the simulator's entire front-end input stream
-// is selection-independent: fetch is execution-driven on the correct path, so
-// the dynamic instruction sequence, the effective addresses, and the branch
-// predictor's verdicts depend only on the program and the fetch (= program)
-// order in which the predictor trains — never on p-threads, which occupy
-// their own SMT contexts and are invisible to fetch. One recorded base-run
-// trace therefore serves every selection and every p-thread mode: Replay
-// (replay.go) re-times the backend against the recorded stream and produces
-// Stats bit-identical to a full RunContext simulation.
+// The front end's entire output stream is selection-independent: fetch is
+// execution-driven on the correct path, so the dynamic instruction
+// sequence, the effective addresses, and the branch predictor's verdicts
+// depend only on the program and the fetch (= program) order in which the
+// predictor trains — never on p-threads, which occupy their own SMT contexts
+// and are invisible to fetch. The backend (replay.go) therefore consumes
+// front-end records without caring where they come from: RunContext steps
+// the front end inside fetch, and RecordTrace runs it ahead once so Replay
+// can re-time every selection and every p-thread mode against the same
+// recorded stream, with Stats bit-identical to RunContext's.
 //
 // P-thread launches read the architectural register file and memory image at
-// the launch point, which moves with timing; to reconstruct that state at any
-// fetch position the trace also records each instruction's architectural
-// effect (destination value, or store value), and Replay maintains its own
-// register file and memory image applied in fetch order.
+// the launch point, which moves with timing. A streamed run reads the
+// oracle, which sits at the fetch frontier; to reconstruct that state from a
+// recording, each record also carries its architectural effect (destination
+// value, or store value), which Replay applies to a replica in fetch order.
 
 // TraceVersion is the simulator fingerprint baked into every recorded trace.
 // Replay refuses a trace recorded under a different version, and the stage
 // caches key trace entries by it, so any change to the timing core's
 // semantics invalidates recorded traces cleanly: bump the version whenever
-// sim.go, replay.go, memsys.go, or the predictor change behaviour.
+// the front end (trace.go), the backend (replay.go), memsys.go, or the
+// predictor change behaviour.
 const TraceVersion = "rt1-2026-08"
 
 // traceRec flags.
@@ -45,28 +48,51 @@ const (
 	tfHalt                   // HALT: fetch is done after this instruction
 )
 
-// traceRec is one fetched instruction with everything the replay engine
-// needs precomputed: the renamer's producer links, the scheduler's class and
+// traceRec is one fetched instruction with everything the backend needs
+// precomputed: the renamer's producer links, the scheduler's class and
 // latency, the predictor's verdict, the architectural effect, and the
-// backward same-word store link that replaces the store-forwarding map.
+// backward same-word store link that replaces a store-forwarding map.
 //
-// prod holds the record index of each source operand's producer — the most
-// recent earlier record writing that register — or -1 (no producer, or the
-// zero register). The rename table is maintained in program order, which is
-// exactly fetch order, so its whole evolution is a property of the trace and
-// is precomputed here; the runtime "producer already retired" case is
-// recovered during replay by comparing the link against the retirement
+// prod holds, per source operand, the backward distance to its producer —
+// the most recent earlier record writing that register — and prevStore the
+// distance to the most recent earlier store to the same word; 0 is no link
+// (see linkTo). The rename table is maintained in program order, which is
+// exactly fetch order, so its whole evolution is a property of the stream
+// and is computed here; the runtime "producer already retired" case is
+// recovered in the backend by comparing the link against the retirement
 // watermark, because retirement is strictly program-ordered too.
 type traceRec struct {
 	effAddr   int64
 	val       int64 // rd value (tfHasDest) or stored value (tfStore)
 	prod      [2]int32
-	prevStore int32 // most recent earlier store record to the same word; -1
+	prevStore int32
 	pc        int32
 	rd        uint8 // destination register; 0xff = none
 	class     uint8 // isa.Class
 	latAdd    uint8 // non-memory completion latency (Mul: 3, else 1)
 	flags     uint8
+}
+
+// linkTo encodes the backward link from record seq to the earlier record j
+// (-1 for none) as the distance seq-j, 0 meaning no link. Only in-flight
+// targets matter to the backend, and the in-flight window spans a few
+// hundred records, so a target farther back than an int32 distance has
+// retired long before seq renames: dropping that link is exact. Sequence
+// numbers themselves never narrow.
+func linkTo(seq, j int64) int32 {
+	if j < 0 || seq-j > math.MaxInt32 {
+		return 0
+	}
+	return int32(seq - j)
+}
+
+// linkBack decodes a linkTo distance from record seq: the linked record's
+// sequence number, or -1 for no link.
+func linkBack(seq int64, d int32) int64 {
+	if d == 0 {
+		return -1
+	}
+	return seq - int64(d)
 }
 
 // noSrc marks an absent destination register in traceRec.rd.
@@ -80,8 +106,8 @@ type Trace struct {
 	prog    *program.Program
 	version string
 	recs    []traceRec
-	// truncated marks a trace ended by an oracle step error (the simulator
-	// swallows the error and stops fetching; replay mirrors that). A
+	// truncated marks a trace ended by an oracle step error, where a
+	// streamed run's fetch stops too; replay stops there the same way. A
 	// non-truncated trace ends at the recorded extent or at HALT.
 	truncated bool
 }
@@ -100,13 +126,14 @@ func (t *Trace) Bytes() int64 { return int64(len(t.recs)) * 40 }
 
 // maxTraceInsts bounds recordable runs: beyond this the trace's memory
 // footprint (40 bytes/record) is unreasonable for a long-lived stage cache
-// and callers should simulate directly. 4M instructions caps a trace near
-// 160MB and comfortably covers the evaluation windows the suite and the
-// service sweep (tens of thousands to ~1M instructions).
+// and callers should stream the front end instead (RunContext). 4M
+// instructions caps a trace near 160MB and comfortably covers the
+// evaluation windows the suite and the service sweep (tens of thousands to
+// ~1M instructions).
 const maxTraceInsts = int64(4) << 20
 
 // traceExtent returns how many instructions past the measured total the
-// recording must extend. A replaying (or simulating) machine's fetch runs
+// recording must extend. The machine's fetch runs
 // ahead of retirement by at most the ROB plus the front-end queue (under
 // 3xWidth entries) plus one retire bundle of overshoot; 8xWidth leaves that
 // bound comfortable headroom. Replay fails loudly — it never silently stalls
@@ -118,48 +145,117 @@ func traceExtent(cfg Config) int64 {
 
 // Traceable reports whether a configuration's run is small enough to record.
 func Traceable(cfg Config) bool {
-	cfg = cfg.withDefaults()
-	total := cfg.WarmInsts + cfg.MaxInsts
+	total := runTotal(cfg.withDefaults())
 	return total > 0 && total <= maxTraceInsts
 }
 
-// RecordTrace records the front-end event stream a simulation of prog under
-// cfg (any mode) consumes: it drives the functional oracle and the branch
-// predictor — exactly the simulator's fetch stage, minus the machinery — for
-// the run's instruction total plus the maximum fetch-ahead. The p-thread
-// mode and ablation fields of cfg are irrelevant to the recording; the run
+// frontEnd is the simulator's front end: the functional oracle and the
+// branch predictor fetch consults, plus the rename table (regProd) and the
+// per-word last-store table over sequence numbers that link each record to
+// its producers and to the previous store to its word.
+type frontEnd struct {
+	oracle    *cpu.State
+	pred      *branch.Predictor
+	regProd   [isa.NumRegs]int64 // most recent writer of each register; -1 none
+	lastStore map[int64]int64    // word address -> most recent store to it
+}
+
+func newFrontEnd(prog *program.Program) *frontEnd {
+	f := &frontEnd{
+		oracle:    cpu.New(prog),
+		pred:      branch.New(branch.DefaultConfig()),
+		lastStore: make(map[int64]int64),
+	}
+	for i := range f.regProd {
+		f.regProd[i] = -1
+	}
+	return f
+}
+
+// step executes the next instruction and fills rec with its record. An
+// oracle error (running off the program's text) ends the stream: the
+// simulator's fetch stops there, and rec is untouched.
+func (f *frontEnd) step(rec *traceRec) error {
+	e, err := f.oracle.Step()
+	if err != nil {
+		return err
+	}
+	*rec = traceRec{
+		effAddr: e.EffAddr,
+		pc:      int32(e.PC),
+		rd:      noSrc,
+		class:   uint8(isa.ClassOf(e.Inst.Op)),
+		latAdd:  uint8(isa.Latency(e.Inst.Op)),
+	}
+	srcs, ns := e.Inst.Sources()
+	for i := 0; i < ns; i++ {
+		if srcs[i] != isa.Zero {
+			rec.prod[i] = linkTo(e.Seq, f.regProd[srcs[i]])
+		}
+	}
+	if e.Inst.HasDest() {
+		rec.rd = uint8(e.Inst.Rd)
+		rec.flags |= tfHasDest
+		rec.val = e.RdVal
+		f.regProd[e.Inst.Rd] = e.Seq
+	}
+	switch isa.Class(rec.class) {
+	case isa.ClassLoad:
+		if j, ok := f.lastStore[e.EffAddr&^7]; ok {
+			rec.prevStore = linkTo(e.Seq, j)
+		}
+	case isa.ClassStore:
+		w := e.EffAddr &^ 7
+		if j, ok := f.lastStore[w]; ok {
+			rec.prevStore = linkTo(e.Seq, j)
+		}
+		f.lastStore[w] = e.Seq
+		rec.flags |= tfStore
+		// ST reads no destination; val carries the stored value so a
+		// replay can maintain its memory replica in fetch order.
+		rec.val = f.oracle.Regs[e.Inst.Rs2]
+	case isa.ClassBranch:
+		rec.flags |= tfBrLookup
+		if _, correct := f.pred.PredictAndTrain(e.PC, e.Taken); !correct {
+			rec.flags |= tfMispredict
+		} else if e.Taken {
+			rec.flags |= tfBreak
+		}
+	case isa.ClassJump:
+		if e.Inst.Op == isa.JR {
+			if f.pred.BTBLookup(e.PC) != e.NextPC {
+				rec.flags |= tfMispredict
+				f.pred.BTBInsert(e.PC, e.NextPC)
+			}
+		}
+		rec.flags |= tfBreak
+	case isa.ClassHalt:
+		rec.flags |= tfHalt
+	}
+	return nil
+}
+
+// RecordTrace records the front-end stream a simulation of prog under cfg
+// (any mode) consumes: it steps the front end ahead of any backend for the
+// run's instruction total plus the maximum fetch-ahead. The p-thread mode
+// and ablation fields of cfg are irrelevant to the recording; the run
 // sizing (WarmInsts, MaxInsts) and machine geometry size the extent.
 func RecordTrace(ctx context.Context, prog *program.Program, cfg Config) (*Trace, error) {
 	cfg = cfg.withDefaults()
-	total := cfg.WarmInsts + cfg.MaxInsts
-	if total < 0 { // overflow of the "unbounded" default
-		total = cfg.MaxInsts
-	}
+	total := runTotal(cfg)
 	if total <= 0 || total > maxTraceInsts {
 		return nil, fmt.Errorf("timing: run of %d instructions is not traceable (max %d)", total, maxTraceInsts)
 	}
 	extent := total + traceExtent(cfg)
 
-	oracle := cpu.New(prog)
-	pred := branch.New(branch.DefaultConfig())
+	fe := newFrontEnd(prog)
 	t := &Trace{
 		prog:    prog,
 		version: TraceVersion,
 		recs:    make([]traceRec, 0, extent),
 	}
-	// lastStore maps a word address to the most recent store record to it,
-	// building the backward forwarding links as the stream is recorded.
-	// regProd is the renamer's producer table over record indices; it builds
-	// the dependence links the same way the simulator's rename stage builds
-	// them over in-flight uops (rename is program-ordered, so both see the
-	// same most-recent writer).
-	lastStore := make(map[int64]int32)
-	var regProd [isa.NumRegs]int32
-	for i := range regProd {
-		regProd[i] = -1
-	}
 	done := ctx.Done()
-	for int64(len(t.recs)) < extent {
+	for int64(len(t.recs)) < extent && !fe.oracle.Halted {
 		if done != nil && len(t.recs)&ctxCheckMask == 0 {
 			select {
 			case <-done:
@@ -167,71 +263,15 @@ func RecordTrace(ctx context.Context, prog *program.Program, cfg Config) (*Trace
 			default:
 			}
 		}
-		if oracle.Halted {
-			break
-		}
-		e, err := oracle.Step()
-		if err != nil {
-			// The simulator's fetch swallows oracle errors and stops
-			// fetching; the truncation mark makes replay do the same.
+		n := len(t.recs)
+		t.recs = t.recs[:n+1] // within the extent-sized capacity
+		if fe.step(&t.recs[n]) != nil {
+			// The simulator's fetch stops at an oracle error; the
+			// truncation mark makes replay do the same.
+			t.recs = t.recs[:n]
 			t.truncated = true
 			break
 		}
-		rec := traceRec{
-			effAddr:   e.EffAddr,
-			prevStore: -1,
-			pc:        int32(e.PC),
-			class:     uint8(isa.ClassOf(e.Inst.Op)),
-			latAdd:    uint8(isa.Latency(e.Inst.Op)),
-		}
-		srcs, ns := e.Inst.Sources()
-		rec.prod[0], rec.prod[1] = -1, -1
-		for i := 0; i < ns; i++ {
-			if srcs[i] != isa.Zero {
-				rec.prod[i] = regProd[srcs[i]]
-			}
-		}
-		rec.rd = noSrc
-		if e.Inst.HasDest() {
-			rec.rd = uint8(e.Inst.Rd)
-			rec.flags |= tfHasDest
-			rec.val = e.RdVal
-			regProd[e.Inst.Rd] = int32(len(t.recs))
-		}
-		switch isa.Class(rec.class) {
-		case isa.ClassLoad:
-			if j, ok := lastStore[e.EffAddr&^7]; ok {
-				rec.prevStore = j
-			}
-		case isa.ClassStore:
-			w := e.EffAddr &^ 7
-			if j, ok := lastStore[w]; ok {
-				rec.prevStore = j
-			}
-			lastStore[w] = int32(len(t.recs))
-			rec.flags |= tfStore
-			// ST reads no destination; val carries the stored value so
-			// replay can maintain the memory image in fetch order.
-			rec.val = oracle.Regs[e.Inst.Rs2]
-		case isa.ClassBranch:
-			rec.flags |= tfBrLookup
-			if _, correct := pred.PredictAndTrain(e.PC, e.Taken); !correct {
-				rec.flags |= tfMispredict
-			} else if e.Taken {
-				rec.flags |= tfBreak
-			}
-		case isa.ClassJump:
-			if e.Inst.Op == isa.JR {
-				if pred.BTBLookup(e.PC) != e.NextPC {
-					rec.flags |= tfMispredict
-					pred.BTBInsert(e.PC, e.NextPC)
-				}
-			}
-			rec.flags |= tfBreak
-		case isa.ClassHalt:
-			rec.flags |= tfHalt
-		}
-		t.recs = append(t.recs, rec)
 	}
 	return t, nil
 }

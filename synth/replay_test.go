@@ -1,10 +1,12 @@
 package synth
 
-// Differential replay testing over the synthetic corpus. The timing package
-// pins Replay == RunContext on the ten built-in workloads; these tests extend
-// the same bit-for-bit contract to the curated Zoo scenarios (all five
-// simulation modes from one recorded trace each) and — via the shared .prx
-// fuzz corpus — to arbitrary programs the assembler accepts.
+// Replay-versus-run differentials over the synthetic corpus. RunContext and
+// Replay share one timing backend, so these tests pin the recorded front
+// end (one trace per program serving all five modes) to the streamed one
+// over the curated Zoo scenarios and — via the shared .prx fuzz corpus — over
+// arbitrary programs the assembler accepts. The independent check of both
+// against the frozen reference core is internal/timing's
+// synth_equiv_test.go.
 
 import (
 	"context"
@@ -39,10 +41,10 @@ func replaySelect(prog *preexec.Program, warm, measure int64) []*preexec.PThread
 	return res.PThreads
 }
 
-// TestReplayMatchesSimulationZoo pins replay to full simulation across the
-// whole curated corpus: for each Zoo scenario, one trace recorded at the
-// run's windows serves all five modes bit-identically, selected p-threads in
-// play.
+// TestReplayMatchesSimulationZoo pins replay to the streamed simulation
+// across the whole curated corpus: for each Zoo scenario, one trace
+// recorded at the run's windows serves all five modes bit-identically,
+// selected p-threads in play.
 func TestReplayMatchesSimulationZoo(t *testing.T) {
 	const warm, measure = 4_000, 12_000
 	for _, z := range Zoo() {
@@ -75,8 +77,8 @@ func TestReplayMatchesSimulationZoo(t *testing.T) {
 	}
 }
 
-// FuzzReplayEquivalence is the replay-vs-full-simulation differential over
-// arbitrary source: anything the assembler accepts must replay from a
+// FuzzReplayEquivalence is the replay-vs-streamed-simulation differential
+// over arbitrary source: anything the assembler accepts must replay from a
 // recorded trace with Stats byte-for-byte equal to RunContext, in every
 // mode. It starts from the same .prx seed corpus as the assembler targets,
 // so the mutator explores real instruction mixes rather than noise.
