@@ -1,7 +1,10 @@
 package preexec
 
 import (
-	"preexec/internal/core"
+	"cmp"
+
+	"preexec/internal/advantage"
+	"preexec/internal/timing"
 )
 
 // MachineConfig describes the simulated machine and the run sizing shared by
@@ -84,52 +87,75 @@ func DefaultConfig() Config {
 }
 
 // Normalized returns the configuration with every zero field replaced by the
-// paper's base value — the same normalization every pipeline entry point
-// applies before running. Two configurations that normalize equal perform
-// identical stage work, so normalized configurations are the cross-process
-// identity the distributed sweep coordinator routes cells by: the fields of
-// Machine name a base timing run, and (WarmInsts, ProfileInsts, Scope,
-// MaxLen, RegionInsts) plus the profiled program name a profile, mirroring
-// the StageCache key structure.
+// paper's base value (DefaultMachine, DefaultSelection) — the same
+// normalization every pipeline entry point applies before running. The
+// profile window defaults to the measured window, and the selector's view of
+// the machine to the simulated one. Two configurations that normalize equal
+// perform identical stage work, so normalized configurations are the
+// cross-process identity the distributed sweep coordinator routes cells by:
+// the fields of Machine name a base timing run, and (WarmInsts,
+// ProfileInsts, Scope, MaxLen, RegionInsts) plus the profiled program name a
+// profile, mirroring the StageCache key structure.
 func (c Config) Normalized() Config {
-	n := c.core().WithDefaults()
-	c.Machine = MachineConfig{
-		Width:        n.Width,
-		MemLat:       n.MemLat,
-		WarmInsts:    n.WarmInsts,
-		MeasureInsts: n.MeasureInsts,
-	}
-	c.Selection.Scope = n.Scope
-	c.Selection.MaxLen = n.MaxLen
-	c.Selection.ProfileInsts = n.SelectInsts
-	c.Selection.MemLat = n.SelectMemLat
-	c.Selection.Width = n.SelectWidth
+	m, s := DefaultMachine(), DefaultSelection()
+	c.Machine.Width = cmp.Or(c.Machine.Width, m.Width)
+	c.Machine.MemLat = cmp.Or(c.Machine.MemLat, m.MemLat)
+	c.Machine.WarmInsts = cmp.Or(c.Machine.WarmInsts, m.WarmInsts)
+	c.Machine.MeasureInsts = cmp.Or(c.Machine.MeasureInsts, m.MeasureInsts)
+	c.Selection.Scope = cmp.Or(c.Selection.Scope, s.Scope)
+	c.Selection.MaxLen = cmp.Or(c.Selection.MaxLen, s.MaxLen)
+	c.Selection.ProfileInsts = cmp.Or(c.Selection.ProfileInsts, c.Machine.MeasureInsts)
+	c.Selection.MemLat = cmp.Or(c.Selection.MemLat, c.Machine.MemLat)
+	c.Selection.Width = cmp.Or(c.Selection.Width, c.Machine.Width)
 	// Optimize, Merge, RegionInsts, ProfileOn, and the ablation switches
 	// have no zero-value rewriting; they pass through unchanged.
 	return c
 }
 
-// core flattens the decomposed configuration onto the internal/core
-// compatibility surface. Zero fields stay zero: core applies the same
-// defaults, keeping Engine results bit-for-bit identical to the legacy path.
-func (c Config) core() core.Config {
-	return core.Config{
-		WarmInsts:    c.Machine.WarmInsts,
-		MeasureInsts: c.Machine.MeasureInsts,
-		Width:        c.Machine.Width,
-		MemLat:       c.Machine.MemLat,
+// The three stage derivations below read a normalized configuration: they
+// are the one source of both the stages' inputs and their cache and routing
+// identities (see StageKeys).
 
-		Scope:        c.Selection.Scope,
-		MaxLen:       c.Selection.MaxLen,
-		Optimize:     c.Selection.Optimize,
-		Merge:        c.Selection.Merge,
-		RegionInsts:  c.Selection.RegionInsts,
-		SelectOn:     c.Selection.ProfileOn,
-		SelectInsts:  c.Selection.ProfileInsts,
-		SelectMemLat: c.Selection.MemLat,
-		SelectWidth:  c.Selection.Width,
+// timing returns the simulator configuration of a run under mode.
+func (c Config) timing(mode Mode) TimingConfig {
+	tc := timing.DefaultConfig()
+	tc.Width = c.Machine.Width
+	tc.MemLat = c.Machine.MemLat
+	tc.WarmInsts = c.Machine.WarmInsts
+	tc.MaxInsts = c.Machine.MeasureInsts
+	tc.Mode = mode
+	tc.NoRSThrottle = c.Ablation.NoRSThrottle
+	return tc
+}
 
-		ModelLoadLat: c.Ablation.ModelLoadLat,
-		NoRSThrottle: c.Ablation.NoRSThrottle,
+// profileOptions returns the functional profiling stage's options.
+func (c Config) profileOptions() ProfileOptions {
+	return ProfileOptions{
+		WarmInsts:   c.Machine.WarmInsts,
+		MaxInsts:    c.Selection.ProfileInsts,
+		Scope:       c.Selection.Scope,
+		MaxSlice:    c.Selection.MaxLen,
+		RegionInsts: c.Selection.RegionInsts,
+	}
+}
+
+// selectorOptions returns the selection stage's options — the
+// aggregate-advantage parameters and the merging switch — for the given
+// unassisted main-thread IPC.
+func (c Config) selectorOptions(baseIPC float64) SelectorOptions {
+	loadLat := c.Ablation.ModelLoadLat
+	if loadLat <= 0 {
+		loadLat = 6 // in-slice loads hit the L2 at best (see advantage.Params)
+	}
+	return SelectorOptions{
+		Params: advantage.Params{
+			BWSeq:    float64(c.Selection.Width),
+			IPC:      baseIPC,
+			MemLat:   float64(c.Selection.MemLat),
+			MaxLen:   c.Selection.MaxLen,
+			Optimize: c.Selection.Optimize,
+			LoadLat:  loadLat,
+		},
+		Merge: c.Selection.Merge,
 	}
 }

@@ -1,11 +1,11 @@
 package preexec
 
 import (
+	"cmp"
 	"context"
+	"errors"
+	"fmt"
 
-	"preexec/internal/core"
-	"preexec/internal/program"
-	"preexec/internal/pthread"
 	"preexec/internal/selector"
 	"preexec/internal/slice"
 	"preexec/internal/timing"
@@ -101,8 +101,10 @@ func ReferenceStages() (Profiler, Selector, Simulator) {
 	return sliceProfiler{}, treeSelector{}, timingSimulator{}
 }
 
-// Engine runs the pre-execution pipeline. Build one with New; the zero
-// Engine is not usable.
+// Engine runs the pre-execution pipeline of the paper's tool flow (§4.1)
+// over its stage backends: a base timing run, a functional profile, the
+// aggregate-advantage selection, and the pre-execution timing run. Build
+// one with New; the zero Engine is not usable.
 type Engine struct {
 	cfg       Config
 	profiler  Profiler
@@ -190,41 +192,27 @@ func New(opts ...Option) *Engine {
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// stages adapts the engine's pluggable backends onto the internal
-// orchestration hooks, routing the cacheable stages — profiles and
-// nil-p-thread base runs — through the stage cache when one is attached.
-func (e *Engine) stages() core.Stages {
-	return core.Stages{
-		Profile: func(ctx context.Context, p *program.Program, opts slice.ProfileOptions) ([]slice.Region, error) {
-			return e.profile(ctx, p, opts)
-		},
-		Select: func(regions []slice.Region, opts selector.Options, regioned bool) selector.Result {
-			if e.observer != nil {
-				defer e.observer.StageStart("select", "")()
-			}
-			return e.selector.Select(regions, opts, regioned)
-		},
-		Simulate: func(ctx context.Context, p *program.Program, pts []*pthread.PThread, cfg timing.Config) (timing.Stats, error) {
-			if pts == nil && cfg.Mode == timing.ModeBase {
-				if e.cache != nil {
-					return e.cache.baseStats(ctx, p, cfg, func() (Stats, error) {
-						return e.simulate(ctx, p, nil, cfg, "base")
-					})
-				}
-				return e.simulate(ctx, p, pts, cfg, "base")
-			}
-			// Selection-dependent runs replay against the memoized base-run
-			// trace when the fast path applies; otherwise they stream the
-			// front end. Results are bit-identical either way (the
-			// equivalence suites in internal/timing and synth pin this).
-			if e.replay && e.cache != nil && timing.Traceable(cfg) {
-				if tr, ok := e.simulator.(TraceReplayer); ok {
-					return e.replaySimulate(ctx, tr, p, pts, cfg)
-				}
-			}
-			return e.simulate(ctx, p, pts, cfg, "sim")
-		},
+// run performs one timing run under cfg, routing it by what it depends on.
+// A base run (no p-threads, ModeBase) goes through the stage cache when one
+// is attached. A selection-dependent run replays against the memoized
+// base-run trace when the fast path applies, and otherwise streams the
+// front end. Results are bit-identical either way (the equivalence suites in
+// internal/timing and synth pin this).
+func (e *Engine) run(ctx context.Context, p *Program, pts []*PThread, cfg TimingConfig) (Stats, error) {
+	if pts == nil && cfg.Mode == timing.ModeBase {
+		if e.cache != nil {
+			return e.cache.baseStats(ctx, p, cfg, func() (Stats, error) {
+				return e.simulate(ctx, p, nil, cfg, "base")
+			})
+		}
+		return e.simulate(ctx, p, nil, cfg, "base")
 	}
+	if e.replay && e.cache != nil && timing.Traceable(cfg) {
+		if tr, ok := e.simulator.(TraceReplayer); ok {
+			return e.replaySimulate(ctx, tr, p, pts, cfg)
+		}
+	}
+	return e.simulate(ctx, p, pts, cfg, "sim")
 }
 
 // simulate runs the timing backend under the stage observer. The observer
@@ -280,11 +268,33 @@ func (e *Engine) profile(ctx context.Context, p *Program, opts ProfileOptions) (
 // selection, and the pre-execution timing run. Cancelling ctx stops the
 // active simulation stage promptly and returns ctx.Err().
 func (e *Engine) Evaluate(ctx context.Context, p *Program) (Report, error) {
-	rep, err := core.EvaluateContext(ctx, p, e.cfg.core(), e.stages())
+	cfg := e.cfg.Normalized()
+	base, err := e.run(ctx, p, nil, cfg.timing(ModeBase))
 	if err != nil {
-		return Report{}, err
+		return Report{}, fmt.Errorf("preexec: base run: %w", err)
 	}
-	return reportFromCore(rep), nil
+	sel, _, err := e.selectOn(ctx, p, base.IPC, cfg)
+	if err != nil {
+		return Report{}, fmt.Errorf("preexec: selection: %w", err)
+	}
+	pre, err := e.run(ctx, p, sel.PThreads, cfg.timing(ModeNormal))
+	if err != nil {
+		return Report{}, fmt.Errorf("preexec: pre-execution run: %w", err)
+	}
+	return Report{
+		Program:  p.Name,
+		Config:   cfg,
+		Base:     base,
+		Pre:      pre,
+		PThreads: sel.PThreads,
+		Pred:     sel.Pred,
+		// The coverage denominator is the measured machine's own demand-miss
+		// count, NOT the selection profile's (which may cover a different
+		// input or a shorter window — Figure 7's dynamic and static
+		// scenarios).
+		BaseMisses: base.L2Misses,
+		PredIPC:    selector.PredictIPC(sel.Pred, cfg.Machine.MeasureInsts, base.IPC, float64(cfg.Machine.Width)),
+	}, nil
 }
 
 // Profile runs only the functional profiling stage on p with the engine's
@@ -295,14 +305,7 @@ func (e *Engine) Evaluate(ctx context.Context, p *Program) (Report, error) {
 // With a stage cache attached (WithStageCache) the regions may be shared
 // with other engines: treat them as immutable.
 func (e *Engine) Profile(ctx context.Context, p *Program) ([]ProfileRegion, error) {
-	cfg := e.cfg.core().WithDefaults()
-	return e.profile(ctx, p, ProfileOptions{
-		WarmInsts:   cfg.WarmInsts,
-		MaxInsts:    cfg.SelectInsts,
-		Scope:       cfg.Scope,
-		MaxSlice:    cfg.MaxLen,
-		RegionInsts: cfg.RegionInsts,
-	})
+	return e.profile(ctx, p, e.cfg.Normalized().profileOptions())
 }
 
 // Select runs only the selection half of the pipeline: profile (on
@@ -310,7 +313,26 @@ func (e *Engine) Profile(ctx context.Context, p *Program) ([]ProfileRegion, erro
 // baseIPC is the unassisted main-thread IPC fed to the advantage model; it
 // returns the selection and the profile's observed L2 miss count.
 func (e *Engine) Select(ctx context.Context, p *Program, baseIPC float64) (SelectionResult, int64, error) {
-	return core.SelectContext(ctx, p, baseIPC, e.cfg.core(), e.stages())
+	return e.selectOn(ctx, p, baseIPC, e.cfg.Normalized())
+}
+
+// selectOn is Select under the normalized configuration cfg.
+func (e *Engine) selectOn(ctx context.Context, p *Program, baseIPC float64, cfg Config) (SelectionResult, int64, error) {
+	regions, err := e.profile(ctx, cmp.Or(cfg.Selection.ProfileOn, p), cfg.profileOptions())
+	if err != nil {
+		return SelectionResult{}, 0, err
+	}
+	if len(regions) == 0 {
+		return SelectionResult{}, 0, errors.New("preexec: profile returned no regions")
+	}
+	var misses int64
+	for _, r := range regions {
+		misses += r.Forest.L2Misses
+	}
+	if e.observer != nil {
+		defer e.observer.StageStart("select", "")()
+	}
+	return e.selector.Select(regions, cfg.selectorOptions(baseIPC), cfg.Selection.RegionInsts > 0), misses, nil
 }
 
 // SelectForest applies the engine's selection parameters to an
@@ -319,7 +341,7 @@ func (e *Engine) Select(ctx context.Context, p *Program, baseIPC float64) (Selec
 func (e *Engine) SelectForest(f *Forest, baseIPC float64) SelectionResult {
 	return e.selector.Select(
 		[]ProfileRegion{{End: f.Insts, Forest: f}},
-		e.cfg.core().SelectorOptions(baseIPC),
+		e.cfg.Normalized().selectorOptions(baseIPC),
 		false,
 	)
 }
@@ -328,5 +350,5 @@ func (e *Engine) SelectForest(f *Forest, baseIPC float64) SelectionResult {
 // simulation modes (ModeBase with nil p-threads is the unassisted machine;
 // the overhead/latency modes are the paper's §4.3 validation diagnostics).
 func (e *Engine) Simulate(ctx context.Context, p *Program, pts []*PThread, mode Mode) (Stats, error) {
-	return core.RunModeContext(ctx, p, pts, e.cfg.core(), mode, e.stages())
+	return e.run(ctx, p, pts, e.cfg.Normalized().timing(mode))
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"preexec"
-	"preexec/internal/core"
 )
 
 // testMachine returns the base machine with test-sized windows.
@@ -26,52 +25,6 @@ func buildBench(t testing.TB, name string) *preexec.Program {
 		t.Fatal(err)
 	}
 	return w.Build(1)
-}
-
-// TestEngineMatchesCoreGolden asserts the public Engine reproduces the
-// legacy internal/core pipeline bit-for-bit: every statistic, every
-// selected p-thread, every prediction, on two contrasting benchmarks.
-func TestEngineMatchesCoreGolden(t *testing.T) {
-	for _, name := range []string{"vpr.p", "mcf"} {
-		t.Run(name, func(t *testing.T) {
-			prog := buildBench(t, name)
-
-			// The legacy config is built from zero values (not DefaultConfig,
-			// which pre-bakes SelectInsts at the full 120k window) so both
-			// sides derive the selection window from MeasureInsts.
-			legacyCfg := core.Config{
-				Optimize: true, Merge: true,
-				WarmInsts: 20_000, MeasureInsts: 60_000,
-			}
-			want, err := core.Evaluate(prog, legacyCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			eng := preexec.New(preexec.WithMachine(testMachine()))
-			got, err := eng.Evaluate(t.Context(), prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if got.Base != want.Base {
-				t.Errorf("Base stats diverge:\n got %+v\nwant %+v", got.Base, want.Base)
-			}
-			if got.Pre != want.Pre {
-				t.Errorf("Pre stats diverge:\n got %+v\nwant %+v", got.Pre, want.Pre)
-			}
-			if got.Pred != want.Selection.Pred {
-				t.Errorf("Prediction diverges:\n got %+v\nwant %+v", got.Pred, want.Selection.Pred)
-			}
-			if !reflect.DeepEqual(got.PThreads, want.Selection.PThreads) {
-				t.Errorf("p-threads diverge:\n got %v\nwant %v", got.PThreads, want.Selection.PThreads)
-			}
-			if got.BaseMisses != want.BaseMisses || got.PredIPC != want.PredIPC {
-				t.Errorf("scalars diverge: misses %d/%d predIPC %v/%v",
-					got.BaseMisses, want.BaseMisses, got.PredIPC, want.PredIPC)
-			}
-		})
-	}
 }
 
 // TestEvaluateDeterministic guards the golden test's premise: two runs of
@@ -239,5 +192,26 @@ func TestReportJSONRoundTrip(t *testing.T) {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("JSON report missing %s:\n%s", key, data)
 		}
+	}
+}
+
+// emptyProfiler returns no regions and no error.
+type emptyProfiler struct{}
+
+func (emptyProfiler) Profile(context.Context, *preexec.Program, preexec.ProfileOptions) ([]preexec.ProfileRegion, error) {
+	return nil, nil
+}
+
+// TestEmptyProfileFails checks that a profiler returning no regions fails
+// the evaluation with an error instead of crashing the selector.
+func TestEmptyProfileFails(t *testing.T) {
+	prog := buildBench(t, "vpr.p")
+	eng := preexec.New(preexec.WithMachine(testMachine()), preexec.WithProfiler(emptyProfiler{}))
+	_, err := eng.Evaluate(t.Context(), prog)
+	if err == nil || !strings.Contains(err.Error(), "preexec: profile returned no regions") {
+		t.Fatalf("err = %v, want the empty-profile error", err)
+	}
+	if _, _, err := eng.Select(t.Context(), prog, 1); err == nil {
+		t.Error("Select over an empty profile succeeded")
 	}
 }

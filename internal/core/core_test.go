@@ -1,32 +1,49 @@
-package core
+// Package core_test holds the seed's end-to-end pipeline tests. The
+// orchestration they once exercised now lives in the root package's Engine,
+// and this directory holds no code: the tests stay here, written against
+// the public API, so their test IDs (preexec/internal/core:TestX) are
+// preserved.
+package core_test
 
 import (
 	"testing"
 
-	"preexec/internal/timing"
-	"preexec/internal/workload"
+	"preexec"
 )
 
+// evaluate runs the default pipeline on bench's train input with the given
+// windows, after edit adjusts the configuration.
+func evaluate(t *testing.T, bench string, warm, measure int64, edit func(*preexec.Config)) (*preexec.Program, preexec.Config, preexec.Report) {
+	t.Helper()
+	w, err := preexec.WorkloadByName(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Build(1)
+	cfg := preexec.DefaultConfig()
+	cfg.Machine.WarmInsts, cfg.Machine.MeasureInsts = warm, measure
+	if edit != nil {
+		edit(&cfg)
+	}
+	rep, err := preexec.New(preexec.WithConfig(cfg)).Evaluate(t.Context(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, cfg, rep
+}
+
 func TestDefaultConfig(t *testing.T) {
-	c := DefaultConfig()
-	if c.Scope != 1024 || c.MaxLen != 32 || !c.Optimize || !c.Merge {
+	c := preexec.DefaultConfig()
+	if c.Selection.Scope != 1024 || c.Selection.MaxLen != 32 || !c.Selection.Optimize || !c.Selection.Merge {
 		t.Errorf("DefaultConfig = %+v", c)
 	}
-	if c.Width != 8 || c.MemLat != 70 {
+	if c.Machine.Width != 8 || c.Machine.MemLat != 70 {
 		t.Errorf("machine defaults wrong: %+v", c)
 	}
 }
 
 func TestEvaluateVprP(t *testing.T) {
-	w, _ := workload.ByName("vpr.p")
-	p := w.Build(1)
-	cfg := DefaultConfig()
-	cfg.WarmInsts = 20_000
-	cfg.MeasureInsts = 80_000
-	rep, err := Evaluate(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, rep := evaluate(t, "vpr.p", 20_000, 80_000, nil)
 	if rep.Base.IPC <= 0 || rep.Pre.IPC <= 0 {
 		t.Fatal("missing IPCs")
 	}
@@ -45,21 +62,18 @@ func TestEvaluateVprP(t *testing.T) {
 }
 
 func TestSelectOnDifferentInput(t *testing.T) {
-	w, _ := workload.ByName("vpr.p")
-	train := w.Build(1)
-	test := w.BuildTest(1)
-	cfg := DefaultConfig()
-	cfg.WarmInsts = 20_000
-	cfg.MeasureInsts = 60_000
-	cfg.SelectOn = test
-	cfg.SelectInsts = 40_000
-	rep, err := Evaluate(train, cfg)
+	w, err := preexec.WorkloadByName("vpr.p")
 	if err != nil {
 		t.Fatal(err)
 	}
+	test := w.BuildTest(1)
+	_, _, rep := evaluate(t, "vpr.p", 20_000, 60_000, func(c *preexec.Config) {
+		c.Selection.ProfileOn = test
+		c.Selection.ProfileInsts = 40_000
+	})
 	// vpr.p's test input fits the L2 (paper Fig. 7): nothing selected.
-	if len(rep.Selection.PThreads) != 0 {
-		t.Errorf("test-input selection found %d p-threads, want 0", len(rep.Selection.PThreads))
+	if len(rep.PThreads) != 0 {
+		t.Errorf("test-input selection found %d p-threads, want 0", len(rep.PThreads))
 	}
 	if rep.BaseMisses == 0 {
 		t.Error("coverage denominator must come from the measured machine")
@@ -67,19 +81,11 @@ func TestSelectOnDifferentInput(t *testing.T) {
 }
 
 func TestRunModeOverhead(t *testing.T) {
-	w, _ := workload.ByName("vpr.r")
-	p := w.Build(1)
-	cfg := DefaultConfig()
-	cfg.WarmInsts = 20_000
-	cfg.MeasureInsts = 60_000
-	rep, err := Evaluate(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Selection.PThreads) == 0 {
+	p, cfg, rep := evaluate(t, "vpr.r", 20_000, 60_000, nil)
+	if len(rep.PThreads) == 0 {
 		t.Skip("nothing selected")
 	}
-	seq, err := RunMode(p, rep.Selection.PThreads, cfg, timing.ModeOverheadSequence)
+	seq, err := preexec.New(preexec.WithConfig(cfg)).Simulate(t.Context(), p, rep.PThreads, preexec.ModeOverheadSequence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,21 +98,14 @@ func TestRunModeOverhead(t *testing.T) {
 }
 
 func TestRegionGranularity(t *testing.T) {
-	w, _ := workload.ByName("vpr.p")
-	p := w.Build(1)
-	cfg := DefaultConfig()
-	cfg.WarmInsts = 20_000
-	cfg.MeasureInsts = 80_000
-	cfg.RegionInsts = 20_000
-	rep, err := Evaluate(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Selection.PThreads) == 0 {
+	_, _, rep := evaluate(t, "vpr.p", 20_000, 80_000, func(c *preexec.Config) {
+		c.Selection.RegionInsts = 20_000
+	})
+	if len(rep.PThreads) == 0 {
 		t.Fatal("regioned selection chose nothing")
 	}
 	gated := 0
-	for _, pt := range rep.Selection.PThreads {
+	for _, pt := range rep.PThreads {
 		if pt.RegionEnd != 0 {
 			gated++
 		}

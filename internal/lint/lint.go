@@ -50,12 +50,12 @@ func Analyzers() []*analysis.Analyzer {
 // DeterministicScope lists the packages whose output must be bit-for-bit
 // reproducible — the determinism analyzer runs only on these. The values
 // optionally restrict the check to specific files within the package (nil =
-// every file); the root package's reproducibility surface is its report
-// rendering, not the engine plumbing around it.
+// every file); the root package's reproducibility surface is its
+// configuration, its report rendering, and the engine's orchestration of
+// the pipeline stages.
 var DeterministicScope = map[string][]string{
-	"preexec":                    {"report.go", "config.go"},
+	"preexec":                    {"report.go", "config.go", "engine.go"},
 	"preexec/internal/timing":    nil,
-	"preexec/internal/core":      nil,
 	"preexec/internal/slice":     nil,
 	"preexec/internal/selector":  nil,
 	"preexec/internal/advantage": nil,

@@ -1,10 +1,6 @@
 package preexec
 
-import (
-	"encoding/json"
-
-	"preexec/internal/core"
-)
+import "encoding/json"
 
 // Report is a complete evaluation of one program under one configuration.
 // It marshals to JSON with the derived percentage metrics included (the
@@ -27,42 +23,6 @@ type Report struct {
 	BaseMisses int64 `json:"base_misses"`
 	// PredIPC is the model's IPC forecast for the pre-execution run.
 	PredIPC float64 `json:"predicted_ipc"`
-}
-
-// reportFromCore converts the compatibility shim's report.
-func reportFromCore(r core.Report) Report {
-	return Report{
-		Program: r.Program,
-		Config: Config{
-			Machine: MachineConfig{
-				Width:        r.Config.Width,
-				MemLat:       r.Config.MemLat,
-				WarmInsts:    r.Config.WarmInsts,
-				MeasureInsts: r.Config.MeasureInsts,
-			},
-			Selection: SelectionConfig{
-				Scope:        r.Config.Scope,
-				MaxLen:       r.Config.MaxLen,
-				Optimize:     r.Config.Optimize,
-				Merge:        r.Config.Merge,
-				RegionInsts:  r.Config.RegionInsts,
-				ProfileOn:    r.Config.SelectOn,
-				ProfileInsts: r.Config.SelectInsts,
-				MemLat:       r.Config.SelectMemLat,
-				Width:        r.Config.SelectWidth,
-			},
-			Ablation: AblationConfig{
-				ModelLoadLat: r.Config.ModelLoadLat,
-				NoRSThrottle: r.Config.NoRSThrottle,
-			},
-		},
-		Base:       r.Base,
-		Pre:        r.Pre,
-		PThreads:   r.Selection.PThreads,
-		Pred:       r.Selection.Pred,
-		BaseMisses: r.BaseMisses,
-		PredIPC:    r.PredIPC,
-	}
 }
 
 // CoveragePct returns measured miss coverage as a percentage of base misses.

@@ -41,13 +41,14 @@ type StageKeySet struct {
 // servers build programs once per (workload, scale), so the (bench, scale)
 // pair substitutes exactly for the *Program pointer in StageCache's keys.
 func StageKeys(bench string, scale int, cfg Config) StageKeySet {
-	n := cfg.core().WithDefaults()
-	tc := normalizeBaseTiming(n.TimingConfig(timing.ModeBase))
+	n := cfg.Normalized()
+	tc := normalizeBaseTiming(n.timing(ModeBase))
+	po := n.profileOptions()
 	ks := StageKeySet{
 		Base: fmt.Sprintf("base|%s|%d|w%d|l%d|wi%d|mi%d",
 			bench, scale, tc.Width, tc.MemLat, tc.WarmInsts, tc.MaxInsts),
 		Profile: fmt.Sprintf("prof|%s|%d|wi%d|pi%d|sc%d|ml%d|ri%d",
-			bench, scale, n.WarmInsts, n.SelectInsts, n.Scope, n.MaxLen, n.RegionInsts),
+			bench, scale, po.WarmInsts, po.MaxInsts, po.Scope, po.MaxSlice, po.RegionInsts),
 	}
 	if timing.Traceable(tc) {
 		// The simulator fingerprint is part of the trace identity, so a

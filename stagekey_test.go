@@ -47,19 +47,12 @@ func stagekeyGrid() []Config {
 // localStageIdentity is the StageCache's view of one configuration: the
 // exact struct keys its stages group entries by (program identity held
 // fixed). The timing config is derived precisely the way the engine derives
-// it for the cached stages — core normalization, ModeBase, then the shared
+// it for the cached stages — normalization, ModeBase, then the shared
 // base-run reduction.
 func localStageIdentity(cfg Config) (base TimingConfig, prof ProfileOptions, traceable bool) {
-	n := cfg.core().WithDefaults()
-	base = normalizeBaseTiming(n.TimingConfig(timing.ModeBase))
-	prof = ProfileOptions{
-		WarmInsts:   n.WarmInsts,
-		MaxInsts:    n.SelectInsts,
-		Scope:       n.Scope,
-		MaxSlice:    n.MaxLen,
-		RegionInsts: n.RegionInsts,
-	}
-	return base, prof, timing.Traceable(base)
+	n := cfg.Normalized()
+	base = normalizeBaseTiming(n.timing(ModeBase))
+	return base, n.profileOptions(), timing.Traceable(base)
 }
 
 // TestStageKeysMatchLocalCacheIdentity is the single-source regression for

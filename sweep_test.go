@@ -311,7 +311,7 @@ func TestSweepCellJSONCarriesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"error":"core: base run: injected failure for crafty"`) &&
+	if !strings.Contains(string(data), `"error":"preexec: base run: injected failure for crafty"`) &&
 		!strings.Contains(string(data), "injected failure") {
 		t.Errorf("JSON output hides the failed cell's error:\n%s", data)
 	}
