@@ -205,7 +205,8 @@ func BenchmarkRecordTraceVprP(b *testing.B) {
 
 // BenchmarkReplayVprP replays the same selection BenchmarkSimVprPPreexec
 // simulates in full, against a recorded trace — the two benchmarks bracket
-// the per-cell saving of the trace-replay fast path (results bit-identical).
+// the per-cell saving of replaying over streaming the front end (results
+// bit-identical).
 func BenchmarkReplayVprP(b *testing.B) {
 	w, err := workload.ByName("vpr.p")
 	if err != nil {
@@ -233,10 +234,10 @@ func BenchmarkReplayVprP(b *testing.B) {
 	}
 }
 
-// replayGrid is the selection-only sweep the trace-replay benchmarks run: a
+// replayGrid is the selection-only sweep BenchmarkSweepReplayGrid runs: a
 // Figure-5-style optimization x merging grid where every cell shares one
-// base-run identity per benchmark, so the streamed path re-runs the front
-// end for each selection while the replay path records once and replays.
+// base-run identity per benchmark, so each benchmark's trace is recorded
+// once and replayed for every selection.
 func replayGrid(b *testing.B) ([]preexec.SweepBench, []preexec.ConfigPoint) {
 	b.Helper()
 	benches, err := preexec.SweepBenches([]string{"crafty", "gcc", "vpr.p"}, 1)
@@ -254,28 +255,20 @@ func replayGrid(b *testing.B) ([]preexec.SweepBench, []preexec.ConfigPoint) {
 	return benches, points
 }
 
-func benchSweepGrid(b *testing.B, replay bool) {
+// BenchmarkSweepReplayGrid runs the selection-only grid through a memoized
+// sweep: one trace recording, one base replay and one profile per
+// benchmark, then a replay per cell.
+func BenchmarkSweepReplayGrid(b *testing.B) {
 	benches, points := replayGrid(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := &preexec.Sweep{
-			Engine:  preexec.New(preexec.WithReplay(replay)),
-			Workers: 2,
-		}
+		s := &preexec.Sweep{Workers: 2}
 		if _, err := s.Run(context.Background(), benches, points); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkSweepReplayGrid runs the selection-only grid with the
-// trace-replay fast path on (the default); BenchmarkSweepFullSimGrid is the
-// same grid with every run streaming its front end, WithReplay(false). Their
-// ratio is the sweep-level speedup of trace replay; the README "Trace
-// replay" section records measured numbers.
-func BenchmarkSweepReplayGrid(b *testing.B)  { benchSweepGrid(b, true) }
-func BenchmarkSweepFullSimGrid(b *testing.B) { benchSweepGrid(b, false) }
 
 // suitePrograms builds the full ten-benchmark suite with small windows for
 // the suite-runner benchmarks.

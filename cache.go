@@ -9,11 +9,13 @@ import (
 )
 
 // StageCache memoizes the expensive, selection-independent stages of the
-// evaluation pipeline across engines that share it: base timing runs,
-// functional profiles, and recorded base-run traces. The paper's framework
-// explicitly decouples these stages — one profile and one base run can serve
-// many selection variants (§4) — so a sweep whose cells differ only in
-// selection or ablation knobs performs each per-benchmark stage once.
+// evaluation pipeline across engines that share it: recorded traces, base
+// timing runs (replays of those traces), and functional profiles. The
+// paper's framework explicitly decouples these stages — one profile and one
+// base run can serve many selection variants (§4) — so a sweep whose cells
+// differ only in selection or ablation knobs performs each per-benchmark
+// stage once. An Engine without a shared cache runs each call through a
+// fresh one, so every engine timing run takes the same path.
 //
 // Entries are keyed by program identity (pointer) plus only the
 // configuration fields that feed the stage:
@@ -31,7 +33,8 @@ import (
 //   - traces: the same base-run identity (the recorded front-end stream is
 //     selection- and mode-independent, see timing.RecordTrace) plus the
 //     timing.TraceVersion simulator fingerprint, so a timing-core change
-//     invalidates recorded traces cleanly.
+//     invalidates recorded traces cleanly. Every timing run looks its trace
+//     up here; a run too long to retain gets a trace without records.
 //
 // Cached profile regions are shared by pointer: selection only reads the
 // slice forests (paths and bodies are copied out), so concurrent selections
@@ -95,10 +98,11 @@ type CacheStats struct {
 	BaseHits    int64 `json:"base_hits"`
 	ProfileRuns int64 `json:"profile_runs"`
 	ProfileHits int64 `json:"profile_hits"`
-	// TraceRuns counts base-run trace recordings, TraceHits replays served
-	// from an already-recorded trace. A selection-knob grid over N traceable
-	// benchmarks records exactly N traces; cells whose runs are too large to
-	// record (see timing.Traceable) simulate directly and count in neither.
+	// TraceRuns counts trace recordings, TraceHits trace lookups served
+	// from an existing recording. An evaluation looks its trace up for the
+	// base run only when the base run itself misses, and again for the
+	// pre-execution run: a selection-knob grid over N benchmarks records
+	// exactly N traces and reports one trace hit per cell.
 	TraceRuns int64 `json:"trace_runs,omitempty"`
 	TraceHits int64 `json:"trace_hits,omitempty"`
 	// Evictions counts entries dropped by the WithStageCacheLimit LRU

@@ -2,11 +2,11 @@
 // (BenchmarkSim<workload>: one bare timing.Run of 50k instructions each,
 // mirroring the root bench_test.go targets), the sweep-memoization pair
 // (BenchmarkSweepCached/BenchmarkSweepUncached: the same selection grid with
-// and without the stage cache), the trace-replay benchmarks
+// and without the stage cache), the trace record and replay benchmarks
 // (BenchmarkRecordTraceVprP/BenchmarkReplayVprP bracket one cell's record
 // and replay cost against BenchmarkSimVprPPreexec's streamed simulation;
-// BenchmarkSweepReplayGrid/BenchmarkSweepFullSimGrid are the same selection
-// grid with the replay fast path on and forced off), the functional profiler
+// BenchmarkSweepReplayGrid, the same memoized grid under the root
+// benchmark's name), the functional profiler
 // (BenchmarkProfileVprR, mirroring internal/slice's BenchmarkProfile), and
 // the workload-synthesis pair (BenchmarkSynthGenerate/BenchmarkAssemble,
 // mirroring synth/bench_test.go) into a JSON baseline, and checks a fresh
@@ -128,7 +128,7 @@ func recordBench() (func(b *testing.B), error) {
 // replayBench returns the closure for BenchmarkReplayVprP's shape: profile,
 // select, and record once, then measure timing.Replay of the selection
 // against the trace — the replay-side counterpart of preexecBench, so the
-// baseline brackets the per-cell saving of the trace-replay fast path.
+// baseline brackets the per-cell saving of replaying over streaming.
 func replayBench() (func(b *testing.B), error) {
 	w, err := workload.ByName("vpr.p")
 	if err != nil {
@@ -169,34 +169,6 @@ func profileBench() (func(b *testing.B), error) {
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := slice.ProfileWhole(p, slice.ProfileOptions{MaxInsts: 50_000}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}, nil
-}
-
-// replaySweepBench returns the closure for the
-// BenchmarkSweepReplayGrid/BenchmarkSweepFullSimGrid pair: the sweepBench
-// selection grid run through an engine with the trace-replay fast path on
-// (the default) or forced off, so the sweep-level win of replay is recorded
-// in the baseline alongside the memoization pair.
-func replaySweepBench(replay bool) (func(b *testing.B), error) {
-	benches, err := preexec.SweepBenches([]string{"crafty", "gcc", "vpr.p"}, 1)
-	if err != nil {
-		return nil, err
-	}
-	points := make([]preexec.ConfigPoint, 0, 4)
-	for _, name := range []string{"none", "merge", "opt", "opt+merge"} {
-		cfg := preexec.DefaultConfig()
-		cfg.Machine.WarmInsts, cfg.Machine.MeasureInsts = 10_000, 30_000
-		cfg.Selection.Optimize = name == "opt" || name == "opt+merge"
-		cfg.Selection.Merge = name == "merge" || name == "opt+merge"
-		points = append(points, preexec.ConfigPoint{Name: name, Config: cfg})
-	}
-	return func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := &preexec.Sweep{Engine: preexec.New(preexec.WithReplay(replay)), Workers: 2}
-			if _, err := s.Run(context.Background(), benches, points); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -330,8 +302,9 @@ func measure() (map[string]Result, error) {
 		{"BenchmarkProfileVprR", profileBench},
 		{"BenchmarkSweepCached", func() (func(b *testing.B), error) { return sweepBench(true) }},
 		{"BenchmarkSweepUncached", func() (func(b *testing.B), error) { return sweepBench(false) }},
-		{"BenchmarkSweepReplayGrid", func() (func(b *testing.B), error) { return replaySweepBench(true) }},
-		{"BenchmarkSweepFullSimGrid", func() (func(b *testing.B), error) { return replaySweepBench(false) }},
+		// The replay grid is the cached grid: since every engine timing run
+		// replays, the two measure the same sweep.
+		{"BenchmarkSweepReplayGrid", func() (func(b *testing.B), error) { return sweepBench(true) }},
 	} {
 		fn, err := sw.mk()
 		if err != nil {

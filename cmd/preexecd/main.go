@@ -61,7 +61,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8321", "listen address")
 		workers    = flag.Int("workers", 0, "server-wide simulation concurrency (0 = all cores)")
-		cachelimit = flag.Int("cachelimit", 0, "stage cache LRU bound, entries per stage (0 = unlimited)")
+		cachelimit = flag.Int("cachelimit", 1024, "stage cache LRU bound, entries per stage (<= 0 = unlimited)")
 
 		logFormat = flag.String("log", "text", "request log format: text or json")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060); empty = disabled")

@@ -67,16 +67,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	eng := preexec.New(
-		preexec.WithMachine(preexec.MachineConfig{
-			Width: *width, MemLat: *memlat, WarmInsts: *warm, MeasureInsts: *measure,
-		}),
-		preexec.WithSelection(func() preexec.SelectionConfig {
-			s := preexec.DefaultSelection()
-			s.Scope, s.MaxLen = *scope, *maxlen
-			return s
-		}()),
-	)
+	eng := newEngine(preexec.MachineConfig{
+		Width: *width, MemLat: *memlat, WarmInsts: *warm, MeasureInsts: *measure,
+	}, *scope, *maxlen)
 
 	if *profile != "" {
 		regions, err := eng.Profile(ctx, prog)
@@ -108,7 +101,7 @@ func main() {
 		if *jsonOut {
 			// The assisted run belongs in Pre; there is no base run in this
 			// mode, so Base and the derived percentages stay zero.
-			emitJSON(preexec.Report{Program: prog.Name, Config: eng.Config(), Pre: st, PThreads: pts})
+			emitJSON(runReport(eng, prog.Name, preexec.Report{Pre: st, PThreads: pts}))
 			return
 		}
 		printStats(fmt.Sprintf("%s (%d p-threads from %s)", prog.Name, len(pts), *ptsPath), st)
@@ -122,7 +115,7 @@ func main() {
 			os.Exit(1)
 		}
 		if *jsonOut {
-			emitJSON(preexec.Report{Program: prog.Name, Config: eng.Config(), Base: st, BaseMisses: st.L2Misses})
+			emitJSON(runReport(eng, prog.Name, preexec.Report{Base: st, BaseMisses: st.L2Misses}))
 			return
 		}
 		printStats(prog.Name+" (base)", st)
@@ -157,6 +150,27 @@ func main() {
 	printStats(prog.Name+" (pre-exec)", rep.Pre)
 	fmt.Printf("p-threads: %d selected, coverage %.1f%% (full %.1f%%), speedup %+.1f%%, predicted IPC %.3f\n",
 		len(rep.PThreads), rep.CoveragePct(), rep.FullCoveragePct(), rep.SpeedupPct(), rep.PredIPC)
+}
+
+// newEngine builds tsim's engine: the given machine, the default selection
+// with the slicing scope and p-thread length set, and a stage cache, so a
+// -mode diagnostic run after the evaluation replays the evaluation's
+// recorded trace instead of recording its own.
+func newEngine(m preexec.MachineConfig, scope, maxlen int) *preexec.Engine {
+	sel := preexec.DefaultSelection()
+	sel.Scope, sel.MaxLen = scope, maxlen
+	return preexec.New(
+		preexec.WithMachine(m),
+		preexec.WithSelection(sel),
+		preexec.WithStageCache(preexec.NewStageCache()),
+	)
+}
+
+// runReport completes a report of single timing runs with the program name
+// and the engine's normalized configuration, the one Evaluate reports carry.
+func runReport(eng *preexec.Engine, prog string, rep preexec.Report) preexec.Report {
+	rep.Program, rep.Config = prog, eng.Config().Normalized()
+	return rep
 }
 
 func emitJSON(rep preexec.Report) {

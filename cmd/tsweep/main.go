@@ -10,7 +10,7 @@
 //	       [-scope list] [-maxlen list] [-opt list] [-merge list]
 //	       [-region list] [-memlat list] [-selmemlat list]
 //	       [-width list] [-selwidth list]
-//	       [-workers N] [-json|-csv] [-cache on|off] [-replay on|off]
+//	       [-workers N] [-json|-csv] [-cache on|off]
 //	       [-progress] [-trace file.ndjson]
 //
 // Each grid flag takes a comma-separated value list; the grid is the cross
@@ -21,16 +21,16 @@
 //	tsweep -scope 256,512,1024,2048 -maxlen 8,16,32,64      # Figure 4 axes
 //	tsweep -memlat 70,140 -selmemlat 70,140                 # Figure 8
 //
-// -cache=off disables stage memoization (every cell recomputes everything);
-// -replay=off streams the front end on every selection-dependent run
-// instead of memoizing a base-run trace and replaying it. Results are
-// bit-for-bit identical any way these are set. The cache's run/hit counters are reported
-// on stderr.
+// Every cell's timing runs replay one recorded trace per benchmark and
+// machine. -cache=off disables stage memoization across cells (every cell
+// records, profiles and replays for itself); results are bit-for-bit
+// identical either way. The cache's run/hit counters are reported on
+// stderr.
 //
 // -trace records the sweep's stage executions as spans — one "sweep" root
-// plus one "stage:<name>" span per base run, profile, selection, trace
-// recording, replay, and streamed simulation actually executed (cache hits
-// record nothing) — and writes them NDJSON to the given file. Tracing never
+// plus one "stage:<name>" span per trace recording, base run, profile,
+// selection, and replay actually executed (cache hits record nothing) —
+// and writes them NDJSON to the given file. Tracing never
 // touches stdout: the sweep output is byte-identical with and without it.
 package main
 
@@ -92,17 +92,16 @@ func boolField(dst func(cfg *preexec.Config) *bool) func(*preexec.Config, string
 
 func main() {
 	var (
-		bench     = flag.String("bench", "", "comma-separated benchmark subset (default: all ten)")
-		scale     = flag.Int("scale", 1, "workload scale multiplier")
-		warm      = flag.Int64("warm", 30_000, "warm-up instructions")
-		measure   = flag.Int64("measure", 120_000, "measured instructions")
-		workers   = flag.Int("workers", 0, "concurrent cell evaluations (0 = all cores)")
-		jsonOut   = flag.Bool("json", false, "emit the full sweep result as JSON")
-		csvOut    = flag.Bool("csv", false, "emit per-cell rows as CSV")
-		cacheArg  = flag.String("cache", "on", "stage memoization: on or off")
-		replayArg = flag.String("replay", "on", "trace-replay fast path: on, or off to stream the front end on every run")
-		progress  = flag.Bool("progress", false, "stream per-cell completion to stderr")
-		traceOut  = flag.String("trace", "", "write stage spans as NDJSON to this file")
+		bench    = flag.String("bench", "", "comma-separated benchmark subset (default: all ten)")
+		scale    = flag.Int("scale", 1, "workload scale multiplier")
+		warm     = flag.Int64("warm", 30_000, "warm-up instructions")
+		measure  = flag.Int64("measure", 120_000, "measured instructions")
+		workers  = flag.Int("workers", 0, "concurrent cell evaluations (0 = all cores)")
+		jsonOut  = flag.Bool("json", false, "emit the full sweep result as JSON")
+		csvOut   = flag.Bool("csv", false, "emit per-cell rows as CSV")
+		cacheArg = flag.String("cache", "on", "stage memoization: on or off")
+		progress = flag.Bool("progress", false, "stream per-cell completion to stderr")
+		traceOut = flag.String("trace", "", "write stage spans as NDJSON to this file")
 
 		scopes     = flag.String("scope", "", "slicing scopes (comma-separated)")
 		maxlens    = flag.String("maxlen", "", "maximum p-thread lengths")
@@ -126,15 +125,6 @@ func main() {
 		noCache = true
 	default:
 		fmt.Fprintf(os.Stderr, "tsweep: -cache=%q, want on or off\n", *cacheArg)
-		os.Exit(2)
-	}
-	replay := false
-	switch *replayArg {
-	case "on":
-		replay = true
-	case "off":
-	default:
-		fmt.Fprintf(os.Stderr, "tsweep: -replay=%q, want on or off\n", *replayArg)
 		os.Exit(2)
 	}
 
@@ -175,7 +165,7 @@ func main() {
 	defer stop()
 
 	sweep := &preexec.Sweep{Workers: *workers, NoCache: noCache}
-	engineOpts := []preexec.Option{preexec.WithReplay(replay)}
+	var engineOpts []preexec.Option
 	var (
 		tracer  *obs.Tracer
 		traceID string

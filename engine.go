@@ -25,22 +25,16 @@ type Selector interface {
 }
 
 // Simulator is the detailed timing stage: it measures a program — with
-// optional p-threads — on the simulated machine.
+// optional p-threads — on the simulated machine, in two steps. RecordTrace
+// captures a run's front-end event stream (fetch order, effective
+// addresses, predictor verdicts — all selection-independent), and Replay
+// times a p-thread set against it. Every engine timing run, the base run
+// included, replays the trace memoized for its program and machine, so one
+// recording serves every selection and mode. The reference simulator
+// returns a trace without records for a run too long to retain, which
+// Replay serves by streaming the front end: its Stats equal
+// timing.RunContext's at any run length.
 type Simulator interface {
-	Simulate(ctx context.Context, p *Program, pts []*PThread, cfg TimingConfig) (Stats, error)
-}
-
-// TraceReplayer is the optional Simulator extension behind the trace-replay
-// fast path: RecordTrace captures the base run's front-end event stream once
-// (fetch order, effective addresses, predictor verdicts — all
-// selection-independent), and Replay scores a p-thread set against the
-// recorded stream instead of re-running the front end, bit-identical to
-// Simulate. Engines with a stage cache route selection-dependent timing
-// runs through this interface automatically when their Simulator
-// implements it (the reference simulator does, with one backend behind
-// both paths); a Simulator without it simply always simulates, streaming
-// the front end on every run. See WithReplay for the escape hatch.
-type TraceReplayer interface {
 	RecordTrace(ctx context.Context, p *Program, cfg TimingConfig) (*Trace, error)
 	Replay(ctx context.Context, t *Trace, pts []*PThread, cfg TimingConfig) (Stats, error)
 }
@@ -63,10 +57,6 @@ func (treeSelector) Select(regions []ProfileRegion, opts SelectorOptions, region
 	return selector.SelectForest(regions[0].Forest, opts)
 }
 
-func (timingSimulator) Simulate(ctx context.Context, p *Program, pts []*PThread, cfg TimingConfig) (Stats, error) {
-	return timing.RunContext(ctx, p, pts, cfg)
-}
-
 func (timingSimulator) RecordTrace(ctx context.Context, p *Program, cfg TimingConfig) (*Trace, error) {
 	return timing.RecordTrace(ctx, p, cfg)
 }
@@ -77,13 +67,12 @@ func (timingSimulator) Replay(ctx context.Context, t *Trace, pts []*PThread, cfg
 
 // StageObserver receives a callback around every pipeline stage execution:
 // StageStart is called when a stage begins and the func it returns when the
-// stage ends. Stages are named "base" (the unassisted timing run),
-// "profile", "select", "sim" (a fully simulated p-thread timing run),
-// "trace" (a base-run trace recording), and "replay" (a p-thread run scored
-// against the recorded trace); bench is the program under evaluation (""
-// where no single program applies). With a stage cache attached, only real
-// executions are observed — cache hits never reach the observer, so
-// observed latencies are true stage costs.
+// stage ends. Stages are named "trace" (a trace recording), "base" (the
+// unassisted timing run, replayed from the trace), "profile", "select", and
+// "replay" (any other timing run scored against the trace); bench is the
+// program under evaluation ("" where no single program applies). Stages
+// never nest, and only real executions are observed — stage-cache hits
+// never reach the observer, so observed latencies are true stage costs.
 //
 // Observers exist for instrumentation (the serve package feeds stage
 // latency histograms and span traces from this hook) and must not influence
@@ -103,21 +92,19 @@ func ReferenceStages() (Profiler, Selector, Simulator) {
 
 // Engine runs the pre-execution pipeline of the paper's tool flow (§4.1)
 // over its stage backends: a base timing run, a functional profile, the
-// aggregate-advantage selection, and the pre-execution timing run. Build
-// one with New; the zero Engine is not usable.
+// aggregate-advantage selection, and the pre-execution timing run. Every
+// call goes through a StageCache — the shared one attached with
+// WithStageCache, or else a fresh one scoped to the call — so the timing
+// runs of one evaluation replay a single recorded trace. Build one with
+// New; the zero Engine is not usable.
 type Engine struct {
 	cfg       Config
 	profiler  Profiler
 	selector  Selector
 	simulator Simulator
-	// cache, if non-nil, memoizes base timing runs, profiles, and base-run
-	// traces across engines sharing it (see StageCache and Sweep).
+	// cache, if non-nil, memoizes traces, base timing runs, and profiles
+	// across engines sharing it (see StageCache and Sweep).
 	cache *StageCache
-	// replay enables the trace-replay fast path for selection-dependent
-	// timing runs (see WithReplay). It only engages with a cache attached:
-	// without memoization, recording a trace to replay it once costs as much
-	// as simulating directly.
-	replay bool
 	// observer, if non-nil, is called around every stage execution.
 	observer StageObserver
 }
@@ -146,8 +133,8 @@ func WithSelector(s Selector) Option { return func(e *Engine) { e.selector = s }
 // WithSimulator swaps the timing-simulation backend.
 func WithSimulator(s Simulator) Option { return func(e *Engine) { e.simulator = s } }
 
-// WithStageCache attaches a shared stage cache: base timing runs and
-// profiles are memoized in it, so engines sharing one cache — a sweep's
+// WithStageCache attaches a shared stage cache: traces, base timing runs
+// and profiles are memoized in it, so engines sharing one cache — a sweep's
 // cells — perform each per-benchmark stage once. Results are bit-for-bit
 // identical to uncached evaluation; see StageCache for the key structure.
 //
@@ -156,15 +143,6 @@ func WithSimulator(s Simulator) Option { return func(e *Engine) { e.simulator = 
 // backends (as Sweep-built engines do), or cells will silently serve each
 // other's backend results.
 func WithStageCache(c *StageCache) Option { return func(e *Engine) { e.cache = c } }
-
-// WithReplay toggles the trace-replay fast path (on by default). With a
-// stage cache attached, a Simulator implementing TraceReplayer, and a run
-// small enough to record (timing.Traceable), selection-dependent timing runs
-// are scored against a memoized base-run trace instead of re-running the
-// front end — bit-identical results, faster on selection-only grids.
-// WithReplay(false) streams the front end on every run instead of
-// memoizing a trace (the -replay=off flag of cmd/tsweep).
-func WithReplay(on bool) Option { return func(e *Engine) { e.replay = on } }
 
 // WithStageObserver installs an observer called around every stage
 // execution (nil = none, the default — the hot path then pays one nil check
@@ -181,7 +159,6 @@ func New(opts ...Option) *Engine {
 		profiler:  sliceProfiler{},
 		selector:  treeSelector{},
 		simulator: timingSimulator{},
-		replay:    true,
 	}
 	for _, o := range opts {
 		o(e)
@@ -192,76 +169,57 @@ func New(opts ...Option) *Engine {
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// run performs one timing run under cfg, routing it by what it depends on.
-// A base run (no p-threads, ModeBase) goes through the stage cache when one
-// is attached. A selection-dependent run replays against the memoized
-// base-run trace when the fast path applies, and otherwise streams the
-// front end. Results are bit-identical either way (the equivalence suites in
-// internal/timing and synth pin this).
-func (e *Engine) run(ctx context.Context, p *Program, pts []*PThread, cfg TimingConfig) (Stats, error) {
-	if pts == nil && cfg.Mode == timing.ModeBase {
-		if e.cache != nil {
-			return e.cache.baseStats(ctx, p, cfg, func() (Stats, error) {
-				return e.simulate(ctx, p, nil, cfg, "base")
-			})
-		}
-		return e.simulate(ctx, p, nil, cfg, "base")
+// stages returns the stage cache one call runs through: the attached shared
+// cache, or a fresh cache scoped to the call.
+func (e *Engine) stages() *StageCache {
+	if e.cache != nil {
+		return e.cache
 	}
-	if e.replay && e.cache != nil && timing.Traceable(cfg) {
-		if tr, ok := e.simulator.(TraceReplayer); ok {
-			return e.replaySimulate(ctx, tr, p, pts, cfg)
-		}
-	}
-	return e.simulate(ctx, p, pts, cfg, "sim")
+	return NewStageCache()
 }
 
-// simulate runs the timing backend under the stage observer. The observer
-// wraps only actual executions: the cached base path reaches here from
-// inside the cache's compute closure, so cache hits are never observed.
-func (e *Engine) simulate(ctx context.Context, p *Program, pts []*PThread, cfg TimingConfig, stage string) (Stats, error) {
-	if e.observer != nil {
-		defer e.observer.StageStart(stage, p.Name)()
+// run performs one timing run under cfg by replaying the trace memoized in
+// c. The base run (no p-threads, ModeBase) is memoized itself; any other
+// run replays its p-threads against the trace.
+func (e *Engine) run(ctx context.Context, c *StageCache, p *Program, pts []*PThread, cfg TimingConfig) (Stats, error) {
+	if pts == nil && cfg.Mode == ModeBase {
+		return c.baseStats(ctx, p, cfg, func() (Stats, error) {
+			return e.replay(ctx, c, p, nil, cfg, "base")
+		})
 	}
-	return e.simulator.Simulate(ctx, p, pts, cfg)
+	return e.replay(ctx, c, p, pts, cfg, "replay")
 }
 
-// replaySimulate is the trace-replay fast path for one selection-dependent
-// timing run: fetch (or record) the memoized base-run trace, then replay the
-// p-threads against it. The observer sees real work only — a "trace" stage
-// inside the cache's compute closure when the recording actually happens,
-// and a "replay" stage per replayed run. Errors propagate; there is no
-// silent fall back to streamed simulation, so a replay bug can never hide as a
-// performance regression.
-func (e *Engine) replaySimulate(ctx context.Context, tr TraceReplayer, p *Program, pts []*PThread, cfg TimingConfig) (Stats, error) {
-	t, err := e.cache.traceFor(ctx, p, cfg, func() (*Trace, error) {
+// replay fetches — or records, observed as the "trace" stage — the trace
+// memoized in c for (p, cfg), then replays pts against it, observed as
+// stage. Recording finishes before the replay starts, so observed stages
+// never nest.
+func (e *Engine) replay(ctx context.Context, c *StageCache, p *Program, pts []*PThread, cfg TimingConfig, stage string) (Stats, error) {
+	t, err := c.traceFor(ctx, p, cfg, func() (*Trace, error) {
 		if e.observer != nil {
 			defer e.observer.StageStart("trace", p.Name)()
 		}
-		return tr.RecordTrace(ctx, p, cfg)
+		return e.simulator.RecordTrace(ctx, p, cfg)
 	})
 	if err != nil {
 		return Stats{}, err
 	}
 	if e.observer != nil {
-		defer e.observer.StageStart("replay", p.Name)()
+		defer e.observer.StageStart(stage, p.Name)()
 	}
-	return tr.Replay(ctx, t, pts, cfg)
+	return e.simulator.Replay(ctx, t, pts, cfg)
 }
 
-// profile runs the profiling backend through the stage cache when one is
-// attached. The stage observer wraps the compute closure, not the cache
-// lookup, so only real profile executions are timed.
-func (e *Engine) profile(ctx context.Context, p *Program, opts ProfileOptions) ([]ProfileRegion, error) {
-	compute := func() ([]ProfileRegion, error) {
+// profile runs the profiling backend through the stage cache c. The stage
+// observer wraps the compute closure, not the cache lookup, so only real
+// profile executions are timed.
+func (e *Engine) profile(ctx context.Context, c *StageCache, p *Program, opts ProfileOptions) ([]ProfileRegion, error) {
+	return c.regions(ctx, p, opts, func() ([]ProfileRegion, error) {
 		if e.observer != nil {
 			defer e.observer.StageStart("profile", p.Name)()
 		}
 		return e.profiler.Profile(ctx, p, opts)
-	}
-	if e.cache != nil {
-		return e.cache.regions(ctx, p, opts, compute)
-	}
-	return compute()
+	})
 }
 
 // Evaluate runs the full pipeline on one program: base timing run,
@@ -269,15 +227,16 @@ func (e *Engine) profile(ctx context.Context, p *Program, opts ProfileOptions) (
 // active simulation stage promptly and returns ctx.Err().
 func (e *Engine) Evaluate(ctx context.Context, p *Program) (Report, error) {
 	cfg := e.cfg.Normalized()
-	base, err := e.run(ctx, p, nil, cfg.timing(ModeBase))
+	c := e.stages()
+	base, err := e.run(ctx, c, p, nil, cfg.timing(ModeBase))
 	if err != nil {
 		return Report{}, fmt.Errorf("preexec: base run: %w", err)
 	}
-	sel, _, err := e.selectOn(ctx, p, base.IPC, cfg)
+	sel, _, err := e.selectOn(ctx, c, p, base.IPC, cfg)
 	if err != nil {
 		return Report{}, fmt.Errorf("preexec: selection: %w", err)
 	}
-	pre, err := e.run(ctx, p, sel.PThreads, cfg.timing(ModeNormal))
+	pre, err := e.run(ctx, c, p, sel.PThreads, cfg.timing(ModeNormal))
 	if err != nil {
 		return Report{}, fmt.Errorf("preexec: pre-execution run: %w", err)
 	}
@@ -305,7 +264,7 @@ func (e *Engine) Evaluate(ctx context.Context, p *Program) (Report, error) {
 // With a stage cache attached (WithStageCache) the regions may be shared
 // with other engines: treat them as immutable.
 func (e *Engine) Profile(ctx context.Context, p *Program) ([]ProfileRegion, error) {
-	return e.profile(ctx, p, e.cfg.Normalized().profileOptions())
+	return e.profile(ctx, e.stages(), p, e.cfg.Normalized().profileOptions())
 }
 
 // Select runs only the selection half of the pipeline: profile (on
@@ -313,12 +272,13 @@ func (e *Engine) Profile(ctx context.Context, p *Program) ([]ProfileRegion, erro
 // baseIPC is the unassisted main-thread IPC fed to the advantage model; it
 // returns the selection and the profile's observed L2 miss count.
 func (e *Engine) Select(ctx context.Context, p *Program, baseIPC float64) (SelectionResult, int64, error) {
-	return e.selectOn(ctx, p, baseIPC, e.cfg.Normalized())
+	return e.selectOn(ctx, e.stages(), p, baseIPC, e.cfg.Normalized())
 }
 
-// selectOn is Select under the normalized configuration cfg.
-func (e *Engine) selectOn(ctx context.Context, p *Program, baseIPC float64, cfg Config) (SelectionResult, int64, error) {
-	regions, err := e.profile(ctx, cmp.Or(cfg.Selection.ProfileOn, p), cfg.profileOptions())
+// selectOn is Select under the normalized configuration cfg, profiling
+// through the stage cache c.
+func (e *Engine) selectOn(ctx context.Context, c *StageCache, p *Program, baseIPC float64, cfg Config) (SelectionResult, int64, error) {
+	regions, err := e.profile(ctx, c, cmp.Or(cfg.Selection.ProfileOn, p), cfg.profileOptions())
 	if err != nil {
 		return SelectionResult{}, 0, err
 	}
@@ -350,5 +310,5 @@ func (e *Engine) SelectForest(f *Forest, baseIPC float64) SelectionResult {
 // simulation modes (ModeBase with nil p-threads is the unassisted machine;
 // the overhead/latency modes are the paper's §4.3 validation diagnostics).
 func (e *Engine) Simulate(ctx context.Context, p *Program, pts []*PThread, mode Mode) (Stats, error) {
-	return e.run(ctx, p, pts, e.cfg.Normalized().timing(mode))
+	return e.run(ctx, e.stages(), p, pts, e.cfg.Normalized().timing(mode))
 }

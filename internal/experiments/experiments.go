@@ -242,20 +242,21 @@ type Table2Row struct {
 
 // Table2 regenerates the primary performance and validation results. Each
 // benchmark's full row — evaluation plus the three diagnostic re-simulations
-// — is one unit of parallel work.
+// — is one unit of parallel work, on an engine whose stage cache lets all
+// five timing runs replay one recorded trace.
 func Table2(ctx context.Context, opts Options) ([]Table2Row, error) {
 	opts = opts.fill()
 	ws, err := opts.workloads()
 	if err != nil {
 		return nil, err
 	}
-	eng := preexec.New(preexec.WithConfig(opts.config()))
 	rows := make([]Table2Row, len(ws))
 	progress := newProgressEmitter(len(ws), opts.Progress)
 	err = preexec.ParallelEach(ctx, opts.Workers, len(ws), func(ctx context.Context, i int) (retErr error) {
 		defer func() { progress.emit(i, ws[i].Name, retErr) }()
 		w := ws[i]
 		p := w.Build(opts.Scale)
+		eng := preexec.New(preexec.WithConfig(opts.config()), preexec.WithStageCache(preexec.NewStageCache()))
 		rep, err := eng.Evaluate(ctx, p)
 		if err != nil {
 			return fmt.Errorf("table2 %s: %w", w.Name, err)

@@ -374,13 +374,18 @@ type replaySim struct {
 // have been recorded under the same TraceVersion, the same machine
 // geometry, and a run extent covering cfg's WarmInsts+MaxInsts
 // (RecordTrace with the same Config family guarantees all three); a
-// too-short trace returns an error, never silently wrong numbers.
+// too-short trace returns an error, never silently wrong numbers. A
+// streamed trace (a run over the recording cap) is served by stepping the
+// front end exactly as RunContext does.
 func Replay(ctx context.Context, t *Trace, pts []*pthread.PThread, cfg Config) (Stats, error) {
 	if t.version != TraceVersion {
 		return Stats{}, fmt.Errorf("timing: trace version %q does not match simulator %q", t.version, TraceVersion)
 	}
 	cfg = cfg.withDefaults()
 	total := runTotal(cfg)
+	if t.streamed {
+		return newReplay(t.prog, nil, pts, cfg).run(ctx, total)
+	}
 	// A trace ending in HALT (or truncated by an oracle error) covers the
 	// whole fetch stream; an extent-bounded trace must cover this run's
 	// total plus its maximum fetch-ahead.

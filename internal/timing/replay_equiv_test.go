@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"preexec/internal/program"
+	"preexec/internal/pthread"
 	"preexec/internal/workload"
 )
 
@@ -169,24 +170,70 @@ func TestReplayRejectsShortTrace(t *testing.T) {
 	}
 }
 
-// TestReplayUntraceableRun pins the RecordTrace bounds: the unbounded
-// MaxInsts default must be refused (a trace of it could not be stored), and
-// Traceable must agree.
-func TestReplayUntraceableRun(t *testing.T) {
-	w, err := workload.ByName("vpr.p")
+// haltingStride builds a strided-load loop over a 512KB footprint — twice
+// the L2 — that halts after iters iterations: a run that ends on HALT under
+// any instruction budget, with L2 misses for the selector to attack.
+func haltingStride(t *testing.T, iters int64) *program.Program {
+	t.Helper()
+	const words = 1 << 16
+	b := program.NewBuilder("halting-stride")
+	base := b.Alloc(words)
+	for i := int64(0); i < words; i++ {
+		b.SetWord(base+8*i, i%97+1)
+	}
+	b.Li(1, 0).Li(2, iters).Li(3, base).Li(7, 0)
+	b.Label("loop").
+		Bge(1, 2, "exit").
+		Slli(5, 1, 3). // one new line per iteration
+		Andi(5, 5, words-1).
+		Slli(5, 5, 3).
+		Add(5, 5, 3).
+		Ld(6, 5, 0).
+		Add(7, 7, 6).
+		Addi(1, 1, 1).
+		J("loop")
+	b.Label("exit").Halt()
+	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p
+}
+
+// TestReplayUntraceableRun pins the over-cap path: a run longer than the
+// recording cap — here the unbounded MaxInsts default — records a streamed
+// trace with no records, and Replay of it equals RunContext for the base
+// run and for a pre-execution run with a selection.
+func TestReplayUntraceableRun(t *testing.T) {
+	prog := haltingStride(t, 4000)
 	cfg := DefaultConfig() // MaxInsts stays the unbounded 1<<62 default
-	if Traceable(cfg) {
-		t.Error("Traceable(unbounded) = true")
+	tr := recordFor(t, prog, cfg)
+	if n := tr.Records(); n != 0 {
+		t.Fatalf("trace of an unbounded run holds %d records, want 0", n)
 	}
-	if _, err := RecordTrace(context.Background(), w.Build(1), cfg); err == nil {
-		t.Error("RecordTrace of an unbounded run did not fail")
+	pts := selectFor(t, prog, 0, cfg.MaxInsts)
+	if len(pts) == 0 {
+		t.Fatal("selector chose no p-threads for the strided loop")
 	}
-	cfg.MaxInsts = 10_000
-	if !Traceable(cfg) {
-		t.Error("Traceable(10k) = false")
+	for _, c := range []struct {
+		mode Mode
+		pts  []*pthread.PThread
+	}{{ModeBase, nil}, {ModeNormal, pts}} {
+		cfg.Mode = c.mode
+		want, err := RunContext(context.Background(), prog, c.pts, cfg)
+		if err != nil {
+			t.Fatalf("%s: simulation: %v", c.mode, err)
+		}
+		got, err := Replay(context.Background(), tr, c.pts, cfg)
+		if err != nil {
+			t.Fatalf("%s: replay: %v", c.mode, err)
+		}
+		if got != want {
+			t.Errorf("%s: streamed-trace replay diverges from simulation\n got: %+v\nwant: %+v", c.mode, got, want)
+		}
+		if c.mode == ModeNormal && got.Launches == 0 {
+			t.Errorf("%s: no p-thread launched", c.mode)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package timing
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"preexec/internal/branch"
@@ -100,8 +99,10 @@ const noSrc = 0xff
 
 // Trace is a recorded base-run event stream: the complete front-end input of
 // any timing simulation of its program under its recorded configuration
-// family (all modes, any selection). Traces are immutable after recording
-// and safe for concurrent Replay calls.
+// family (all modes, any selection). A run too long to retain (over
+// maxTraceInsts) yields a streamed trace, which holds no records: Replay
+// steps its front end afresh, as RunContext does. Traces are immutable after
+// recording and safe for concurrent Replay calls.
 type Trace struct {
 	prog    *program.Program
 	version string
@@ -110,6 +111,9 @@ type Trace struct {
 	// streamed run's fetch stops too; replay stops there the same way. A
 	// non-truncated trace ends at the recorded extent or at HALT.
 	truncated bool
+	// streamed marks a trace of a run over maxTraceInsts: no records, and
+	// Replay streams the front end instead.
+	streamed bool
 }
 
 // Program returns the program the trace was recorded from.
@@ -124,12 +128,11 @@ func (t *Trace) Records() int { return len(t.recs) }
 // Bytes approximates the trace's memory footprint, for cache sizing.
 func (t *Trace) Bytes() int64 { return int64(len(t.recs)) * 40 }
 
-// maxTraceInsts bounds recordable runs: beyond this the trace's memory
-// footprint (40 bytes/record) is unreasonable for a long-lived stage cache
-// and callers should stream the front end instead (RunContext). 4M
-// instructions caps a trace near 160MB and comfortably covers the
-// evaluation windows the suite and the service sweep (tens of thousands to
-// ~1M instructions).
+// maxTraceInsts bounds recorded runs: beyond this the trace's memory
+// footprint (40 bytes/record) is unreasonable for a long-lived stage cache,
+// so RecordTrace returns a streamed trace instead. 4M instructions caps a
+// trace near 160MB and comfortably covers the evaluation windows the suite
+// and the service sweep (tens of thousands to ~1M instructions).
 const maxTraceInsts = int64(4) << 20
 
 // traceExtent returns how many instructions past the measured total the
@@ -141,12 +144,6 @@ const maxTraceInsts = int64(4) << 20
 // cannot produce wrong numbers, only an error the equivalence suite catches.
 func traceExtent(cfg Config) int64 {
 	return int64(cfg.ROB + 8*cfg.Width)
-}
-
-// Traceable reports whether a configuration's run is small enough to record.
-func Traceable(cfg Config) bool {
-	total := runTotal(cfg.withDefaults())
-	return total > 0 && total <= maxTraceInsts
 }
 
 // frontEnd is the simulator's front end: the functional oracle and the
@@ -239,12 +236,15 @@ func (f *frontEnd) step(rec *traceRec) error {
 // (any mode) consumes: it steps the front end ahead of any backend for the
 // run's instruction total plus the maximum fetch-ahead. The p-thread mode
 // and ablation fields of cfg are irrelevant to the recording; the run
-// sizing (WarmInsts, MaxInsts) and machine geometry size the extent.
+// sizing (WarmInsts, MaxInsts) and machine geometry size the extent. A run
+// over maxTraceInsts (the unbounded MaxInsts default included) records
+// nothing and returns a streamed trace, so every run length takes the same
+// RecordTrace-then-Replay path.
 func RecordTrace(ctx context.Context, prog *program.Program, cfg Config) (*Trace, error) {
 	cfg = cfg.withDefaults()
 	total := runTotal(cfg)
 	if total <= 0 || total > maxTraceInsts {
-		return nil, fmt.Errorf("timing: run of %d instructions is not traceable (max %d)", total, maxTraceInsts)
+		return &Trace{prog: prog, version: TraceVersion, streamed: true}, nil
 	}
 	extent := total + traceExtent(cfg)
 

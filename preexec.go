@@ -19,7 +19,10 @@
 // The pipeline stages — Profiler, Selector, Simulator — are interfaces, so
 // alternative backends can be swapped in with WithProfiler, WithSelector,
 // and WithSimulator; the defaults are the in-repo reference implementations
-// that reproduce the paper's results.
+// that reproduce the paper's results. Every timing run has one path: the
+// Simulator records the program's front-end trace once per machine
+// configuration, memoized in a StageCache, and replays it for the base run
+// and for every selection and diagnostic mode.
 package preexec
 
 import (
@@ -69,7 +72,7 @@ type TimingConfig = timing.Config
 
 // Trace is a recorded base-run event trace: the complete front-end input of
 // any timing simulation of its program under its recorded configuration
-// family (all modes, any selection). See Simulator and TraceReplayer.
+// family (all modes, any selection). See Simulator.
 type Trace = timing.Trace
 
 // Mode selects what simulated p-threads are allowed to do; the diagnostic

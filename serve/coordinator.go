@@ -137,17 +137,14 @@ func (c *coordinator) probe(ctx context.Context, backend int) (int, error) {
 	return st.Gate.InFlight + int(st.Gate.Queued), nil
 }
 
-// stageKeys names the memoized stages a cell needs — base timing run,
-// profile, and (when the run is small enough to record) base-run trace — in
-// the same terms the StageCache keys them. The rendering is
-// preexec.StageKeys, the single shared key source, so routing identity
-// cannot drift from local memoization: program pointers cannot cross
-// processes, so (benchmark name, scale) stands in for the program identity —
-// servers build programs once per (workload, scale), so the substitution is
-// exact.
-func stageKeys(bench string, scale int, cfg preexec.Config) preexec.StageKeySet {
-	return preexec.StageKeys(bench, scale, cfg)
-}
+// routeKey joins a cell's base and profile stage keys: cells sharing all
+// their stage work — a trace groups with its base run — land on one
+// backend's cache together. The keys come from preexec.StageKeys, the
+// single shared key source, so routing identity cannot drift from local
+// memoization: program pointers cannot cross processes, so (benchmark name,
+// scale) stands in for the program identity — servers build programs once
+// per (workload, scale), so the substitution is exact.
+func routeKey(ks preexec.StageKeySet) string { return ks.Base + "\x00" + ks.Profile }
 
 // coordCell is one grid cell as the coordinator schedules it.
 type coordCell struct {
@@ -158,50 +155,35 @@ type coordCell struct {
 	// the backend decodes it exactly as a direct client would.
 	raw json.RawMessage
 	// cfg is the decoded configuration, for the local-fallback engine.
-	cfg  preexec.Config
-	prog *preexec.Program
-	// routeKey concatenates the base and profile stage keys: cells sharing
-	// all their stage work land on one backend's cache together. The trace
-	// key never adds routing information — it groups identically to the base
-	// key — so it stays out of the route.
-	routeKey string
-	keys     preexec.StageKeySet
+	cfg      preexec.Config
+	prog     *preexec.Program
+	routeKey string // see routeKey
 }
 
 // sweep evaluates the grid across the fleet and merges the result in grid
 // order. raws aligns with points (the submitted config fragments; nil for
 // the implicit default point). The merged CacheStats are modeled, not
 // summed: BaseRuns is the number of distinct base-stage groups in the grid
-// and BaseHits the cells beyond the first of each group (likewise profiles,
-// and traces over the traceable cells only) — exactly the counters a fresh
-// single-node cache reports. Summing backend deltas would drift under
-// faults (a truncated response loses a counted run, a retry recounts one),
-// silently breaking byte-identity with the single-node golden.
+// and BaseHits the cells beyond the first of each group (likewise
+// profiles); each base group records one trace, which every cell's
+// pre-execution run replays, so TraceRuns is the base-group count and
+// TraceHits the cell count — exactly the counters a fresh single-node cache
+// reports. Summing backend deltas would drift under faults (a truncated
+// response loses a counted run, a retry recounts one), silently breaking
+// byte-identity with the single-node golden.
 func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, points []preexec.ConfigPoint, raws []json.RawMessage, scale, workers int, progress func(preexec.SuiteEvent)) (*preexec.SweepResult, error) {
 	cells := make([]coordCell, 0, len(benches)*len(points))
 	baseGroups := make(map[string]bool)
 	profGroups := make(map[string]bool)
-	traceGroups := make(map[string]bool)
-	traceableCells := 0
 	for _, b := range benches {
 		name := b.Name
 		if name == "" {
 			name = b.Program.Name
 		}
 		for pi, pt := range points {
-			ks := stageKeys(name, scale, pt.Config)
+			ks := preexec.StageKeys(name, scale, pt.Config)
 			baseGroups[ks.Base] = true
 			profGroups[ks.Profile] = true
-			// Every traceable cell performs exactly one trace lookup (its
-			// selection-dependent run replays); untraceable cells simulate in
-			// full and touch the trace stage not at all. This mirrors the
-			// local-fallback path too: fallback cells run through the
-			// coordinator's own engine, whose replay gating uses the same
-			// Traceable predicate the key rendering does.
-			if ks.Trace != "" {
-				traceGroups[ks.Trace] = true
-				traceableCells++
-			}
 			cells = append(cells, coordCell{
 				bench:    name,
 				point:    pt.Name,
@@ -209,8 +191,7 @@ func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, p
 				raw:      raws[pi],
 				cfg:      pt.Config,
 				prog:     b.Program,
-				routeKey: ks.Base + "\x00" + ks.Profile,
-				keys:     ks,
+				routeKey: routeKey(ks),
 			})
 		}
 	}
@@ -224,8 +205,8 @@ func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, p
 		BaseHits:    int64(len(cells) - len(baseGroups)),
 		ProfileRuns: int64(len(profGroups)),
 		ProfileHits: int64(len(cells) - len(profGroups)),
-		TraceRuns:   int64(len(traceGroups)),
-		TraceHits:   int64(traceableCells - len(traceGroups)),
+		TraceRuns:   int64(len(baseGroups)),
+		TraceHits:   int64(len(cells)),
 	}
 
 	var (

@@ -7,6 +7,5 @@ import "preexec"
 // their fault target deterministically even though httptest backends get
 // random ports (and therefore random ring placement) per run.
 func (s *Server) CoordinatorHome(bench string, scale int, cfg preexec.Config) string {
-	ks := stageKeys(bench, scale, cfg)
-	return s.coord.addrs[s.coord.pool.Order(ks.Base + "\x00" + ks.Profile)[0]]
+	return s.coord.addrs[s.coord.pool.Order(routeKey(preexec.StageKeys(bench, scale, cfg)))[0]]
 }

@@ -26,9 +26,8 @@ type serverObs struct {
 }
 
 // obsStages are the stage labels carrying latency histograms: the engine
-// pipeline stages (including the trace-replay pair) plus the server's
-// program-build stage.
-var obsStages = []string{"build", "base", "profile", "select", "sim", "trace", "replay"}
+// pipeline stages plus the server's program-build stage.
+var obsStages = []string{"build", "base", "profile", "select", "trace", "replay"}
 
 // tracerSeed seeds the span-ID sequence. Trace and span IDs are identity,
 // not randomness: a fixed seed keeps them reproducible across runs without

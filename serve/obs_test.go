@@ -87,17 +87,13 @@ func TestSweepGoldenBitIdenticalTraced(t *testing.T) {
 	if byName["sweep"] != 1 {
 		t.Errorf("spans %v: want exactly one sweep root", byName)
 	}
-	// Two previously-unseen benchmarks, one point: one base run, one
-	// profile, one selection, and — the runs are small enough to trace — one
-	// trace recording plus one replayed p-thread run each. No cell simulates
-	// a p-thread run in full, so no stage:sim span exists.
+	// Two previously-unseen benchmarks, one point: one trace recording, one
+	// base run, one profile, one selection, and one replayed p-thread run
+	// each.
 	for _, stage := range []string{"stage:base", "stage:profile", "stage:select", "stage:trace", "stage:replay"} {
 		if byName[stage] != 2 {
 			t.Errorf("spans %v: want 2 %s spans", byName, stage)
 		}
-	}
-	if byName["stage:sim"] != 0 {
-		t.Errorf("spans %v: replayed cells must record no full-simulation span", byName)
 	}
 
 	// An untraced request must record nothing: same server, no ?trace=1.
@@ -155,16 +151,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := metric(`preexec_stage_duration_seconds_count{stage="base"}`); got != 1 {
 		t.Errorf("base stage count = %d, want 1", got)
 	}
-	// The p-thread run rides the trace-replay fast path: one recording, one
-	// replay, and no full simulation.
+	// One recording serves both timing runs: the base run and the p-thread
+	// run each replay it.
 	if got := metric(`preexec_stage_duration_seconds_count{stage="trace"}`); got != 1 {
 		t.Errorf("trace stage count = %d, want 1", got)
 	}
 	if got := metric(`preexec_stage_duration_seconds_count{stage="replay"}`); got != 1 {
 		t.Errorf("replay stage count = %d, want 1", got)
-	}
-	if got := metric(`preexec_stage_duration_seconds_count{stage="sim"}`); got != 0 {
-		t.Errorf("sim stage count = %d, want 0 (replay served the p-thread run)", got)
 	}
 	if got := metric(`preexec_stage_cache_runs_total{stage="base"}`); got != 1 {
 		t.Errorf("base cache runs = %d, want 1", got)

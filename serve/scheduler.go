@@ -62,45 +62,28 @@ func (gp gatedProfiler) Profile(ctx context.Context, p *preexec.Program, opts pr
 	return gp.p.Profile(ctx, p, opts)
 }
 
-// gatedSimulator runs the wrapped timing backend inside a worker slot. It
-// forwards the TraceReplayer extension — gated the same way — when the
-// wrapped backend implements it, so server engines keep the trace-replay
-// fast path without any stage escaping the worker pool.
+// gatedSimulator runs the wrapped timing backend's trace recordings and
+// replays inside a worker slot each, so no timing stage escapes the worker
+// pool.
 type gatedSimulator struct {
 	g *gate
 	s preexec.Simulator
 }
 
-func (gs gatedSimulator) Simulate(ctx context.Context, p *preexec.Program, pts []*preexec.PThread, cfg preexec.TimingConfig) (preexec.Stats, error) {
-	if err := gs.g.acquire(ctx); err != nil {
-		return preexec.Stats{}, err
-	}
-	defer gs.g.release()
-	return gs.s.Simulate(ctx, p, pts, cfg)
-}
-
 func (gs gatedSimulator) RecordTrace(ctx context.Context, p *preexec.Program, cfg preexec.TimingConfig) (*preexec.Trace, error) {
-	tr, ok := gs.s.(preexec.TraceReplayer)
-	if !ok {
-		return nil, fmt.Errorf("serve: simulator %T does not support trace replay", gs.s)
-	}
 	if err := gs.g.acquire(ctx); err != nil {
 		return nil, err
 	}
 	defer gs.g.release()
-	return tr.RecordTrace(ctx, p, cfg)
+	return gs.s.RecordTrace(ctx, p, cfg)
 }
 
 func (gs gatedSimulator) Replay(ctx context.Context, t *preexec.Trace, pts []*preexec.PThread, cfg preexec.TimingConfig) (preexec.Stats, error) {
-	tr, ok := gs.s.(preexec.TraceReplayer)
-	if !ok {
-		return preexec.Stats{}, fmt.Errorf("serve: simulator %T does not support trace replay", gs.s)
-	}
 	if err := gs.g.acquire(ctx); err != nil {
 		return preexec.Stats{}, err
 	}
 	defer gs.g.release()
-	return tr.Replay(ctx, t, pts, cfg)
+	return gs.s.Replay(ctx, t, pts, cfg)
 }
 
 // progKey identifies one built benchmark: canonical lower-case name plus the

@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the single source of stage-key normalization: the identity
-// under which the memoized stages — base timing runs, profiles, and recorded
-// base-run traces — are shared. StageCache keys structs with the normalized
+// under which the memoized stages — recorded traces, base timing runs, and
+// profiles — are shared. StageCache keys structs with the normalized
 // values directly; the distributed sweep coordinator renders the same values
 // as routing strings (program pointers cannot cross processes, so the
 // benchmark name and scale stand in for program identity). Both derive from
@@ -27,13 +27,12 @@ func normalizeBaseTiming(cfg TimingConfig) TimingConfig {
 }
 
 // StageKeySet names the memoized stages one evaluation needs, in the same
-// terms the StageCache keys them. Trace is empty when the configuration's
-// run is too large to record (see the replay notes on Simulator) — an
-// untraceable cell performs no trace-stage work.
+// terms the StageCache keys them. The trace stage has no key of its own: a
+// trace shares its base run's identity (plus the simulator fingerprint,
+// constant within a process), so Base groups traces too.
 type StageKeySet struct {
 	Base    string
 	Profile string
-	Trace   string
 }
 
 // StageKeys renders the stage identities of evaluating bench at the given
@@ -44,18 +43,10 @@ func StageKeys(bench string, scale int, cfg Config) StageKeySet {
 	n := cfg.Normalized()
 	tc := normalizeBaseTiming(n.timing(ModeBase))
 	po := n.profileOptions()
-	ks := StageKeySet{
+	return StageKeySet{
 		Base: fmt.Sprintf("base|%s|%d|w%d|l%d|wi%d|mi%d",
 			bench, scale, tc.Width, tc.MemLat, tc.WarmInsts, tc.MaxInsts),
 		Profile: fmt.Sprintf("prof|%s|%d|wi%d|pi%d|sc%d|ml%d|ri%d",
 			bench, scale, po.WarmInsts, po.MaxInsts, po.Scope, po.MaxSlice, po.RegionInsts),
 	}
-	if timing.Traceable(tc) {
-		// The simulator fingerprint is part of the trace identity, so a
-		// timing-core change invalidates routed traces exactly as it
-		// invalidates locally cached ones.
-		ks.Trace = fmt.Sprintf("trace|%s|%d|w%d|l%d|wi%d|mi%d|%s",
-			bench, scale, tc.Width, tc.MemLat, tc.WarmInsts, tc.MaxInsts, timing.TraceVersion)
-	}
-	return ks
 }

@@ -1,11 +1,6 @@
 package preexec
 
-import (
-	"strings"
-	"testing"
-
-	"preexec/internal/timing"
-)
+import "testing"
 
 // stagekeyGrid crosses every axis cmd/tsweep exposes (scope, maxlen, opt,
 // merge, region, memlat, selmemlat, width, selwidth) with a default and a
@@ -48,20 +43,22 @@ func stagekeyGrid() []Config {
 // exact struct keys its stages group entries by (program identity held
 // fixed). The timing config is derived precisely the way the engine derives
 // it for the cached stages — normalization, ModeBase, then the shared
-// base-run reduction.
-func localStageIdentity(cfg Config) (base TimingConfig, prof ProfileOptions, traceable bool) {
+// base-run reduction. pre is the identity of the pre-execution run's trace
+// lookup, which must land on the base run's entry.
+func localStageIdentity(cfg Config) (base, pre TimingConfig, prof ProfileOptions) {
 	n := cfg.Normalized()
 	base = normalizeBaseTiming(n.timing(ModeBase))
-	return base, n.profileOptions(), timing.Traceable(base)
+	pre = normalizeBaseTiming(n.timing(ModeNormal))
+	return base, pre, n.profileOptions()
 }
 
 // TestStageKeysMatchLocalCacheIdentity is the single-source regression for
 // the key renderer: across the full cmd/tsweep axis cross product, two cells
 // share a rendered stage key exactly when the StageCache would group them
-// onto one entry. The serve coordinator routes by these rendered keys
-// (serve's stageKeys delegates to StageKeys), so any drift between routing
-// identity and local memoization — a knob rendered into the string but not
-// the struct key, or vice versa — fails here for the axis that drifted.
+// onto one entry. The serve coordinator routes by these rendered keys, so
+// any drift between routing identity and local memoization — a knob
+// rendered into the string but not the struct key, or vice versa — fails
+// here for the axis that drifted.
 func TestStageKeysMatchLocalCacheIdentity(t *testing.T) {
 	cfgs := stagekeyGrid()
 	keys := make([]StageKeySet, len(cfgs))
@@ -69,10 +66,12 @@ func TestStageKeysMatchLocalCacheIdentity(t *testing.T) {
 	profs := make([]ProfileOptions, len(cfgs))
 	for i, cfg := range cfgs {
 		keys[i] = StageKeys("bench", 1, cfg)
-		var traceable bool
-		bases[i], profs[i], traceable = localStageIdentity(cfg)
-		if (keys[i].Trace != "") != traceable {
-			t.Fatalf("config %d: trace key %q, Traceable=%v", i, keys[i].Trace, traceable)
+		var pre TimingConfig
+		bases[i], pre, profs[i] = localStageIdentity(cfg)
+		// The trace stage groups exactly like the base stage: the
+		// pre-execution run replays the trace its base run recorded.
+		if pre != bases[i] {
+			t.Fatalf("config %d: pre-execution trace identity %+v, base identity %+v", i, pre, bases[i])
 		}
 	}
 	for i := range cfgs {
@@ -85,41 +84,22 @@ func TestStageKeysMatchLocalCacheIdentity(t *testing.T) {
 				t.Errorf("configs %d/%d: profile keys equal=%v, cache identity equal=%v\n i: %s\n j: %s",
 					i, j, got, want, keys[i].Profile, keys[j].Profile)
 			}
-			// The trace stage groups exactly like the base stage: the
-			// recorded stream depends only on the base-run identity.
-			if got, want := keys[i].Trace == keys[j].Trace, bases[i] == bases[j]; got != want {
-				t.Errorf("configs %d/%d: trace keys equal=%v, base identity equal=%v\n i: %s\n j: %s",
-					i, j, got, want, keys[i].Trace, keys[j].Trace)
-			}
 		}
 	}
 }
 
 // TestStageKeysDisambiguate pins the key namespace: benchmark, scale, and
-// stage prefix must each separate otherwise-identical cells, and the trace
-// key must embed the simulator fingerprint so a timing-core version bump
-// invalidates routed traces.
+// stage prefix must each separate otherwise-identical cells.
 func TestStageKeysDisambiguate(t *testing.T) {
 	cfg := DefaultConfig()
 	a := StageKeys("crafty", 1, cfg)
-	if b := StageKeys("mcf", 1, cfg); b.Base == a.Base || b.Profile == a.Profile || b.Trace == a.Trace {
+	if b := StageKeys("mcf", 1, cfg); b.Base == a.Base || b.Profile == a.Profile {
 		t.Errorf("different benchmarks share a stage key: %+v vs %+v", a, b)
 	}
-	if b := StageKeys("crafty", 2, cfg); b.Base == a.Base || b.Profile == a.Profile || b.Trace == a.Trace {
+	if b := StageKeys("crafty", 2, cfg); b.Base == a.Base || b.Profile == a.Profile {
 		t.Errorf("different scales share a stage key: %+v vs %+v", a, b)
 	}
-	set := map[string]bool{a.Base: true, a.Profile: true, a.Trace: true}
-	if len(set) != 3 {
+	if a.Base == a.Profile {
 		t.Errorf("stage keys collide across stages: %+v", a)
-	}
-	if !strings.HasSuffix(a.Trace, "|"+timing.TraceVersion) {
-		t.Errorf("trace key %q does not end in the simulator fingerprint %q", a.Trace, timing.TraceVersion)
-	}
-
-	// An untraceable run (too large to record) renders no trace key.
-	big := cfg
-	big.Machine.MeasureInsts = 1 << 40
-	if ks := StageKeys("crafty", 1, big); ks.Trace != "" {
-		t.Errorf("untraceable run rendered trace key %q", ks.Trace)
 	}
 }

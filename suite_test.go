@@ -91,19 +91,29 @@ type failingSimulator struct {
 	inner  preexec.Simulator
 }
 
+// passthroughSimulator delegates to the reference timing backend behind a
+// type of its own, as a custom Simulator would.
 type passthroughSimulator struct{}
 
-func (passthroughSimulator) Simulate(ctx context.Context, p *preexec.Program, pts []*preexec.PThread, cfg preexec.TimingConfig) (preexec.Stats, error) {
-	eng := preexec.New()
-	_ = cfg
-	return eng.Simulate(ctx, p, pts, cfg.Mode)
+func (passthroughSimulator) RecordTrace(ctx context.Context, p *preexec.Program, cfg preexec.TimingConfig) (*preexec.Trace, error) {
+	_, _, sim := preexec.ReferenceStages()
+	return sim.RecordTrace(ctx, p, cfg)
 }
 
-func (f *failingSimulator) Simulate(ctx context.Context, p *preexec.Program, pts []*preexec.PThread, cfg preexec.TimingConfig) (preexec.Stats, error) {
+func (passthroughSimulator) Replay(ctx context.Context, t *preexec.Trace, pts []*preexec.PThread, cfg preexec.TimingConfig) (preexec.Stats, error) {
+	_, _, sim := preexec.ReferenceStages()
+	return sim.Replay(ctx, t, pts, cfg)
+}
+
+func (f *failingSimulator) RecordTrace(ctx context.Context, p *preexec.Program, cfg preexec.TimingConfig) (*preexec.Trace, error) {
 	if p.Name == f.failOn {
-		return preexec.Stats{}, fmt.Errorf("injected failure for %s", p.Name)
+		return nil, fmt.Errorf("injected failure for %s", p.Name)
 	}
-	return f.inner.Simulate(ctx, p, pts, cfg)
+	return f.inner.RecordTrace(ctx, p, cfg)
+}
+
+func (f *failingSimulator) Replay(ctx context.Context, t *preexec.Trace, pts []*preexec.PThread, cfg preexec.TimingConfig) (preexec.Stats, error) {
+	return f.inner.Replay(ctx, t, pts, cfg)
 }
 
 func TestSuiteErrorPropagates(t *testing.T) {

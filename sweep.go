@@ -165,7 +165,6 @@ func (s *Sweep) Plan(benches []SweepBench, points []ConfigPoint, cache *StageCac
 					WithSelector(base.selector),
 					WithSimulator(base.simulator),
 					WithStageCache(cache),
-					WithReplay(base.replay),
 					WithStageObserver(base.observer),
 				),
 			})

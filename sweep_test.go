@@ -84,7 +84,7 @@ func TestSweepSelectionGridCacheCounts(t *testing.T) {
 	want := preexec.CacheStats{
 		BaseRuns: 10, BaseHits: 30,
 		ProfileRuns: 10, ProfileHits: 30,
-		TraceRuns: 10, TraceHits: 30,
+		TraceRuns: 10, TraceHits: 40,
 	}
 	if cached.Cache != want {
 		t.Errorf("cache stats = %+v, want %+v", cached.Cache, want)
@@ -134,11 +134,12 @@ func TestSweepMixedGridKeySeparation(t *testing.T) {
 	// (scope and the p-thread-only throttle don't feed it), ml140 needs its
 	// own; base/nomerge/ml140/nothrottle share one profile (memory latency
 	// doesn't feed it), scope512 needs its own. Traces group exactly like
-	// base runs (the recorded stream is selection-independent).
+	// base runs (the recorded stream is selection-independent), and every
+	// cell's pre-execution run replays one: a trace hit per cell.
 	want := preexec.CacheStats{
 		BaseRuns: 4, BaseHits: 6,
 		ProfileRuns: 4, ProfileHits: 6,
-		TraceRuns: 4, TraceHits: 6,
+		TraceRuns: 4, TraceHits: 10,
 	}
 	if cached.Cache != want {
 		t.Errorf("cache stats = %+v, want %+v", cached.Cache, want)
@@ -161,7 +162,7 @@ func TestSweepSharedCacheAcrossRuns(t *testing.T) {
 	wantFirst := preexec.CacheStats{
 		BaseRuns: 1, BaseHits: 1,
 		ProfileRuns: 1, ProfileHits: 1,
-		TraceRuns: 1, TraceHits: 1,
+		TraceRuns: 1, TraceHits: 2,
 	}
 	if first.Cache != wantFirst {
 		t.Errorf("first run stats = %+v, want %+v", first.Cache, wantFirst)
@@ -174,7 +175,7 @@ func TestSweepSharedCacheAcrossRuns(t *testing.T) {
 	wantTotal := preexec.CacheStats{
 		BaseRuns: 1, BaseHits: 3,
 		ProfileRuns: 1, ProfileHits: 3,
-		TraceRuns: 1, TraceHits: 3,
+		TraceRuns: 1, TraceHits: 4,
 	}
 	if got := cache.Stats(); got != wantTotal {
 		t.Errorf("cumulative cache stats = %+v, want %+v", got, wantTotal)
@@ -220,25 +221,29 @@ func TestSweepCacheConcurrentRuns(t *testing.T) {
 	}
 }
 
-// blockingFirstSimulator parks its first call until the call's context is
-// cancelled (signalling started first); later calls delegate to the real
-// simulator. It orchestrates a cache flight that fails with one caller's
-// cancellation while another caller waits on it.
+// blockingFirstSimulator parks its first trace recording until the call's
+// context is cancelled (signalling started first); later calls delegate to
+// the real simulator. It orchestrates a cache flight that fails with one
+// caller's cancellation while another caller waits on it.
 type blockingFirstSimulator struct {
 	once    sync.Once
 	started chan struct{}
 	inner   preexec.Simulator
 }
 
-func (s *blockingFirstSimulator) Simulate(ctx context.Context, p *preexec.Program, pts []*preexec.PThread, cfg preexec.TimingConfig) (preexec.Stats, error) {
+func (s *blockingFirstSimulator) RecordTrace(ctx context.Context, p *preexec.Program, cfg preexec.TimingConfig) (*preexec.Trace, error) {
 	first := false
 	s.once.Do(func() { first = true })
 	if first {
 		close(s.started)
 		<-ctx.Done()
-		return preexec.Stats{}, ctx.Err()
+		return nil, ctx.Err()
 	}
-	return s.inner.Simulate(ctx, p, pts, cfg)
+	return s.inner.RecordTrace(ctx, p, cfg)
+}
+
+func (s *blockingFirstSimulator) Replay(ctx context.Context, t *preexec.Trace, pts []*preexec.PThread, cfg preexec.TimingConfig) (preexec.Stats, error) {
+	return s.inner.Replay(ctx, t, pts, cfg)
 }
 
 // TestStageCacheFailedFlightDoesNotPoisonWaiters is the regression test for
@@ -281,8 +286,7 @@ func TestStageCacheFailedFlightDoesNotPoisonWaiters(t *testing.T) {
 	if err := <-bErr; err != nil {
 		t.Fatalf("waiter adopted the canceller's failure: %v", err)
 	}
-	// The uncached reference goes through the same simulator backend
-	// (passthroughSimulator re-derives its own timing config).
+	// The uncached reference goes through the same simulator backend.
 	want, err := preexec.New(preexec.WithMachine(testMachine()),
 		preexec.WithSimulator(passthroughSimulator{})).Evaluate(t.Context(), prog)
 	if err != nil {
@@ -457,7 +461,7 @@ func TestEngineStageCacheOption(t *testing.T) {
 	want := preexec.CacheStats{
 		BaseRuns: 1, BaseHits: 1,
 		ProfileRuns: 1, ProfileHits: 1,
-		TraceRuns: 1, TraceHits: 1,
+		TraceRuns: 1, TraceHits: 2,
 	}
 	if got := cache.Stats(); got != want {
 		t.Errorf("cache stats = %+v, want %+v", got, want)
