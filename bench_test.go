@@ -257,7 +257,8 @@ func replayGrid(b *testing.B) ([]preexec.SweepBench, []preexec.ConfigPoint) {
 
 // BenchmarkSweepReplayGrid runs the selection-only grid through a memoized
 // sweep: one trace recording, one base replay and one profile per
-// benchmark, then a replay per cell.
+// benchmark, then one replay per distinct p-thread set. crafty selects
+// nothing, so its cells reuse the base run.
 func BenchmarkSweepReplayGrid(b *testing.B) {
 	benches, points := replayGrid(b)
 	b.ReportAllocs()

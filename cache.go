@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"preexec/internal/pthread"
 	"preexec/internal/timing"
 )
 
@@ -22,10 +23,12 @@ import (
 //
 //   - base timing runs: the full normalized timing.Config — which an Engine
 //     derives from MachineConfig alone — reduced to the base-run identity
-//     (NoRSThrottle cleared, since the injection throttle only gates
-//     p-thread bursts and a base run has no p-threads). Only nil-p-thread
-//     ModeBase runs are cached; p-thread runs depend on the selection and
-//     are never shared.
+//     (NoRSThrottle cleared and Mode set to ModeBase, since both are read
+//     only when injecting p-threads). Every run in which no p-thread can
+//     launch — an empty selection, or ModeBase — is served from here.
+//     Runs of a non-empty selection depend on it and are not cached here;
+//     a Sweep shares them among its own cells through a replay memo of its
+//     own (see Sweep.Plan).
 //   - profiles: the full ProfileOptions (warm-up, profile window, scope,
 //     max slice length, region granularity) plus the profiled program —
 //     which may be the selection target (SelectionConfig.ProfileOn), not
@@ -100,11 +103,20 @@ type CacheStats struct {
 	ProfileHits int64 `json:"profile_hits"`
 	// TraceRuns counts trace recordings, TraceHits trace lookups served
 	// from an existing recording. An evaluation looks its trace up for the
-	// base run only when the base run itself misses, and again for the
-	// pre-execution run: a selection-knob grid over N benchmarks records
-	// exactly N traces and reports one trace hit per cell.
+	// base run only when the base run itself misses, and for a
+	// pre-execution run only when that run is actually replayed: a
+	// selection-knob grid over N benchmarks records exactly N traces, and
+	// its TraceHits equal its ReplayRuns. A pre-execution run of an empty
+	// selection is the base run and counts as a base hit.
 	TraceRuns int64 `json:"trace_runs,omitempty"`
 	TraceHits int64 `json:"trace_hits,omitempty"`
+	// ReplayRuns counts the pre-execution runs a sweep replayed, ReplayHits
+	// those served from (or coalesced onto) another cell's run of the same
+	// p-threads on the same trace and timing configuration. Only Sweep.Run
+	// fills them — the replay memo belongs to one sweep, not to the
+	// StageCache — so StageCache.Stats reports them as zero.
+	ReplayRuns int64 `json:"replay_runs,omitempty"`
+	ReplayHits int64 `json:"replay_hits,omitempty"`
 	// Evictions counts entries dropped by the WithStageCacheLimit LRU
 	// bound (all stages); always zero for unlimited caches.
 	Evictions int64 `json:"evictions,omitempty"`
@@ -137,6 +149,8 @@ func (s CacheStats) sub(prev CacheStats) CacheStats {
 		ProfileHits: s.ProfileHits - prev.ProfileHits,
 		TraceRuns:   s.TraceRuns - prev.TraceRuns,
 		TraceHits:   s.TraceHits - prev.TraceHits,
+		ReplayRuns:  s.ReplayRuns - prev.ReplayRuns,
+		ReplayHits:  s.ReplayHits - prev.ReplayHits,
 		Evictions:   s.Evictions - prev.Evictions,
 	}
 }
@@ -265,6 +279,29 @@ type traceKey struct {
 	version string
 }
 
+// runKey is the identity of a selection-dependent timing run: the program,
+// the full timing configuration (Mode and NoRSThrottle included), and the
+// p-thread set's pthread.TimingKey.
+type runKey struct {
+	prog *Program
+	cfg  TimingConfig
+	pts  string
+}
+
+// replayMemo memoizes the selection-dependent timing runs of one sweep:
+// cells whose selections yield the same p-threads on the same trace share
+// one Replay. A nil memo computes on every call.
+type replayMemo = stageMap[runKey, Stats]
+
+// replayStats returns the memoized timing run of pts against p under cfg,
+// computing it on a miss (on every call when m is nil).
+func replayStats(ctx context.Context, m *replayMemo, p *Program, pts []*PThread, cfg TimingConfig, compute func() (Stats, error)) (Stats, error) {
+	if m == nil {
+		return compute()
+	}
+	return m.getOrCompute(ctx, runKey{prog: p, cfg: cfg, pts: pthread.TimingKey(pts)}, compute)
+}
+
 // baseStats returns the memoized base timing run for (p, cfg), computing it
 // on a miss. cfg must be a nil-p-thread ModeBase configuration.
 func (c *StageCache) baseStats(ctx context.Context, p *Program, cfg TimingConfig, compute func() (Stats, error)) (Stats, error) {
@@ -301,6 +338,9 @@ type stageMap[K comparable, V any] struct {
 	head, tail *stageEntry[K, V]
 	runs, hits atomic.Int64
 	evictions  atomic.Int64
+	// waiting gauges the callers currently blocked on another caller's
+	// flight (tests wait on it to cancel a flight under a waiter).
+	waiting atomic.Int64
 }
 
 type stageEntry[K comparable, V any] struct {
@@ -380,8 +420,10 @@ func (s *stageMap[K, V]) getOrCompute(ctx context.Context, key K, compute func()
 		if e, ok := s.m[key]; ok {
 			s.moveToFront(e)
 			s.mu.Unlock()
+			s.waiting.Add(1)
 			select {
 			case <-e.done:
+				s.waiting.Add(-1)
 				if e.failed {
 					// The flight failed — typically its own caller's
 					// cancellation, which must not poison callers whose
@@ -395,6 +437,7 @@ func (s *stageMap[K, V]) getOrCompute(ctx context.Context, key K, compute func()
 				s.hits.Add(1)
 				return e.val, nil
 			case <-ctx.Done():
+				s.waiting.Add(-1)
 				return zero, ctx.Err()
 			}
 		}

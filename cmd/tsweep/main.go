@@ -22,14 +22,15 @@
 //	tsweep -memlat 70,140 -selmemlat 70,140                 # Figure 8
 //
 // Every cell's timing runs replay one recorded trace per benchmark and
-// machine. -cache=off disables stage memoization across cells (every cell
-// records, profiles and replays for itself); results are bit-for-bit
-// identical either way. The cache's run/hit counters are reported on
-// stderr.
+// machine. Cells whose selections yield the same p-threads share one
+// replay, and a cell that selects nothing reuses its base run. -cache=off
+// disables stage memoization across cells (every cell records, profiles
+// and replays for itself); results are bit-for-bit identical either way.
+// The cache's run/hit counters are reported on stderr.
 //
 // -trace records the sweep's stage executions as spans — one "sweep" root
 // plus one "stage:<name>" span per trace recording, base run, profile,
-// selection, and replay actually executed (cache hits record nothing) —
+// selection, and replay actually executed (memo hits record nothing) —
 // and writes them NDJSON to the given file. Tracing never
 // touches stdout: the sweep output is byte-identical with and without it.
 package main
@@ -207,9 +208,9 @@ func main() {
 			err = emitErr
 		}
 		if !noCache {
-			fmt.Fprintf(os.Stderr, "tsweep: cache: %d base runs (+%d shared), %d profiles (+%d shared), %d traces (+%d replayed) for %d cells\n",
+			fmt.Fprintf(os.Stderr, "tsweep: cache: %d base runs (+%d shared), %d profiles (+%d shared), %d traces (+%d replayed), %d replays (+%d shared) for %d cells\n",
 				res.Cache.BaseRuns, res.Cache.BaseHits, res.Cache.ProfileRuns, res.Cache.ProfileHits,
-				res.Cache.TraceRuns, res.Cache.TraceHits, len(res.Cells))
+				res.Cache.TraceRuns, res.Cache.TraceHits, res.Cache.ReplayRuns, res.Cache.ReplayHits, len(res.Cells))
 		}
 	}
 	if err != nil {

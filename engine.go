@@ -68,11 +68,13 @@ func (timingSimulator) Replay(ctx context.Context, t *Trace, pts []*PThread, cfg
 // StageObserver receives a callback around every pipeline stage execution:
 // StageStart is called when a stage begins and the func it returns when the
 // stage ends. Stages are named "trace" (a trace recording), "base" (the
-// unassisted timing run, replayed from the trace), "profile", "select", and
-// "replay" (any other timing run scored against the trace); bench is the
+// unassisted timing run, replayed from the trace — also every run in which
+// no p-thread can launch), "profile", "select", and "replay" (a timing run
+// of a non-empty selection scored against the trace); bench is the
 // program under evaluation ("" where no single program applies). Stages
-// never nest, and only real executions are observed — stage-cache hits
-// never reach the observer, so observed latencies are true stage costs.
+// never nest, and only real executions are observed — stage-cache and
+// replay-memo hits never reach the observer, so observed latencies are true
+// stage costs.
 //
 // Observers exist for instrumentation (the serve package feeds stage
 // latency histograms and span traces from this hook) and must not influence
@@ -105,6 +107,9 @@ type Engine struct {
 	// cache, if non-nil, memoizes traces, base timing runs, and profiles
 	// across engines sharing it (see StageCache and Sweep).
 	cache *StageCache
+	// replays, if non-nil, memoizes the selection-dependent timing runs
+	// across the cell engines of one sweep (see Sweep.Plan).
+	replays *replayMemo
 	// observer, if non-nil, is called around every stage execution.
 	observer StageObserver
 }
@@ -179,15 +184,21 @@ func (e *Engine) stages() *StageCache {
 }
 
 // run performs one timing run under cfg by replaying the trace memoized in
-// c. The base run (no p-threads, ModeBase) is memoized itself; any other
-// run replays its p-threads against the trace.
+// c. A run in which no p-thread can launch — an empty selection, or
+// ModeBase — is the base run: the backend reads the mode and the throttle
+// only when injecting p-threads, so it is served by the memoized base run.
+// Any other run replays its p-threads against the trace through the
+// engine's replay memo.
 func (e *Engine) run(ctx context.Context, c *StageCache, p *Program, pts []*PThread, cfg TimingConfig) (Stats, error) {
-	if pts == nil && cfg.Mode == ModeBase {
+	if len(pts) == 0 || cfg.Mode == ModeBase {
+		cfg = normalizeBaseTiming(cfg)
 		return c.baseStats(ctx, p, cfg, func() (Stats, error) {
 			return e.replay(ctx, c, p, nil, cfg, "base")
 		})
 	}
-	return e.replay(ctx, c, p, pts, cfg, "replay")
+	return replayStats(ctx, e.replays, p, pts, cfg, func() (Stats, error) {
+		return e.replay(ctx, c, p, pts, cfg, "replay")
+	})
 }
 
 // replay fetches — or records, observed as the "trace" stage — the trace

@@ -9,6 +9,7 @@ package timing
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"preexec/internal/program"
@@ -54,6 +55,51 @@ func TestReplayMatchesSimulation(t *testing.T) {
 				if got != want {
 					t.Errorf("%s/%s: replay diverges from simulation\n got: %+v\nwant: %+v", w.Name, mode, got, want)
 				}
+			}
+		})
+	}
+}
+
+// TestNoLaunchIsBaseRun pins the invariant the engine's base-run shortcut
+// rests on: a run in which no p-thread can launch is the base run. The
+// backend reads the mode and the injection throttle only when injecting
+// p-threads, so on all ten workloads, in every mode and with the throttle
+// on or off, a replay with a nil or an empty selection — and a ModeBase
+// replay with the workload's real selection — equals the ModeBase replay
+// without p-threads, Stats for Stats.
+func TestNoLaunchIsBaseRun(t *testing.T) {
+	const warm, measure = 10_000, 30_000
+	for _, w := range workload.All() {
+		t.Run(w.Name, func(t *testing.T) {
+			t.Parallel()
+			prog := w.Build(1)
+			pts := selectFor(t, prog, warm, measure)
+			cfg := DefaultConfig()
+			cfg.WarmInsts, cfg.MaxInsts = warm, measure
+			tr := recordFor(t, prog, cfg)
+			base, err := Replay(context.Background(), tr, nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(what string, pts []*pthread.PThread, cfg Config) {
+				t.Helper()
+				got, err := Replay(context.Background(), tr, pts, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if got != base {
+					t.Errorf("%s diverges from the base run\n got: %+v\nwant: %+v", what, got, base)
+				}
+			}
+			for _, throttleOff := range []bool{false, true} {
+				cfg.NoRSThrottle = throttleOff
+				for _, mode := range allModes {
+					cfg.Mode = mode
+					check(fmt.Sprintf("%s/%s/nothrottle=%t: nil selection", w.Name, mode, throttleOff), nil, cfg)
+					check(fmt.Sprintf("%s/%s/nothrottle=%t: empty selection", w.Name, mode, throttleOff), []*pthread.PThread{}, cfg)
+				}
+				cfg.Mode = ModeBase
+				check(fmt.Sprintf("%s/base/nothrottle=%t: %d selected p-threads", w.Name, throttleOff, len(pts)), pts, cfg)
 			}
 		})
 	}

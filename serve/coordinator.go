@@ -163,13 +163,16 @@ type coordCell struct {
 // sweep evaluates the grid across the fleet and merges the result in grid
 // order. raws aligns with points (the submitted config fragments; nil for
 // the implicit default point). The merged CacheStats are modeled, not
-// summed: BaseRuns is the number of distinct base-stage groups in the grid
+// summed — exactly the counters a fresh single-node cache and replay memo
+// report. BaseRuns is the number of distinct base-stage groups in the grid
 // and BaseHits the cells beyond the first of each group (likewise
-// profiles); each base group records one trace, which every cell's
-// pre-execution run replays, so TraceRuns is the base-group count and
-// TraceHits the cell count — exactly the counters a fresh single-node cache
-// reports. Summing backend deltas would drift under faults (a truncated
-// response loses a counted run, a retry recounts one), silently breaking
+// profiles), plus one per cell whose merged report selected nothing: that
+// cell's pre-execution run is its base run. Each base group records one
+// trace. The other cells' pre-execution runs group by preexec.ReplayKey:
+// ReplayRuns is the number of groups, ReplayHits the cells beyond the first
+// of each, and TraceHits, one per replay executed, equals ReplayRuns.
+// Summing backend deltas would drift under faults (a truncated response
+// loses a counted run, a retry recounts one), silently breaking
 // byte-identity with the single-node golden.
 func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, points []preexec.ConfigPoint, raws []json.RawMessage, scale, workers int, progress func(preexec.SuiteEvent)) (*preexec.SweepResult, error) {
 	cells := make([]coordCell, 0, len(benches)*len(points))
@@ -206,7 +209,6 @@ func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, p
 		ProfileRuns: int64(len(profGroups)),
 		ProfileHits: int64(len(cells) - len(profGroups)),
 		TraceRuns:   int64(len(baseGroups)),
-		TraceHits:   int64(len(cells)),
 	}
 
 	var (
@@ -232,6 +234,22 @@ func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, p
 		mu.Unlock()
 		return err
 	})
+	replayGroups := make(map[string]bool)
+	for i, cl := range cells {
+		if res.Cells[i].Err != nil {
+			continue
+		}
+		switch k := preexec.ReplayKey(cl.bench, cl.scale, cl.cfg, res.Cells[i].Report.PThreads); {
+		case k == "":
+			res.Cache.BaseHits++
+		case replayGroups[k]:
+			res.Cache.ReplayHits++
+		default:
+			replayGroups[k] = true
+			res.Cache.ReplayRuns++
+		}
+	}
+	res.Cache.TraceHits = res.Cache.ReplayRuns
 	return res, err
 }
 

@@ -88,12 +88,16 @@ func TestSweepGoldenBitIdenticalTraced(t *testing.T) {
 		t.Errorf("spans %v: want exactly one sweep root", byName)
 	}
 	// Two previously-unseen benchmarks, one point: one trace recording, one
-	// base run, one profile, one selection, and one replayed p-thread run
-	// each.
-	for _, stage := range []string{"stage:base", "stage:profile", "stage:select", "stage:trace", "stage:replay"} {
+	// base run, one profile and one selection each. Only one of the two
+	// selects p-threads; the other's pre-execution run is its base run, so
+	// one p-thread run is replayed.
+	for _, stage := range []string{"stage:base", "stage:profile", "stage:select", "stage:trace"} {
 		if byName[stage] != 2 {
 			t.Errorf("spans %v: want 2 %s spans", byName, stage)
 		}
+	}
+	if byName["stage:replay"] != 1 {
+		t.Errorf("spans %v: want 1 stage:replay span", byName)
 	}
 
 	// An untraced request must record nothing: same server, no ?trace=1.

@@ -1,6 +1,10 @@
 package preexec
 
-import "testing"
+import (
+	"testing"
+
+	"preexec/internal/pthread"
+)
 
 // stagekeyGrid crosses every axis cmd/tsweep exposes (scope, maxlen, opt,
 // merge, region, memlat, selmemlat, width, selwidth) with a default and a
@@ -101,5 +105,42 @@ func TestStageKeysDisambiguate(t *testing.T) {
 	}
 	if a.Base == a.Profile {
 		t.Errorf("stage keys collide across stages: %+v", a)
+	}
+}
+
+// TestReplayKeyMatchesMemoIdentity extends the single-source regression to
+// the replay memo: across the axis cross product with the RS throttle on
+// and off, two cells that selected the same p-threads share a ReplayKey
+// exactly when a sweep's replay memo would share their pre-execution run.
+// Another p-thread set always separates them, and an empty selection has
+// no replay identity (its run is the base run).
+func TestReplayKeyMatchesMemoIdentity(t *testing.T) {
+	pts := []*PThread{{TriggerPC: 3, Body: []pthread.BodyInst{{Dep: [2]int{pthread.DepTrigger, pthread.DepLiveIn}, MemDep: pthread.DepLiveIn}}}}
+	var cfgs []Config
+	for _, cfg := range stagekeyGrid() {
+		cfgs = append(cfgs, cfg)
+		cfg.Ablation.NoRSThrottle = true
+		cfgs = append(cfgs, cfg)
+	}
+	keys := make([]string, len(cfgs))
+	runs := make([]runKey, len(cfgs))
+	for i, cfg := range cfgs {
+		keys[i] = ReplayKey("bench", 1, cfg, pts)
+		runs[i] = runKey{cfg: cfg.Normalized().timing(ModeNormal), pts: pthread.TimingKey(pts)}
+	}
+	for i := range cfgs {
+		for j := i + 1; j < len(cfgs); j++ {
+			if got, want := keys[i] == keys[j], runs[i] == runs[j]; got != want {
+				t.Fatalf("configs %d/%d: replay keys equal=%v, memo identity equal=%v\n i: %s\n j: %s",
+					i, j, got, want, keys[i], keys[j])
+			}
+		}
+	}
+	other := []*PThread{{TriggerPC: 4, Body: pts[0].Body}}
+	if ReplayKey("bench", 1, cfgs[0], other) == keys[0] {
+		t.Error("different p-thread sets share a replay key")
+	}
+	if k := ReplayKey("bench", 1, cfgs[0], nil); k != "" {
+		t.Errorf("empty selection has replay key %q, want none", k)
 	}
 }

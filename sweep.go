@@ -91,7 +91,8 @@ type SweepResult struct {
 	// Cache counts this run's stage work — the delta of the cache's
 	// counters around the run, so a shared Sweep.Cache reports per-run
 	// numbers (attribution is approximate if other sweeps hit the same
-	// cache concurrently). Zero when the cache is disabled. For a
+	// cache concurrently), plus the run's own replay memo counters
+	// (ReplayRuns/ReplayHits, exact). Zero when the cache is disabled. For a
 	// selection-only grid over N previously-unseen benchmarks, BaseRuns
 	// and ProfileRuns are exactly N.
 	Cache CacheStats `json:"cache"`
@@ -100,7 +101,10 @@ type SweepResult struct {
 // Sweep evaluates a (benchmark x configuration) grid over the Suite worker
 // pool, memoizing the selection-independent stages in a StageCache so cells
 // that differ only in selection or ablation knobs share base timing runs
-// and profiles. Cell reports are bit-for-bit identical to uncached
+// and profiles. Each Run also shares pre-execution runs among its cells:
+// cells whose selections yield the same p-threads on the same trace and
+// timing configuration replay once, and a cell that selects nothing reuses
+// its base run. Cell reports are bit-for-bit identical to uncached
 // evaluation.
 type Sweep struct {
 	// Engine supplies the stage backends (profiler/selector/simulator) the
@@ -113,7 +117,8 @@ type Sweep struct {
 	// Name = "<bench>/<point>".
 	Progress func(SuiteEvent)
 	// NoCache disables stage memoization: every cell recomputes its own
-	// base run and profile (the -cache=off escape hatch of cmd/tsweep).
+	// base run, profile and pre-execution replay (the -cache=off escape
+	// hatch of cmd/tsweep).
 	NoCache bool
 	// Cache, if non-nil, is used (and shared) instead of a fresh per-Run
 	// cache — for sweeps issued in several Run calls over the same
@@ -127,7 +132,9 @@ type Sweep struct {
 // benchmark-major order: every benchmark must have a program and every
 // point a name, rejected with the offending index up front rather than
 // failing per-job at run time. The returned jobs carry per-cell engines
-// that share the given stage cache (nil = uncached).
+// that share the given stage cache (nil = uncached) and, with a cache, one
+// replay memo of the plan's own: cells whose selections yield the same
+// p-threads on the same trace share one timing run.
 func (s *Sweep) Plan(benches []SweepBench, points []ConfigPoint, cache *StageCache) ([]Job, error) {
 	if len(benches) == 0 {
 		return nil, fmt.Errorf("preexec: sweep has no benchmarks")
@@ -149,6 +156,10 @@ func (s *Sweep) Plan(benches []SweepBench, points []ConfigPoint, cache *StageCac
 	if base == nil {
 		base = New()
 	}
+	var replays *replayMemo
+	if cache != nil {
+		replays = &replayMemo{}
+	}
 	jobs := make([]Job, 0, len(benches)*len(points))
 	for _, b := range benches {
 		for _, pt := range points {
@@ -156,18 +167,16 @@ func (s *Sweep) Plan(benches []SweepBench, points []ConfigPoint, cache *StageCac
 			if pt.Derive != nil {
 				cfg = pt.Derive(b)
 			}
-			jobs = append(jobs, Job{
-				Name:    b.label() + "/" + pt.Name,
-				Program: b.Program,
-				Engine: New(
-					WithConfig(cfg),
-					WithProfiler(base.profiler),
-					WithSelector(base.selector),
-					WithSimulator(base.simulator),
-					WithStageCache(cache),
-					WithStageObserver(base.observer),
-				),
-			})
+			e := New(
+				WithConfig(cfg),
+				WithProfiler(base.profiler),
+				WithSelector(base.selector),
+				WithSimulator(base.simulator),
+				WithStageCache(cache),
+				WithStageObserver(base.observer),
+			)
+			e.replays = replays
+			jobs = append(jobs, Job{Name: b.label() + "/" + pt.Name, Program: b.Program, Engine: e})
 		}
 	}
 	return jobs, nil
@@ -209,6 +218,8 @@ func (s *Sweep) Run(ctx context.Context, benches []SweepBench, points []ConfigPo
 	}
 	if cache != nil {
 		res.Cache = cache.Stats().sub(before)
+		replays := jobs[0].Engine.replays // shared by every cell of the plan
+		res.Cache.ReplayRuns, res.Cache.ReplayHits = replays.runs.Load(), replays.hits.Load()
 	}
 	return res, err
 }

@@ -67,7 +67,10 @@ func assertCellsEqual(t *testing.T, cached, uncached *preexec.SweepResult) {
 // feed neither the profile nor the base run) over the full ten-benchmark
 // suite performs exactly ten profile runs and ten base timing runs — one
 // per benchmark, shared by all four points — and every cell's report is
-// bit-for-bit identical to the uncached path.
+// bit-for-bit identical to the uncached path. The eight cells of crafty and
+// mcf select nothing, so their pre-execution runs are base hits; of the
+// other 32 cells, 26 distinct p-thread sets are replayed (one trace hit
+// each) and 6 share another cell's replay.
 func TestSweepSelectionGridCacheCounts(t *testing.T) {
 	benches, err := preexec.SweepBenches(nil, 1) // all ten
 	if err != nil {
@@ -82,9 +85,10 @@ func TestSweepSelectionGridCacheCounts(t *testing.T) {
 	uncached := runSweep(t, &preexec.Sweep{NoCache: true}, benches, points)
 
 	want := preexec.CacheStats{
-		BaseRuns: 10, BaseHits: 30,
+		BaseRuns: 10, BaseHits: 38,
 		ProfileRuns: 10, ProfileHits: 30,
-		TraceRuns: 10, TraceHits: 40,
+		TraceRuns: 10, TraceHits: 26,
+		ReplayRuns: 26, ReplayHits: 6,
 	}
 	if cached.Cache != want {
 		t.Errorf("cache stats = %+v, want %+v", cached.Cache, want)
@@ -134,12 +138,16 @@ func TestSweepMixedGridKeySeparation(t *testing.T) {
 	// (scope and the p-thread-only throttle don't feed it), ml140 needs its
 	// own; base/nomerge/ml140/nothrottle share one profile (memory latency
 	// doesn't feed it), scope512 needs its own. Traces group exactly like
-	// base runs (the recorded stream is selection-independent), and every
-	// cell's pre-execution run replays one: a trace hit per cell.
+	// base runs (the recorded stream is selection-independent). crafty
+	// selects a p-thread only at ml140, so its other four pre-execution runs
+	// are base hits. vpr.p's base, nomerge and scope512 cells select the
+	// same p-thread and share one replay; ml140 and nothrottle time under
+	// configurations of their own. Each replay is one trace hit.
 	want := preexec.CacheStats{
-		BaseRuns: 4, BaseHits: 6,
+		BaseRuns: 4, BaseHits: 10,
 		ProfileRuns: 4, ProfileHits: 6,
-		TraceRuns: 4, TraceHits: 10,
+		TraceRuns: 4, TraceHits: 4,
+		ReplayRuns: 4, ReplayHits: 2,
 	}
 	if cached.Cache != want {
 		t.Errorf("cache stats = %+v, want %+v", cached.Cache, want)
@@ -163,15 +171,19 @@ func TestSweepSharedCacheAcrossRuns(t *testing.T) {
 		BaseRuns: 1, BaseHits: 1,
 		ProfileRuns: 1, ProfileHits: 1,
 		TraceRuns: 1, TraceHits: 2,
+		ReplayRuns: 2,
 	}
 	if first.Cache != wantFirst {
 		t.Errorf("first run stats = %+v, want %+v", first.Cache, wantFirst)
 	}
 	// The second run's stages are all warm: zero runs, per-run hit counts.
-	wantSecond := preexec.CacheStats{BaseHits: 2, ProfileHits: 2, TraceHits: 2}
+	// Its replays are not: each Run plans its own replay memo.
+	wantSecond := preexec.CacheStats{BaseHits: 2, ProfileHits: 2, TraceHits: 2, ReplayRuns: 2}
 	if second.Cache != wantSecond {
 		t.Errorf("second run stats = %+v, want %+v", second.Cache, wantSecond)
 	}
+	// The replay memo is the sweep's, so the cache itself counts no
+	// replays.
 	wantTotal := preexec.CacheStats{
 		BaseRuns: 1, BaseHits: 3,
 		ProfileRuns: 1, ProfileHits: 3,
@@ -185,6 +197,10 @@ func TestSweepSharedCacheAcrossRuns(t *testing.T) {
 // TestSweepCacheConcurrentRuns hammers one stage cache from two concurrent
 // sweeps, each across the full worker pool (run under -race in CI). The
 // same-key flights must coalesce: stage run counts stay per-key-unique.
+// Each sweep has its own replay memo, so each replays its 5 distinct
+// p-thread sets once (two each for vpr.p and gcc, whose optimizer changes
+// the body, one for crafty) and shares 7; mcf selects nothing, so its 4
+// cells per sweep look the base run up a second time.
 func TestSweepCacheConcurrentRuns(t *testing.T) {
 	benches, err := preexec.SweepBenches([]string{"vpr.p", "crafty", "gcc", "mcf"}, 1)
 	if err != nil {
@@ -213,11 +229,21 @@ func TestSweepCacheConcurrentRuns(t *testing.T) {
 	}
 	assertCellsEqual(t, results[0], results[1])
 	stats := cache.Stats()
-	if stats.BaseRuns != 4 || stats.ProfileRuns != 4 {
+	if stats.BaseRuns != 4 || stats.ProfileRuns != 4 || stats.TraceRuns != 4 {
 		t.Errorf("concurrent sweeps duplicated stage work: %+v", stats)
 	}
-	if got, want := stats.BaseHits+stats.BaseRuns, int64(2*len(benches)*len(points)); got != want {
+	if got, want := stats.BaseHits+stats.BaseRuns, int64(2*(len(benches)*len(points)+4)); got != want {
 		t.Errorf("base lookups = %d, want %d", got, want)
+	}
+	const replays, shared = 5, 7
+	for i, res := range results {
+		if res.Cache.ReplayRuns != replays || res.Cache.ReplayHits != shared {
+			t.Errorf("sweep %d: %d replays (+%d shared), want %d (+%d)",
+				i, res.Cache.ReplayRuns, res.Cache.ReplayHits, replays, shared)
+		}
+	}
+	if stats.TraceHits != 2*replays {
+		t.Errorf("trace hits = %d, want one per executed replay (%d)", stats.TraceHits, 2*replays)
 	}
 }
 
@@ -499,5 +525,131 @@ func TestSweepProgressEvents(t *testing.T) {
 		if !strings.HasPrefix(n, "crafty/") {
 			t.Errorf("event name %q, want crafty/<point>", n)
 		}
+	}
+}
+
+// TestSweepReplayMemoSharesRepeatedSelections pins the sweep's replay memo:
+// cells whose selections yield the same p-threads on the same trace and
+// timing configuration share one replay, an empty selection is served by
+// the base run, and the memoized sweep's bytes equal an uncached sweep's.
+func TestSweepReplayMemoSharesRepeatedSelections(t *testing.T) {
+	benches, err := preexec.SweepBenches([]string{"vpr.p", "gcc", "mcf"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := sweepConfig(5_000, 15_000)
+	mk := func(name string, mutate func(cfg *preexec.Config)) preexec.ConfigPoint {
+		cfg := base
+		mutate(&cfg)
+		return preexec.ConfigPoint{Name: name, Config: cfg}
+	}
+	points := []preexec.ConfigPoint{
+		mk("base", func(cfg *preexec.Config) {}),
+		mk("again", func(cfg *preexec.Config) {}),
+		mk("selml100", func(cfg *preexec.Config) { cfg.Selection.MemLat = 100 }),
+		mk("selml200", func(cfg *preexec.Config) { cfg.Selection.MemLat = 200 }),
+		mk("nothrottle", func(cfg *preexec.Config) { cfg.Ablation.NoRSThrottle = true }),
+	}
+	cached := runSweep(t, &preexec.Sweep{}, benches, points)
+	uncached := runSweep(t, &preexec.Sweep{NoCache: true}, benches, points)
+	got, err := json.Marshal(cached.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(uncached.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Error("memoized sweep's cells differ from the uncached sweep's bytes")
+	}
+	// vpr.p and gcc each: base and again select the same p-threads, and so
+	// do the two selector memory latencies; nothrottle times the base
+	// cell's p-threads under its own configuration. Three replays and two
+	// shared per benchmark. mcf selects nothing at any point: its five
+	// pre-execution runs are base hits.
+	wantStats := preexec.CacheStats{
+		BaseRuns: 3, BaseHits: 12 + 5,
+		ProfileRuns: 3, ProfileHits: 12,
+		TraceRuns: 3, TraceHits: 6,
+		ReplayRuns: 6, ReplayHits: 4,
+	}
+	if cached.Cache != wantStats {
+		t.Errorf("cache stats = %+v, want %+v", cached.Cache, wantStats)
+	}
+}
+
+// blockingFirstReplay parks its first replay of a non-empty selection until
+// the call's context is cancelled (signalling started first); every other
+// call delegates to the reference simulator.
+type blockingFirstReplay struct {
+	passthroughSimulator
+	once    sync.Once
+	started chan struct{}
+}
+
+func (s *blockingFirstReplay) Replay(ctx context.Context, t *preexec.Trace, pts []*preexec.PThread, cfg preexec.TimingConfig) (preexec.Stats, error) {
+	first := false
+	if len(pts) > 0 {
+		s.once.Do(func() { first = true })
+	}
+	if first {
+		close(s.started)
+		<-ctx.Done()
+		return preexec.Stats{}, ctx.Err()
+	}
+	return s.passthroughSimulator.Replay(ctx, t, pts, cfg)
+}
+
+// TestSweepReplayMemoCancelledFlight: when the cell computing a shared
+// replay is cancelled mid-replay, a cell coalesced onto that replay must
+// retry with its own context and succeed, not adopt the cancellation.
+func TestSweepReplayMemoCancelledFlight(t *testing.T) {
+	benches, err := preexec.SweepBenches([]string{"vpr.p"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sweepConfig(10_000, 30_000)
+	points := []preexec.ConfigPoint{{Name: "a", Config: cfg}, {Name: "b", Config: cfg}}
+	sim := &blockingFirstReplay{started: make(chan struct{})}
+	eng := preexec.New(preexec.WithSimulator(sim))
+	jobs, err := (&preexec.Sweep{Engine: eng}).Plan(benches, points, preexec.NewStageCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	aErr := make(chan error, 1)
+	go func() {
+		_, err := jobs[0].Engine.Evaluate(ctxA, jobs[0].Program)
+		aErr <- err
+	}()
+	<-sim.started // A is mid-replay
+
+	bErr := make(chan error, 1)
+	var bRep preexec.Report
+	go func() {
+		rep, err := jobs[1].Engine.Evaluate(context.Background(), jobs[1].Program)
+		bRep = rep
+		bErr <- err
+	}()
+	// Once B has coalesced onto A's replay, cancel A out from under it.
+	for preexec.ReplayWaiting(jobs[1]) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancelA()
+
+	if err := <-aErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("canceller's err = %v, want context.Canceled", err)
+	}
+	if err := <-bErr; err != nil {
+		t.Fatalf("coalesced cell adopted the canceller's failure: %v", err)
+	}
+	want, err := preexec.New(preexec.WithConfig(cfg)).Evaluate(t.Context(), benches[0].Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(bRep, want) {
+		t.Error("coalesced cell's retried report diverges from a plain evaluation")
 	}
 }
