@@ -33,11 +33,14 @@ import (
 //     max slice length, region granularity) plus the profiled program —
 //     which may be the selection target (SelectionConfig.ProfileOn), not
 //     the evaluated program.
-//   - traces: the same base-run identity (the recorded front-end stream is
-//     selection- and mode-independent, see timing.RecordTrace) plus the
-//     timing.TraceVersion simulator fingerprint, so a timing-core change
-//     invalidates recorded traces cleanly. Every timing run looks its trace
-//     up here; a run too long to retain gets a trace without records.
+//   - traces: the record count a run needs, timing.TraceSpan (the run total
+//     plus the machine's rounded fetch-ahead), plus the timing.TraceVersion
+//     simulator fingerprint, so a timing-core change invalidates recorded
+//     traces cleanly. The recorded front-end stream depends on the program
+//     alone (see timing.RecordTrace), so every machine point, mode and
+//     selection of one run length shares one trace: memory latencies and
+//     widths up to 16 do. Every timing run looks its trace up here; a run
+//     too long to retain gets a trace without records.
 //
 // Cached profile regions are shared by pointer: selection only reads the
 // slice forests (paths and bodies are copied out), so concurrent selections
@@ -104,10 +107,12 @@ type CacheStats struct {
 	// TraceRuns counts trace recordings, TraceHits trace lookups served
 	// from an existing recording. An evaluation looks its trace up for the
 	// base run only when the base run itself misses, and for a
-	// pre-execution run only when that run is actually replayed: a
-	// selection-knob grid over N benchmarks records exactly N traces, and
-	// its TraceHits equal its ReplayRuns. A pre-execution run of an empty
-	// selection is the base run and counts as a base hit.
+	// pre-execution run only when that run is actually replayed, so a sweep
+	// makes BaseRuns+ReplayRuns lookups. It records one trace per program
+	// and TraceSpan: a grid over N benchmarks that varies only selection
+	// knobs, memory latency or widths up to 16 records exactly N traces.
+	// A pre-execution run of an empty selection is the base run and counts
+	// as a base hit.
 	TraceRuns int64 `json:"trace_runs,omitempty"`
 	TraceHits int64 `json:"trace_hits,omitempty"`
 	// ReplayRuns counts the pre-execution runs a sweep replayed, ReplayHits
@@ -275,7 +280,7 @@ type profileKey struct {
 
 type traceKey struct {
 	prog    *Program
-	cfg     TimingConfig
+	span    int64
 	version string
 }
 
@@ -314,14 +319,15 @@ func (c *StageCache) regions(ctx context.Context, p *Program, opts ProfileOption
 	return c.profile.getOrCompute(ctx, profileKey{prog: p, opts: opts}, compute)
 }
 
-// traceFor returns the memoized base-run trace for (p, cfg), recording it on
-// a miss. cfg may carry any p-thread mode: the recorded front-end stream is
-// mode- and selection-independent, so the entry is keyed by the same
-// normalized base-run identity as baseStats, plus the simulator fingerprint
-// (a timing-core change invalidates recorded traces cleanly). Traces are
-// immutable after recording and shared by pointer across concurrent replays.
+// traceFor returns the memoized trace a run of p under cfg replays,
+// recording it on a miss. The recorded front-end stream depends on the
+// program alone, and cfg only sizes it, so the entry is keyed by the
+// program, timing.TraceSpan(cfg) and the simulator fingerprint (a
+// timing-core change invalidates recorded traces cleanly): every machine,
+// mode and selection with the same span shares it. Traces are immutable
+// after recording and shared by pointer across concurrent replays.
 func (c *StageCache) traceFor(ctx context.Context, p *Program, cfg TimingConfig, compute func() (*Trace, error)) (*Trace, error) {
-	key := traceKey{prog: p, cfg: normalizeBaseTiming(cfg), version: timing.TraceVersion}
+	key := traceKey{prog: p, span: timing.TraceSpan(cfg), version: timing.TraceVersion}
 	return c.trace.getOrCompute(ctx, key, compute)
 }
 

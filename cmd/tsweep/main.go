@@ -21,9 +21,10 @@
 //	tsweep -scope 256,512,1024,2048 -maxlen 8,16,32,64      # Figure 4 axes
 //	tsweep -memlat 70,140 -selmemlat 70,140                 # Figure 8
 //
-// Every cell's timing runs replay one recorded trace per benchmark and
-// machine. Cells whose selections yield the same p-threads share one
-// replay, and a cell that selects nothing reuses its base run. -cache=off
+// Every cell's timing runs replay one recorded trace per benchmark and run
+// length: memory latencies and widths up to 16 share it. Cells whose
+// selections yield the same p-threads share one replay, and a cell that
+// selects nothing reuses its base run. -cache=off
 // disables stage memoization across cells (every cell records, profiles
 // and replays for itself); results are bit-for-bit identical either way.
 // The cache's run/hit counters are reported on stderr.
@@ -208,7 +209,7 @@ func main() {
 			err = emitErr
 		}
 		if !noCache {
-			fmt.Fprintf(os.Stderr, "tsweep: cache: %d base runs (+%d shared), %d profiles (+%d shared), %d traces (+%d replayed), %d replays (+%d shared) for %d cells\n",
+			fmt.Fprintf(os.Stderr, "tsweep: cache: %d base runs (+%d shared), %d profiles (+%d shared), %d traces (+%d shared), %d replays (+%d shared) for %d cells\n",
 				res.Cache.BaseRuns, res.Cache.BaseHits, res.Cache.ProfileRuns, res.Cache.ProfileHits,
 				res.Cache.TraceRuns, res.Cache.TraceHits, res.Cache.ReplayRuns, res.Cache.ReplayHits, len(res.Cells))
 		}

@@ -29,8 +29,10 @@ type Selector interface {
 // captures a run's front-end event stream (fetch order, effective
 // addresses, predictor verdicts — all selection-independent), and Replay
 // times a p-thread set against it. Every engine timing run, the base run
-// included, replays the trace memoized for its program and machine, so one
-// recording serves every selection and mode. The reference simulator
+// included, replays the trace memoized for its program and
+// timing.TraceSpan, so one recording serves every selection, mode and
+// machine of that span: RecordTrace must read cfg only through its span.
+// The reference simulator
 // returns a trace without records for a run too long to retain, which
 // Replay serves by streaming the front end: its Stats equal
 // timing.RunContext's at any run length.

@@ -371,10 +371,10 @@ type replaySim struct {
 // Replay scores the p-thread selection pts under cfg against the recorded
 // trace t instead of re-running the front end: the returned Stats are
 // bit-identical to RunContext(ctx, t.Program(), pts, cfg). The trace must
-// have been recorded under the same TraceVersion, the same machine
-// geometry, and a run extent covering cfg's WarmInsts+MaxInsts
-// (RecordTrace with the same Config family guarantees all three); a
-// too-short trace returns an error, never silently wrong numbers. A
+// have been recorded under the same TraceVersion and cover TraceSpan(cfg)
+// records — a recording under any Config with at least that span does, for
+// any machine — or end where the program's fetch stream ends; a too-short
+// trace returns an error, never silently wrong numbers. A
 // streamed trace (a run over the recording cap) is served by stepping the
 // front end exactly as RunContext does.
 func Replay(ctx context.Context, t *Trace, pts []*pthread.PThread, cfg Config) (Stats, error) {

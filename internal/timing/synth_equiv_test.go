@@ -31,15 +31,21 @@ func selectFor(prog *preexec.Program, warm, measure int64) []*preexec.PThread {
 	return res.PThreads
 }
 
-// checkAgainstReference runs prog in every mode through RunContext, through
-// Replay of one trace recorded for cfg's windows, and through the reference
-// core, and reports any divergence in errors or Stats.
-func checkAgainstReference(t *testing.T, prog *preexec.Program, pts []*preexec.PThread, cfg timing.Config, src []byte) {
+// record records prog's trace for cfg, failing the test on error.
+func record(t *testing.T, prog *preexec.Program, cfg timing.Config, src []byte) *timing.Trace {
 	t.Helper()
 	tr, err := timing.RecordTrace(context.Background(), prog, cfg)
 	if err != nil {
 		t.Fatalf("RecordTrace: %v\n--- source:\n%s", err, src)
 	}
+	return tr
+}
+
+// checkAgainstReference runs prog in every mode through RunContext, through
+// Replay of the trace tr, and through the reference core, all under cfg,
+// and reports any divergence in errors or Stats.
+func checkAgainstReference(t *testing.T, prog *preexec.Program, pts []*preexec.PThread, tr *timing.Trace, cfg timing.Config, src []byte) {
+	t.Helper()
 	for _, mode := range timing.AllModes {
 		cfg.Mode = mode
 		want, werr := timing.RefRun(prog, pts, cfg)
@@ -72,24 +78,32 @@ func TestZooMatchesReference(t *testing.T) {
 			prog := synth.MustGenerate(z)
 			cfg := timing.DefaultConfig()
 			cfg.WarmInsts, cfg.MaxInsts = warm, measure
-			checkAgainstReference(t, prog, selectFor(prog, warm, measure), cfg, nil)
+			checkAgainstReference(t, prog, selectFor(prog, warm, measure), record(t, prog, cfg, nil), cfg, nil)
 		})
 	}
 }
 
+// fuzzWidths are the widths a fuzzed second machine draws from: every one
+// shares the default machine's TraceSpan.
+var fuzzWidths = []int{1, 2, 4, 8, 16}
+
 // FuzzRunReplayReference is the three-way differential over arbitrary
 // source: anything the assembler accepts must produce byte-for-byte equal
 // Stats (or matching errors) from RunContext, Replay, and the reference
-// core, in every mode. The seeds are one small generated program per
-// pattern family plus a shrunken zoo scenario, so the mutator explores real
-// instruction mixes rather than noise.
+// core, in every mode. The trace is recorded once on the default machine
+// and also replayed under a second machine drawn from width and memLat,
+// with the same TraceSpan, where it must match that machine's reference
+// run. The seeds are one small generated program per pattern family plus a
+// shrunken zoo scenario, so the mutator explores real instruction mixes
+// rather than noise.
 func FuzzRunReplayReference(f *testing.F) {
+	var seeds [][]byte
 	for _, fam := range synth.FamilyNames() {
 		p, err := synth.Generate(synth.Spec{Family: fam, Seed: 7, FootprintWords: 256, Iters: 8})
 		if err != nil {
 			f.Fatalf("seed spec %s: %v", fam, err)
 		}
-		f.Add(synth.Disassemble(p))
+		seeds = append(seeds, synth.Disassemble(p))
 	}
 	z := synth.Zoo()[0]
 	z.FootprintWords, z.Iters = 1024, 64
@@ -97,8 +111,11 @@ func FuzzRunReplayReference(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(synth.Disassemble(p))
-	f.Fuzz(func(t *testing.T, src []byte) {
+	seeds = append(seeds, synth.Disassemble(p))
+	for i, src := range seeds {
+		f.Add(src, uint8(i), uint8(37*i))
+	}
+	f.Fuzz(func(t *testing.T, src []byte, width, memLat uint8) {
 		p, err := synth.Assemble(src)
 		if err != nil {
 			return
@@ -106,6 +123,15 @@ func FuzzRunReplayReference(f *testing.F) {
 		const warm, measure = 1_000, 4_000
 		cfg := timing.DefaultConfig()
 		cfg.WarmInsts, cfg.MaxInsts = warm, measure
-		checkAgainstReference(t, p, selectFor(p, warm, measure), cfg, src)
+		pts := selectFor(p, warm, measure)
+		tr := record(t, p, cfg, src)
+		checkAgainstReference(t, p, pts, tr, cfg, src)
+
+		other := cfg
+		other.Width, other.MemLat = fuzzWidths[int(width)%len(fuzzWidths)], 1+int(memLat)
+		if got, want := timing.TraceSpan(other), timing.TraceSpan(cfg); got != want {
+			t.Fatalf("width %d memlat %d: TraceSpan %d, want the recording's %d", other.Width, other.MemLat, got, want)
+		}
+		checkAgainstReference(t, p, pts, tr, other, src)
 	})
 }

@@ -98,8 +98,8 @@ func linkBack(seq int64, d int32) int64 {
 const noSrc = 0xff
 
 // Trace is a recorded base-run event stream: the complete front-end input of
-// any timing simulation of its program under its recorded configuration
-// family (all modes, any selection). A run too long to retain (over
+// any timing simulation of its program whose TraceSpan the recording covers
+// (any machine, all modes, any selection). A run too long to retain (over
 // maxTraceInsts) yields a streamed trace, which holds no records: Replay
 // steps its front end afresh, as RunContext does. Traces are immutable after
 // recording and safe for concurrent Replay calls.
@@ -142,8 +142,32 @@ const maxTraceInsts = int64(4) << 20
 // bound comfortable headroom. Replay fails loudly — it never silently stalls
 // — if a trace turns out too short (see replay.go), so an undersized extent
 // cannot produce wrong numbers, only an error the equivalence suite catches.
+//
+// The extent is rounded up to a power of two so that nearby machines need
+// the same recording: with the default 128-entry ROB, every width from 1 to
+// 16 needs 256 records past the total.
 func traceExtent(cfg Config) int64 {
-	return int64(cfg.ROB + 8*cfg.Width)
+	e := int64(1)
+	for e < int64(cfg.ROB+8*cfg.Width) {
+		e <<= 1
+	}
+	return e
+}
+
+// TraceSpan returns the number of records a run under cfg needs from its
+// trace: the run's instruction total plus the maximum fetch-ahead
+// (traceExtent), or 0 for a run over maxTraceInsts, whose trace is
+// streamed. RecordTrace records exactly this many records (fewer if the
+// program halts or runs off its text), and nothing else of cfg reaches the
+// recording, so a trace serves every machine whose span it covers: the
+// span, with the program and TraceVersion, is a trace's whole identity.
+func TraceSpan(cfg Config) int64 {
+	cfg = cfg.withDefaults()
+	total := runTotal(cfg)
+	if total <= 0 || total > maxTraceInsts {
+		return 0
+	}
+	return total + traceExtent(cfg)
 }
 
 // frontEnd is the simulator's front end: the functional oracle and the
@@ -233,20 +257,18 @@ func (f *frontEnd) step(rec *traceRec) error {
 }
 
 // RecordTrace records the front-end stream a simulation of prog under cfg
-// (any mode) consumes: it steps the front end ahead of any backend for the
-// run's instruction total plus the maximum fetch-ahead. The p-thread mode
-// and ablation fields of cfg are irrelevant to the recording; the run
-// sizing (WarmInsts, MaxInsts) and machine geometry size the extent. A run
-// over maxTraceInsts (the unbounded MaxInsts default included) records
-// nothing and returns a streamed trace, so every run length takes the same
-// RecordTrace-then-Replay path.
+// (any mode) consumes: it steps the front end ahead of any backend for
+// TraceSpan(cfg) records, the run's instruction total plus the maximum
+// fetch-ahead. The front end depends on the program alone, so cfg only
+// sizes the recording, and the trace serves every machine and mode with
+// the same or a smaller span. A run over maxTraceInsts (the unbounded
+// MaxInsts default included) records nothing and returns a streamed trace,
+// so every run length takes the same RecordTrace-then-Replay path.
 func RecordTrace(ctx context.Context, prog *program.Program, cfg Config) (*Trace, error) {
-	cfg = cfg.withDefaults()
-	total := runTotal(cfg)
-	if total <= 0 || total > maxTraceInsts {
+	extent := TraceSpan(cfg)
+	if extent == 0 {
 		return &Trace{prog: prog, version: TraceVersion, streamed: true}, nil
 	}
-	extent := total + traceExtent(cfg)
 
 	fe := newFrontEnd(prog)
 	t := &Trace{

@@ -138,12 +138,14 @@ func (c *coordinator) probe(ctx context.Context, backend int) (int, error) {
 }
 
 // routeKey joins a cell's base and profile stage keys: cells sharing all
-// their stage work — a trace groups with its base run — land on one
-// backend's cache together. The keys come from preexec.StageKeys, the
-// single shared key source, so routing identity cannot drift from local
-// memoization: program pointers cannot cross processes, so (benchmark name,
-// scale) stands in for the program identity — servers build programs once
-// per (workload, scale), so the substitution is exact.
+// their stage work land on one backend's cache together. A trace can serve
+// several base groups, which may then record it on several backends; the
+// merged counters model the single-node cache regardless. The keys come
+// from preexec.StageKeys, the single shared key source, so routing identity
+// cannot drift from local memoization: program pointers cannot cross
+// processes, so (benchmark name, scale) stands in for the program identity
+// — servers build programs once per (workload, scale), so the substitution
+// is exact.
 func routeKey(ks preexec.StageKeySet) string { return ks.Base + "\x00" + ks.Profile }
 
 // coordCell is one grid cell as the coordinator schedules it.
@@ -167,10 +169,11 @@ type coordCell struct {
 // report. BaseRuns is the number of distinct base-stage groups in the grid
 // and BaseHits the cells beyond the first of each group (likewise
 // profiles), plus one per cell whose merged report selected nothing: that
-// cell's pre-execution run is its base run. Each base group records one
-// trace. The other cells' pre-execution runs group by preexec.ReplayKey:
-// ReplayRuns is the number of groups, ReplayHits the cells beyond the first
-// of each, and TraceHits, one per replay executed, equals ReplayRuns.
+// cell's pre-execution run is its base run. The other cells' pre-execution
+// runs group by preexec.ReplayKey: ReplayRuns is the number of groups and
+// ReplayHits the cells beyond the first of each. Each base run and each
+// replay looks its trace up once; TraceRuns is the number of distinct trace
+// keys and TraceHits the remaining lookups, BaseRuns+ReplayRuns-TraceRuns.
 // Summing backend deltas would drift under faults (a truncated response
 // loses a counted run, a retry recounts one), silently breaking
 // byte-identity with the single-node golden.
@@ -178,6 +181,7 @@ func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, p
 	cells := make([]coordCell, 0, len(benches)*len(points))
 	baseGroups := make(map[string]bool)
 	profGroups := make(map[string]bool)
+	traceGroups := make(map[string]bool)
 	for _, b := range benches {
 		name := b.Name
 		if name == "" {
@@ -187,6 +191,7 @@ func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, p
 			ks := preexec.StageKeys(name, scale, pt.Config)
 			baseGroups[ks.Base] = true
 			profGroups[ks.Profile] = true
+			traceGroups[ks.Trace] = true
 			cells = append(cells, coordCell{
 				bench:    name,
 				point:    pt.Name,
@@ -208,7 +213,7 @@ func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, p
 		BaseHits:    int64(len(cells) - len(baseGroups)),
 		ProfileRuns: int64(len(profGroups)),
 		ProfileHits: int64(len(cells) - len(profGroups)),
-		TraceRuns:   int64(len(baseGroups)),
+		TraceRuns:   int64(len(traceGroups)),
 	}
 
 	var (
@@ -249,7 +254,7 @@ func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, p
 			res.Cache.ReplayRuns++
 		}
 	}
-	res.Cache.TraceHits = res.Cache.ReplayRuns
+	res.Cache.TraceHits = res.Cache.BaseRuns + res.Cache.ReplayRuns - res.Cache.TraceRuns
 	return res, err
 }
 

@@ -26,19 +26,23 @@ import (
 // measured window so it needs its own base run and profile.
 var coordGridBenches = []string{"crafty", "gap", "mcf"}
 
-var coordGridPoints = []struct{ name, cfg string }{
+// gridPoint is one named sweep point: its JSON config fragment as a client
+// submits it.
+type gridPoint struct{ name, cfg string }
+
+var coordGridPoints = []gridPoint{
 	{"a", smallCfg},
 	{"b", `{"machine": {"warm_insts": 2000, "measure_insts": 9000}}`},
 	{"c", `{"machine": {"warm_insts": 2000, "measure_insts": 8000}, "selection": {"optimize": false}}`},
 }
 
-func coordGridRequest(stream bool, format string) string {
+func coordGridRequest(benches []string, points []gridPoint, stream bool, format string) string {
 	var pts []string
-	for _, p := range coordGridPoints {
+	for _, p := range points {
 		pts = append(pts, fmt.Sprintf(`{"name": %q, "config": %s}`, p.name, p.cfg))
 	}
 	req := fmt.Sprintf(`{"benches": ["%s"], "points": [%s]`,
-		strings.Join(coordGridBenches, `", "`), strings.Join(pts, ", "))
+		strings.Join(benches, `", "`), strings.Join(pts, ", "))
 	if stream {
 		req += `, "stream": true`
 	}
@@ -48,11 +52,11 @@ func coordGridRequest(stream bool, format string) string {
 	return req + `}`
 }
 
-// coordGridConfigs decodes the grid's points exactly as the handler does.
-func coordGridConfigs(t *testing.T) []preexec.ConfigPoint {
+// coordGridConfigs decodes a grid's points exactly as the handler does.
+func coordGridConfigs(t *testing.T, grid []gridPoint) []preexec.ConfigPoint {
 	t.Helper()
-	points := make([]preexec.ConfigPoint, len(coordGridPoints))
-	for i, p := range coordGridPoints {
+	points := make([]preexec.ConfigPoint, len(grid))
+	for i, p := range grid {
 		cfg := preexec.DefaultConfig()
 		if err := json.Unmarshal([]byte(p.cfg), &cfg); err != nil {
 			t.Fatal(err)
@@ -131,11 +135,11 @@ func coordFleetStats(t *testing.T, coordURL string) (st struct {
 // cache counters all included.
 func TestCoordinatorSweepBitIdentical(t *testing.T) {
 	coordURL, _, _ := coordFleet(t, 3, serve.FleetConfig{ProbeInterval: -1})
-	status, got := post(t, coordURL+"/v1/sweep", coordGridRequest(false, ""))
+	status, got := post(t, coordURL+"/v1/sweep", coordGridRequest(coordGridBenches, coordGridPoints, false, ""))
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, got)
 	}
-	want := singleNodeGolden(t, coordGridBenches, coordGridConfigs(t))
+	want := singleNodeGolden(t, coordGridBenches, coordGridConfigs(t, coordGridPoints))
 	if !bytes.Equal(got, want) {
 		t.Fatalf("coordinator sweep differs from the single-node run\ncoord:  %s\nsingle: %s",
 			firstDiffContext(got, want), firstDiffContext(want, got))
@@ -153,6 +157,43 @@ func TestCoordinatorSweepBitIdentical(t *testing.T) {
 		if !b.Live {
 			t.Errorf("backend %s not live after a fault-free sweep", b.Name)
 		}
+	}
+}
+
+// machineGridPoints crosses two memory latencies with two widths: four base
+// runs per benchmark that all replay one trace, so the coordinator's
+// modeled trace counters differ from its base counters.
+var machineGridPoints = []gridPoint{
+	{"ml70/w8", smallCfg},
+	{"ml140/w8", `{"machine": {"warm_insts": 2000, "measure_insts": 8000, "mem_lat": 140}}`},
+	{"ml70/w4", `{"machine": {"warm_insts": 2000, "measure_insts": 8000, "width": 4}}`},
+	{"ml140/w4", `{"machine": {"warm_insts": 2000, "measure_insts": 8000, "mem_lat": 140, "width": 4}}`},
+}
+
+// TestCoordinatorMachineGridBitIdentical checks the coordinator's cache model
+// across machine points: a memory latency x width sweep merges to the exact
+// bytes of the single-node run, whose cache records one trace per
+// benchmark for its four base runs.
+func TestCoordinatorMachineGridBitIdentical(t *testing.T) {
+	benches := coordGridBenches[:2]
+	coordURL, _, _ := coordFleet(t, 3, serve.FleetConfig{ProbeInterval: -1})
+	status, got := post(t, coordURL+"/v1/sweep", coordGridRequest(benches, machineGridPoints, false, ""))
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, got)
+	}
+	want := singleNodeGolden(t, benches, coordGridConfigs(t, machineGridPoints))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("coordinator sweep differs from the single-node run\ncoord:  %s\nsingle: %s",
+			firstDiffContext(got, want), firstDiffContext(want, got))
+	}
+	var res struct {
+		Cache preexec.CacheStats `json:"cache"`
+	}
+	if err := json.Unmarshal(got, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Cache.BaseRuns != 8 || res.Cache.TraceRuns != 2 {
+		t.Errorf("cache = %+v, want 8 base runs sharing 2 traces", res.Cache)
 	}
 }
 
@@ -174,7 +215,7 @@ func TestCoordinatorChaosEjectionGolden(t *testing.T) {
 	// Pick the fault target deterministically: the backend that is home to
 	// the most cells (>= 2 by pigeonhole over 9 cells), so at least one of
 	// its requests is scheduled to die.
-	points := coordGridConfigs(t)
+	points := coordGridConfigs(t, coordGridPoints)
 	homes := make(map[string]int)
 	for _, bench := range coordGridBenches {
 		for _, pt := range points {
@@ -198,7 +239,7 @@ func TestCoordinatorChaosEjectionGolden(t *testing.T) {
 		Then: chaos.Fault{Kind: chaos.Kill},
 	})
 
-	status, got := post(t, coordURL+"/v1/sweep", coordGridRequest(false, ""))
+	status, got := post(t, coordURL+"/v1/sweep", coordGridRequest(coordGridBenches, coordGridPoints, false, ""))
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, got)
 	}

@@ -210,7 +210,7 @@ func TestCoordinatorTraceStitchingChaos(t *testing.T) {
 		},
 	})
 
-	points := coordGridConfigs(t)
+	points := coordGridConfigs(t, coordGridPoints)
 	homes := make(map[string]int)
 	for _, bench := range coordGridBenches {
 		for _, pt := range points {
@@ -231,7 +231,7 @@ func TestCoordinatorTraceStitchingChaos(t *testing.T) {
 		Then: chaos.Fault{Kind: chaos.Kill},
 	})
 
-	status, got, trace := tracedSweep(t, coordURL, coordGridRequest(false, ""))
+	status, got, trace := tracedSweep(t, coordURL, coordGridRequest(coordGridBenches, coordGridPoints, false, ""))
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, got)
 	}

@@ -18,10 +18,9 @@ import (
 // cannot drift between local memoization and cross-node routing.
 
 // normalizeBaseTiming reduces a timing configuration to the identity of the
-// base run (and recorded trace) it shares: the injection throttle only gates
-// p-thread bursts, so ablation cells share the base run, and the p-thread
-// mode is irrelevant to both the unassisted run and the recorded front-end
-// stream, so every mode maps onto the ModeBase identity.
+// base run it shares: the injection throttle only gates p-thread bursts, so
+// ablation cells share the base run, and the p-thread mode is irrelevant to
+// the unassisted run, so every mode maps onto the ModeBase identity.
 func normalizeBaseTiming(cfg TimingConfig) TimingConfig {
 	cfg.NoRSThrottle = false
 	cfg.Mode = timing.ModeBase
@@ -29,12 +28,13 @@ func normalizeBaseTiming(cfg TimingConfig) TimingConfig {
 }
 
 // StageKeySet names the memoized stages one evaluation needs, in the same
-// terms the StageCache keys them. The trace stage has no key of its own: a
-// trace shares its base run's identity (plus the simulator fingerprint,
-// constant within a process), so Base groups traces too.
+// terms the StageCache keys them. A trace is keyed by its run's
+// timing.TraceSpan, not the whole machine, so cells of different base runs
+// can share one Trace key.
 type StageKeySet struct {
 	Base    string
 	Profile string
+	Trace   string
 }
 
 // StageKeys renders the stage identities of evaluating bench at the given
@@ -48,6 +48,8 @@ func StageKeys(bench string, scale int, cfg Config) StageKeySet {
 		Base: baseStageKey(bench, scale, n),
 		Profile: fmt.Sprintf("prof|%s|%d|wi%d|pi%d|sc%d|ml%d|ri%d",
 			bench, scale, po.WarmInsts, po.MaxInsts, po.Scope, po.MaxSlice, po.RegionInsts),
+		Trace: fmt.Sprintf("trace|%s|%d|s%d|%s",
+			bench, scale, timing.TraceSpan(n.timing(ModeBase)), timing.TraceVersion),
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"preexec/internal/pthread"
+	"preexec/internal/timing"
 )
 
 // stagekeyGrid crosses every axis cmd/tsweep exposes (scope, maxlen, opt,
@@ -47,13 +48,14 @@ func stagekeyGrid() []Config {
 // exact struct keys its stages group entries by (program identity held
 // fixed). The timing config is derived precisely the way the engine derives
 // it for the cached stages — normalization, ModeBase, then the shared
-// base-run reduction. pre is the identity of the pre-execution run's trace
-// lookup, which must land on the base run's entry.
-func localStageIdentity(cfg Config) (base, pre TimingConfig, prof ProfileOptions) {
+// base-run reduction. trace and preTrace are the identities of the base
+// and pre-execution runs' trace lookups, which must land on one entry.
+func localStageIdentity(cfg Config) (base TimingConfig, trace, preTrace traceKey, prof ProfileOptions) {
 	n := cfg.Normalized()
 	base = normalizeBaseTiming(n.timing(ModeBase))
-	pre = normalizeBaseTiming(n.timing(ModeNormal))
-	return base, pre, n.profileOptions()
+	trace = traceKey{span: timing.TraceSpan(n.timing(ModeBase)), version: timing.TraceVersion}
+	preTrace = traceKey{span: timing.TraceSpan(n.timing(ModeNormal)), version: timing.TraceVersion}
+	return base, trace, preTrace, n.profileOptions()
 }
 
 // TestStageKeysMatchLocalCacheIdentity is the single-source regression for
@@ -67,15 +69,15 @@ func TestStageKeysMatchLocalCacheIdentity(t *testing.T) {
 	cfgs := stagekeyGrid()
 	keys := make([]StageKeySet, len(cfgs))
 	bases := make([]TimingConfig, len(cfgs))
+	traces := make([]traceKey, len(cfgs))
 	profs := make([]ProfileOptions, len(cfgs))
 	for i, cfg := range cfgs {
 		keys[i] = StageKeys("bench", 1, cfg)
-		var pre TimingConfig
-		bases[i], pre, profs[i] = localStageIdentity(cfg)
-		// The trace stage groups exactly like the base stage: the
-		// pre-execution run replays the trace its base run recorded.
-		if pre != bases[i] {
-			t.Fatalf("config %d: pre-execution trace identity %+v, base identity %+v", i, pre, bases[i])
+		var pre traceKey
+		bases[i], traces[i], pre, profs[i] = localStageIdentity(cfg)
+		// The pre-execution run replays the trace its base run recorded.
+		if pre != traces[i] {
+			t.Fatalf("config %d: pre-execution trace identity %+v, base run's %+v", i, pre, traces[i])
 		}
 	}
 	for i := range cfgs {
@@ -88,6 +90,10 @@ func TestStageKeysMatchLocalCacheIdentity(t *testing.T) {
 				t.Errorf("configs %d/%d: profile keys equal=%v, cache identity equal=%v\n i: %s\n j: %s",
 					i, j, got, want, keys[i].Profile, keys[j].Profile)
 			}
+			if got, want := keys[i].Trace == keys[j].Trace, traces[i] == traces[j]; got != want {
+				t.Errorf("configs %d/%d: trace keys equal=%v, cache identity equal=%v\n i: %s\n j: %s",
+					i, j, got, want, keys[i].Trace, keys[j].Trace)
+			}
 		}
 	}
 }
@@ -97,14 +103,42 @@ func TestStageKeysMatchLocalCacheIdentity(t *testing.T) {
 func TestStageKeysDisambiguate(t *testing.T) {
 	cfg := DefaultConfig()
 	a := StageKeys("crafty", 1, cfg)
-	if b := StageKeys("mcf", 1, cfg); b.Base == a.Base || b.Profile == a.Profile {
+	if b := StageKeys("mcf", 1, cfg); b.Base == a.Base || b.Profile == a.Profile || b.Trace == a.Trace {
 		t.Errorf("different benchmarks share a stage key: %+v vs %+v", a, b)
 	}
-	if b := StageKeys("crafty", 2, cfg); b.Base == a.Base || b.Profile == a.Profile {
+	if b := StageKeys("crafty", 2, cfg); b.Base == a.Base || b.Profile == a.Profile || b.Trace == a.Trace {
 		t.Errorf("different scales share a stage key: %+v vs %+v", a, b)
 	}
-	if a.Base == a.Profile {
+	if a.Base == a.Profile || a.Base == a.Trace || a.Profile == a.Trace {
 		t.Errorf("stage keys collide across stages: %+v", a)
+	}
+}
+
+// TestTraceKeyFollowsSpan pins what the trace key carries: the run's
+// TraceSpan. Memory latency and widths up to 16 leave it alone, while a
+// wider machine or another window needs a recording of its own.
+func TestTraceKeyFollowsSpan(t *testing.T) {
+	key := func(mutate func(*Config)) string {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		return StageKeys("crafty", 1, cfg).Trace
+	}
+	a := key(func(*Config) {})
+	for _, c := range []struct {
+		name   string
+		mutate func(*Config)
+		shared bool
+	}{
+		{"width=1", func(c *Config) { c.Machine.Width = 1 }, true},
+		{"width=16", func(c *Config) { c.Machine.Width = 16 }, true},
+		{"memlat=300", func(c *Config) { c.Machine.MemLat = 300 }, true},
+		{"width=32", func(c *Config) { c.Machine.Width = 32 }, false},
+		{"measure=60000", func(c *Config) { c.Machine.MeasureInsts = 60_000 }, false},
+		{"warm=1000", func(c *Config) { c.Machine.WarmInsts = 1_000 }, false},
+	} {
+		if b := key(c.mutate); (b == a) != c.shared {
+			t.Errorf("%s: trace key %q, default machine's %q; want shared=%t", c.name, b, a, c.shared)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -137,20 +138,66 @@ func TestSweepMixedGridKeySeparation(t *testing.T) {
 	// Per benchmark: base/nomerge/scope512/nothrottle share one base run
 	// (scope and the p-thread-only throttle don't feed it), ml140 needs its
 	// own; base/nomerge/ml140/nothrottle share one profile (memory latency
-	// doesn't feed it), scope512 needs its own. Traces group exactly like
-	// base runs (the recorded stream is selection-independent). crafty
-	// selects a p-thread only at ml140, so its other four pre-execution runs
-	// are base hits. vpr.p's base, nomerge and scope512 cells select the
-	// same p-thread and share one replay; ml140 and nothrottle time under
-	// configurations of their own. Each replay is one trace hit.
+	// doesn't feed it), scope512 needs its own. All five points share one
+	// trace: memory latency does not change the recorded stream's span.
+	// crafty selects a p-thread only at ml140, so its other four
+	// pre-execution runs are base hits. vpr.p's base, nomerge and scope512
+	// cells select the same p-thread and share one replay; ml140 and
+	// nothrottle time under configurations of their own. Every base run and
+	// replay looks the trace up: 4+4 lookups, 2 of them recordings.
 	want := preexec.CacheStats{
 		BaseRuns: 4, BaseHits: 10,
 		ProfileRuns: 4, ProfileHits: 6,
-		TraceRuns: 4, TraceHits: 4,
+		TraceRuns: 2, TraceHits: 6,
 		ReplayRuns: 4, ReplayHits: 2,
 	}
 	if cached.Cache != want {
 		t.Errorf("cache stats = %+v, want %+v", cached.Cache, want)
+	}
+}
+
+// TestSweepMachineGridSharesTraces pins the trace key: a memory latency x
+// width grid changes every base run but no trace's span, so each program
+// records one trace that all four machine points replay, and the bytes
+// still equal an uncached sweep's.
+func TestSweepMachineGridSharesTraces(t *testing.T) {
+	benches, err := preexec.SweepBenches([]string{"vpr.p", "gcc"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []preexec.ConfigPoint
+	for _, ml := range []int{70, 140} {
+		for _, w := range []int{4, 8} {
+			cfg := sweepConfig(5_000, 15_000)
+			cfg.Machine.MemLat, cfg.Machine.Width = ml, w
+			points = append(points, preexec.ConfigPoint{Name: fmt.Sprintf("ml%d/w%d", ml, w), Config: cfg})
+		}
+	}
+	cached := runSweep(t, &preexec.Sweep{}, benches, points)
+	uncached := runSweep(t, &preexec.Sweep{NoCache: true}, benches, points)
+	got, err := json.Marshal(cached.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(uncached.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Error("trace-sharing sweep's cells differ from the uncached sweep's bytes")
+	}
+	// Every cell is its own base run, and the profile ignores the machine.
+	// Both programs select p-threads at every point, and each point times
+	// them under its own machine: 8 replays. One trace per program serves
+	// its 4 base runs and 4 replays: 2 recordings, 8+8-2 hits.
+	wantStats := preexec.CacheStats{
+		BaseRuns:    8,
+		ProfileRuns: 2, ProfileHits: 6,
+		TraceRuns: int64(len(benches)), TraceHits: 14,
+		ReplayRuns: 8,
+	}
+	if cached.Cache != wantStats {
+		t.Errorf("cache stats = %+v, want %+v", cached.Cache, wantStats)
 	}
 }
 
