@@ -2,6 +2,7 @@ package preexec
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -32,7 +33,8 @@ import (
 //   - profiles: the full ProfileOptions (warm-up, profile window, scope,
 //     max slice length, region granularity) plus the profiled program —
 //     which may be the selection target (SelectionConfig.ProfileOn), not
-//     the evaluated program.
+//     the evaluated program. One entry per slice shape, even when a
+//     sweep's single profiling pass computed several (see Sweep).
 //   - traces: the record count a run needs, timing.TraceSpan (the run total
 //     plus the machine's rounded fetch-ahead), plus the timing.TraceVersion
 //     simulator fingerprint, so a timing-core change invalidates recorded
@@ -98,7 +100,10 @@ func NewStageCache(opts ...StageCacheOption) *StageCache {
 // opt/merge grid) over N benchmarks reports exactly N BaseRuns and N
 // ProfileRuns regardless of the grid size; a grid axis that feeds a stage
 // (scope, region granularity, memory latency) adds runs only to that
-// stage.
+// stage. Profiles count per slice shape: a sweep's profiling pass over
+// several shapes of one program serves each shape's first request as a
+// ProfileRun, so the counters equal those of profiling every shape on its
+// own.
 type CacheStats struct {
 	BaseRuns    int64 `json:"base_runs"`
 	BaseHits    int64 `json:"base_hits"`
@@ -293,18 +298,83 @@ type runKey struct {
 	pts  string
 }
 
-// replayMemo memoizes the selection-dependent timing runs of one sweep:
-// cells whose selections yield the same p-threads on the same trace share
-// one Replay. A nil memo computes on every call.
-type replayMemo = stageMap[runKey, Stats]
+// planMemo is the state one Sweep.Plan shares among its cell engines:
+//
+//   - replays memoizes the selection-dependent timing runs, so cells whose
+//     selections yield the same p-threads on the same trace share one
+//     Replay;
+//   - shapes groups the profiles the plan's cells request by profiled
+//     program and every ProfileOptions field except the slice shape
+//     (Scope, MaxSlice), listing each group's distinct shapes. It is
+//     read-only after Plan;
+//   - passes single-flights and memoizes one profiling pass per group, so
+//     a group's first profile miss profiles every one of its shapes and
+//     the others are served from that pass. It holds as many passes as
+//     the stage cache holds profiles (WithStageCacheLimit).
+//
+// A nil memo (an engine outside a sweep, or a sweep without a cache)
+// replays on every call and profiles each shape on its own.
+type planMemo struct {
+	replays stageMap[runKey, Stats]
+	shapes  map[profileKey][]ProfileOptions
+	passes  stageMap[profileKey, [][]ProfileRegion]
+}
+
+// newPlanMemo returns an empty plan memo for a sweep over cache.
+func newPlanMemo(cache *StageCache) *planMemo {
+	m := &planMemo{shapes: make(map[profileKey][]ProfileOptions)}
+	m.passes.limit = cache.profile.limit
+	return m
+}
+
+// addShape adds a cell's profile — the profiled program and its normalized
+// options — to its profile group.
+func (m *planMemo) addShape(p *Program, opts ProfileOptions) {
+	g := groupKey(p, opts)
+	if !slices.Contains(m.shapes[g], opts) {
+		m.shapes[g] = append(m.shapes[g], opts)
+	}
+}
+
+// groupKey is the profile group of (p, opts): the profile key with the
+// slice shape cleared.
+func groupKey(p *Program, opts ProfileOptions) profileKey {
+	opts.Scope, opts.MaxSlice = 0, 0
+	return profileKey{prog: p, opts: opts}
+}
 
 // replayStats returns the memoized timing run of pts against p under cfg,
 // computing it on a miss (on every call when m is nil).
-func replayStats(ctx context.Context, m *replayMemo, p *Program, pts []*PThread, cfg TimingConfig, compute func() (Stats, error)) (Stats, error) {
+func (m *planMemo) replayStats(ctx context.Context, p *Program, pts []*PThread, cfg TimingConfig, compute func() (Stats, error)) (Stats, error) {
 	if m == nil {
 		return compute()
 	}
-	return m.getOrCompute(ctx, runKey{prog: p, cfg: cfg, pts: pthread.TimingKey(pts)}, compute)
+	return m.replays.getOrCompute(ctx, runKey{prog: p, cfg: cfg, pts: pthread.TimingKey(pts)}, compute)
+}
+
+// profileShape returns the regions of p profiled under opts from a pass over
+// every shape of its profile group, running the pass through pass on a miss.
+// Outside a plan, or for a group of one shape, the pass is over opts alone
+// and not memoized here (the stage cache already single-flights it).
+func (m *planMemo) profileShape(ctx context.Context, p *Program, opts ProfileOptions, pass func([]ProfileOptions) ([][]ProfileRegion, error)) ([]ProfileRegion, error) {
+	var shapes []ProfileOptions
+	g := groupKey(p, opts)
+	if m != nil {
+		shapes = m.shapes[g]
+	}
+	i := slices.Index(shapes, opts)
+	if i < 0 || len(shapes) == 1 {
+		out, err := pass([]ProfileOptions{opts})
+		if err != nil {
+			return nil, err
+		}
+		return out[0], nil
+	}
+	out, err := m.passes.getOrCompute(ctx, g, func() ([][]ProfileRegion, error) { return pass(shapes) })
+	if err != nil {
+		return nil, err
+	}
+	return out[i], nil
 }
 
 // baseStats returns the memoized base timing run for (p, cfg), computing it

@@ -211,8 +211,8 @@ func TestStageCacheEvictionOfInflightEntry(t *testing.T) {
 
 // TestSweepWithCacheLimitBitIdentical pins the LRU contract end to end: a
 // sweep over a cache bounded to a single entry per stage — evicting on
-// every benchmark switch — produces cells bit-identical to an uncached
-// sweep.
+// every benchmark switch, and on every slice shape served from a shared
+// profiling pass — produces cells bit-identical to an uncached sweep.
 func TestSweepWithCacheLimitBitIdentical(t *testing.T) {
 	benches, err := SweepBenches([]string{"crafty", "gap"}, 1)
 	if err != nil {
@@ -222,7 +222,9 @@ func TestSweepWithCacheLimitBitIdentical(t *testing.T) {
 	cfg.Machine.WarmInsts, cfg.Machine.MeasureInsts = 5_000, 15_000
 	cfgRaw := cfg
 	cfgRaw.Selection.Optimize = false
-	points := []ConfigPoint{{Name: "base", Config: cfg}, {Name: "raw", Config: cfgRaw}}
+	cfgScope := cfg
+	cfgScope.Selection.Scope = 256
+	points := []ConfigPoint{{Name: "base", Config: cfg}, {Name: "raw", Config: cfgRaw}, {Name: "scope256", Config: cfgScope}}
 
 	limited := &Sweep{Cache: NewStageCache(WithStageCacheLimit(1)), Workers: 1}
 	resLim, err := limited.Run(context.Background(), benches, points)

@@ -139,6 +139,12 @@ func (c Config) profileOptions() ProfileOptions {
 	}
 }
 
+// profiledProgram returns the program the selection profiles when p is
+// evaluated: SelectionConfig.ProfileOn, or p itself.
+func (c Config) profiledProgram(p *Program) *Program {
+	return cmp.Or(c.Selection.ProfileOn, p)
+}
+
 // selectorOptions returns the selection stage's options — the
 // aggregate-advantage parameters and the merging switch — for the given
 // unassisted main-thread IPC.

@@ -1,7 +1,6 @@
 package preexec
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -12,9 +11,15 @@ import (
 )
 
 // Profiler is the functional profiling stage: it runs a program through the
-// cache model and builds slice trees for every dynamic L2 load miss.
+// cache model and builds slice trees for every dynamic L2 load miss. One
+// call is one pass over the program for a list of slice shapes — options
+// that differ only in Scope and MaxSlice — and returns one region list per
+// entry of opts, each exactly what a pass over that entry alone returns. It
+// returns an error if the options differ in any other field. The engine
+// passes one shape per cell, or, within a Sweep, every shape its cells
+// profile the program with (the Figure 4 scope × length axes).
 type Profiler interface {
-	Profile(ctx context.Context, p *Program, opts ProfileOptions) ([]ProfileRegion, error)
+	Profile(ctx context.Context, p *Program, opts []ProfileOptions) ([][]ProfileRegion, error)
 }
 
 // Selector is the p-thread selection stage: it solves the profiled slice
@@ -48,8 +53,8 @@ type (
 	timingSimulator struct{}
 )
 
-func (sliceProfiler) Profile(ctx context.Context, p *Program, opts ProfileOptions) ([]ProfileRegion, error) {
-	return slice.ProfileContext(ctx, p, opts)
+func (sliceProfiler) Profile(ctx context.Context, p *Program, opts []ProfileOptions) ([][]ProfileRegion, error) {
+	return slice.ProfileShapes(ctx, p, opts)
 }
 
 func (treeSelector) Select(regions []ProfileRegion, opts SelectorOptions, regioned bool) SelectionResult {
@@ -71,12 +76,16 @@ func (timingSimulator) Replay(ctx context.Context, t *Trace, pts []*PThread, cfg
 // StageStart is called when a stage begins and the func it returns when the
 // stage ends. Stages are named "trace" (a trace recording), "base" (the
 // unassisted timing run, replayed from the trace — also every run in which
-// no p-thread can launch), "profile", "select", and "replay" (a timing run
+// no p-thread can launch), "profile" (one profiling pass, which may serve
+// several slice shapes of a sweep), "select", and "replay" (a timing run
 // of a non-empty selection scored against the trace); bench is the
 // program under evaluation ("" where no single program applies). Stages
-// never nest, and only real executions are observed — stage-cache and
-// replay-memo hits never reach the observer, so observed latencies are true
-// stage costs.
+// never nest, but Evaluate runs the profile concurrently with the trace
+// recording and base run, so StageStart may be called from several
+// goroutines and observed stage times of one evaluation may overlap. Only
+// real executions are observed — stage-cache, replay-memo and
+// profile-pass hits never reach the observer, so observed latencies are
+// true stage costs.
 //
 // Observers exist for instrumentation (the serve package feeds stage
 // latency histograms and span traces from this hook) and must not influence
@@ -109,9 +118,10 @@ type Engine struct {
 	// cache, if non-nil, memoizes traces, base timing runs, and profiles
 	// across engines sharing it (see StageCache and Sweep).
 	cache *StageCache
-	// replays, if non-nil, memoizes the selection-dependent timing runs
-	// across the cell engines of one sweep (see Sweep.Plan).
-	replays *replayMemo
+	// plan, if non-nil, is shared by the cell engines of one sweep: it
+	// memoizes their selection-dependent timing runs and profiling passes
+	// (see Sweep.Plan).
+	plan *planMemo
 	// observer, if non-nil, is called around every stage execution.
 	observer StageObserver
 }
@@ -190,7 +200,7 @@ func (e *Engine) stages() *StageCache {
 // ModeBase — is the base run: the backend reads the mode and the throttle
 // only when injecting p-threads, so it is served by the memoized base run.
 // Any other run replays its p-threads against the trace through the
-// engine's replay memo.
+// replay memo of the engine's sweep plan.
 func (e *Engine) run(ctx context.Context, c *StageCache, p *Program, pts []*PThread, cfg TimingConfig) (Stats, error) {
 	if len(pts) == 0 || cfg.Mode == ModeBase {
 		cfg = normalizeBaseTiming(cfg)
@@ -198,7 +208,7 @@ func (e *Engine) run(ctx context.Context, c *StageCache, p *Program, pts []*PThr
 			return e.replay(ctx, c, p, nil, cfg, "base")
 		})
 	}
-	return replayStats(ctx, e.replays, p, pts, cfg, func() (Stats, error) {
+	return e.plan.replayStats(ctx, p, pts, cfg, func() (Stats, error) {
 		return e.replay(ctx, c, p, pts, cfg, "replay")
 	})
 }
@@ -223,29 +233,58 @@ func (e *Engine) replay(ctx context.Context, c *StageCache, p *Program, pts []*P
 	return e.simulator.Replay(ctx, t, pts, cfg)
 }
 
-// profile runs the profiling backend through the stage cache c. The stage
-// observer wraps the compute closure, not the cache lookup, so only real
-// profile executions are timed.
+// profile runs the profiling backend through the stage cache c. A miss is
+// served by one pass over every slice shape of (p, opts)'s profile group —
+// the shapes the engine's sweep plan profiles p with, or opts alone — and
+// within a sweep that pass is single-flighted and shared by the group's
+// other shapes. The stage observer wraps the pass, not the lookups, so
+// only real profiling passes are timed.
 func (e *Engine) profile(ctx context.Context, c *StageCache, p *Program, opts ProfileOptions) ([]ProfileRegion, error) {
 	return c.regions(ctx, p, opts, func() ([]ProfileRegion, error) {
-		if e.observer != nil {
-			defer e.observer.StageStart("profile", p.Name)()
-		}
-		return e.profiler.Profile(ctx, p, opts)
+		return e.plan.profileShape(ctx, p, opts, func(shapes []ProfileOptions) ([][]ProfileRegion, error) {
+			if e.observer != nil {
+				defer e.observer.StageStart("profile", p.Name)()
+			}
+			out, err := e.profiler.Profile(ctx, p, shapes)
+			if err == nil && len(out) != len(shapes) {
+				err = fmt.Errorf("preexec: profiler returned %d region lists for %d slice shapes", len(out), len(shapes))
+			}
+			return out, err
+		})
 	})
 }
 
 // Evaluate runs the full pipeline on one program: base timing run,
-// selection, and the pre-execution timing run. Cancelling ctx stops the
-// active simulation stage promptly and returns ctx.Err().
+// selection, and the pre-execution timing run. The profile the selection
+// reads does not depend on the base run, so it runs concurrently with it
+// and is joined before selection; a failed base run cancels it, and its
+// error wins over the profile's. Cancelling ctx stops the active
+// simulation stages promptly and returns ctx.Err().
 func (e *Engine) Evaluate(ctx context.Context, p *Program) (Report, error) {
 	cfg := e.cfg.Normalized()
 	c := e.stages()
+	type profiled struct {
+		regions []ProfileRegion
+		err     error
+	}
+	pctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	prof := make(chan profiled, 1)
+	go func() {
+		regions, err := e.profile(pctx, c, cfg.profiledProgram(p), cfg.profileOptions())
+		prof <- profiled{regions, err}
+	}()
 	base, err := e.run(ctx, c, p, nil, cfg.timing(ModeBase))
 	if err != nil {
+		cancel()
+		<-prof
 		return Report{}, fmt.Errorf("preexec: base run: %w", err)
 	}
-	sel, _, err := e.selectOn(ctx, c, p, base.IPC, cfg)
+	pr := <-prof
+	if pr.err != nil {
+		return Report{}, fmt.Errorf("preexec: selection: %w", pr.err)
+	}
+	sel, _, err := e.selectRegions(pr.regions, base.IPC, cfg)
 	if err != nil {
 		return Report{}, fmt.Errorf("preexec: selection: %w", err)
 	}
@@ -291,10 +330,17 @@ func (e *Engine) Select(ctx context.Context, p *Program, baseIPC float64) (Selec
 // selectOn is Select under the normalized configuration cfg, profiling
 // through the stage cache c.
 func (e *Engine) selectOn(ctx context.Context, c *StageCache, p *Program, baseIPC float64, cfg Config) (SelectionResult, int64, error) {
-	regions, err := e.profile(ctx, c, cmp.Or(cfg.Selection.ProfileOn, p), cfg.profileOptions())
+	regions, err := e.profile(ctx, c, cfg.profiledProgram(p), cfg.profileOptions())
 	if err != nil {
 		return SelectionResult{}, 0, err
 	}
+	return e.selectRegions(regions, baseIPC, cfg)
+}
+
+// selectRegions runs the selection stage over profiled regions under the
+// normalized configuration cfg, returning the selection and the profile's
+// L2 miss count.
+func (e *Engine) selectRegions(regions []ProfileRegion, baseIPC float64, cfg Config) (SelectionResult, int64, error) {
 	if len(regions) == 0 {
 		return SelectionResult{}, 0, errors.New("preexec: profile returned no regions")
 	}

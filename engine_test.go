@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -102,38 +103,28 @@ func TestEvaluateDeadline(t *testing.T) {
 	}
 }
 
-// countingProfiler wraps the default profiling stage to prove WithProfiler
+// countingProfiler wraps the reference profiling stage to prove WithProfiler
 // swaps the backend in.
 type countingProfiler struct {
-	inner preexec.Profiler
-	calls int
+	calls atomic.Int64
 }
 
-func (c *countingProfiler) Profile(ctx context.Context, p *preexec.Program, opts preexec.ProfileOptions) ([]preexec.ProfileRegion, error) {
-	c.calls++
-	return c.inner.Profile(ctx, p, opts)
-}
-
-// defaultProfiler recovers the reference Profiler via a fresh engine.
-type defaultProfiler struct{ eng *preexec.Engine }
-
-func (d defaultProfiler) Profile(ctx context.Context, p *preexec.Program, opts preexec.ProfileOptions) ([]preexec.ProfileRegion, error) {
-	regions, err := d.eng.Profile(ctx, p)
-	_ = opts // the engine re-derives options from its own config
-	return regions, err
+func (c *countingProfiler) Profile(ctx context.Context, p *preexec.Program, opts []preexec.ProfileOptions) ([][]preexec.ProfileRegion, error) {
+	c.calls.Add(1)
+	inner, _, _ := preexec.ReferenceStages()
+	return inner.Profile(ctx, p, opts)
 }
 
 func TestWithProfilerPluggable(t *testing.T) {
 	prog := buildBench(t, "vpr.p")
-	base := preexec.New(preexec.WithMachine(testMachine()))
-	cp := &countingProfiler{inner: defaultProfiler{base}}
+	cp := &countingProfiler{}
 	eng := preexec.New(preexec.WithMachine(testMachine()), preexec.WithProfiler(cp))
 	rep, err := eng.Evaluate(t.Context(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.calls != 1 {
-		t.Errorf("custom profiler called %d times, want 1", cp.calls)
+	if n := cp.calls.Load(); n != 1 {
+		t.Errorf("custom profiler called %d times, want 1", n)
 	}
 	if len(rep.PThreads) == 0 {
 		t.Error("evaluation through the custom profiler selected nothing")
@@ -195,11 +186,11 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// emptyProfiler returns no regions and no error.
+// emptyProfiler returns no regions for every shape, and no error.
 type emptyProfiler struct{}
 
-func (emptyProfiler) Profile(context.Context, *preexec.Program, preexec.ProfileOptions) ([]preexec.ProfileRegion, error) {
-	return nil, nil
+func (emptyProfiler) Profile(_ context.Context, _ *preexec.Program, opts []preexec.ProfileOptions) ([][]preexec.ProfileRegion, error) {
+	return make([][]preexec.ProfileRegion, len(opts)), nil
 }
 
 // TestEmptyProfileFails checks that a profiler returning no regions fails
@@ -213,5 +204,98 @@ func TestEmptyProfileFails(t *testing.T) {
 	}
 	if _, _, err := eng.Select(t.Context(), prog, 1); err == nil {
 		t.Error("Select over an empty profile succeeded")
+	}
+}
+
+// stallProfiler is a profiling backend for the overlap tests: it signals
+// started, fails at once with err if set, and otherwise blocks until its
+// context ends. done is closed when Profile returns.
+type stallProfiler struct {
+	err           error
+	started, done chan struct{}
+	sawCancel     atomic.Bool
+}
+
+func (s *stallProfiler) Profile(ctx context.Context, _ *preexec.Program, _ []preexec.ProfileOptions) ([][]preexec.ProfileRegion, error) {
+	defer close(s.done)
+	close(s.started)
+	if s.err != nil {
+		return nil, s.err
+	}
+	<-ctx.Done()
+	s.sawCancel.Store(true)
+	return nil, ctx.Err()
+}
+
+// failingRecorder fails every trace recording with err once wait is
+// closed.
+type failingRecorder struct {
+	preexec.Simulator
+	wait <-chan struct{}
+	err  error
+}
+
+func (f failingRecorder) RecordTrace(context.Context, *preexec.Program, preexec.TimingConfig) (*preexec.Trace, error) {
+	<-f.wait
+	return nil, f.err
+}
+
+// TestEvaluateBaseFailureCancelsProfile pins the overlap of the profile with
+// the base run: a failing base run returns its own error — also when the
+// profile failed first — cancels a profile still running, and Evaluate
+// returns only after the profile has.
+func TestEvaluateBaseFailureCancelsProfile(t *testing.T) {
+	prog := buildBench(t, "vpr.p")
+	_, _, sim := preexec.ReferenceStages()
+	errBase, errProfile := errors.New("base backend down"), errors.New("profile backend down")
+	for _, tc := range []struct {
+		name       string
+		profileErr error
+	}{
+		{"profile running", nil},
+		{"profile failed first", errProfile},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prof := &stallProfiler{err: tc.profileErr, started: make(chan struct{}), done: make(chan struct{})}
+			// The base run fails only once the profile is under way (or, if
+			// it fails, over).
+			wait := prof.started
+			if tc.profileErr != nil {
+				wait = prof.done
+			}
+			eng := preexec.New(
+				preexec.WithMachine(testMachine()),
+				preexec.WithProfiler(prof),
+				preexec.WithSimulator(failingRecorder{Simulator: sim, wait: wait, err: errBase}),
+			)
+			_, err := eng.Evaluate(t.Context(), prog)
+			if !errors.Is(err, errBase) || errors.Is(err, errProfile) {
+				t.Fatalf("err = %v, want the base run's error", err)
+			}
+			if !strings.Contains(err.Error(), "preexec: base run") {
+				t.Errorf("err = %v, want it attributed to the base run", err)
+			}
+			select {
+			case <-prof.done:
+			default:
+				t.Fatal("Evaluate returned while its profile was still running")
+			}
+			if tc.profileErr == nil && !prof.sawCancel.Load() {
+				t.Error("the failed base run did not cancel the profile")
+			}
+		})
+	}
+}
+
+// TestEvaluateProfileFailureIsSelectionError checks the other order: a
+// profile that fails beside a successful base run fails the evaluation as
+// a selection error.
+func TestEvaluateProfileFailureIsSelectionError(t *testing.T) {
+	errProfile := errors.New("profile backend down")
+	prof := &stallProfiler{err: errProfile, started: make(chan struct{}), done: make(chan struct{})}
+	eng := preexec.New(preexec.WithMachine(testMachine()), preexec.WithProfiler(prof))
+	_, err := eng.Evaluate(t.Context(), buildBench(t, "vpr.p"))
+	if !errors.Is(err, errProfile) || !strings.Contains(err.Error(), "preexec: selection") {
+		t.Fatalf("err = %v, want the profile's error as a selection error", err)
 	}
 }

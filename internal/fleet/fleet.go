@@ -177,14 +177,28 @@ func (p *Pool) Live(i int) bool {
 	return !p.backends[i].ejected
 }
 
-// Success records a completed attempt against backend i, resetting its
-// ejection counter.
-func (p *Pool) Success(i int) {
+// FailSeq returns backend i's failure sequence: the number of failures
+// recorded against it so far. An attempt reads it when it starts and hands
+// it to Success when it completes.
+func (p *Pool) FailSeq(i int) int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.backends[i].failures.Value()
+}
+
+// Success records a completed attempt against backend i that started at
+// failure sequence seq (see FailSeq). It resets the ejection counter only
+// if no failure was recorded against the backend since: a slow success
+// says nothing about attempts that started after it and failed, so it must
+// not un-count them and keep a dead backend in rotation.
+func (p *Pool) Success(i int, seq int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	b := &p.backends[i]
 	b.successes.Inc()
-	b.consec = 0
+	if b.failures.Value() == seq {
+		b.consec = 0
+	}
 }
 
 // Failure records a failed attempt (cell or probe) against backend i and
@@ -364,11 +378,12 @@ func Do[T any](ctx context.Context, p *Pool, key string, fn func(ctx context.Con
 			st.FailedOver = true
 			p.failovers.Add(1)
 		}
+		seq := p.FailSeq(b)
 		actx, cancel := context.WithTimeout(ctx, p.cfg.AttemptTimeout)
 		v, err := fn(actx, b)
 		cancel()
 		if err == nil {
-			p.Success(b)
+			p.Success(b, seq)
 			st.Backend = b
 			return v, st, nil
 		}

@@ -76,7 +76,7 @@ func TestPoolEjectionAndReadmission(t *testing.T) {
 	// Two failures, then a success: counter resets, still live.
 	p.Failure(0)
 	p.Failure(0)
-	p.Success(0)
+	p.Success(0, p.FailSeq(0))
 	if ej := p.Failure(0); ej || !p.Live(0) {
 		t.Fatal("success must reset the consecutive-failure counter")
 	}
@@ -100,6 +100,33 @@ func TestPoolEjectionAndReadmission(t *testing.T) {
 	}
 	if snap[1].Failures != 0 || !snap[1].Live {
 		t.Fatalf("untouched backend snapshot %+v changed", snap[1])
+	}
+}
+
+// TestPoolLateSuccessKeepsLaterFailures pins the failure-sequence guard: a
+// success whose attempt started before failures recorded since — a slow
+// first request to a backend that then died — must not reset the
+// consecutive-failure count, so the next failure still ejects.
+func TestPoolLateSuccessKeepsLaterFailures(t *testing.T) {
+	p := New([]string{"a"}, Config{EjectAfter: 3})
+	slow := p.FailSeq(0) // the slow attempt starts
+	p.Failure(0)         // two later attempts fail while it runs
+	p.Failure(0)
+	p.Success(0, slow) // then the slow attempt completes
+	if snap := p.Snapshot()[0]; snap.ConsecutiveFailures != 2 || snap.Successes != 1 {
+		t.Fatalf("snapshot %+v, want the success counted and 2 consecutive failures kept", snap)
+	}
+	if ej := p.Failure(0); !ej {
+		t.Fatal("third failure after a stale success did not eject")
+	}
+
+	// A success that started after the last failure does reset the count.
+	q := New([]string{"a"}, Config{EjectAfter: 3})
+	q.Failure(0)
+	q.Failure(0)
+	q.Success(0, q.FailSeq(0))
+	if ej := q.Failure(0); ej || q.Snapshot()[0].ConsecutiveFailures != 1 {
+		t.Fatalf("fresh success did not reset the counter: %+v", q.Snapshot()[0])
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"preexec/internal/cpu"
 	"preexec/internal/isa"
 	"preexec/internal/program"
+	"preexec/internal/sampling"
 	"preexec/internal/slice"
 	"preexec/internal/trace"
 	"preexec/internal/workload"
@@ -22,26 +23,11 @@ import (
 // satisfy the slice-tree invariant, and since each miss is inserted into
 // exactly one tree, L2Misses must equal the trees' summed Misses.
 func TestBackwardMatchesReference(t *testing.T) {
-	type prog struct {
-		name string
-		p    *program.Program
-	}
-	var progs []prog
-	for _, w := range workload.All() {
-		progs = append(progs, prog{w.Name, w.Build(1)})
-	}
-	for _, z := range synth.Zoo() {
-		p, err := synth.Generate(z)
-		if err != nil {
-			t.Fatalf("zoo %s: %v", z.Name, err)
-		}
-		progs = append(progs, prog{z.Name, p})
-	}
 	measure := int64(20_000)
 	if testing.Short() {
 		measure = 5_000
 	}
-	for _, pr := range progs {
+	for _, pr := range equivPrograms(t) {
 		t.Run(pr.name, func(t *testing.T) {
 			t.Parallel()
 			for _, scope := range []int{64, 1024} {
@@ -79,6 +65,29 @@ func TestBackwardMatchesReference(t *testing.T) {
 	}
 }
 
+type equivProgram struct {
+	name string
+	p    *program.Program
+}
+
+// equivPrograms builds every built-in workload and every synth.Zoo
+// scenario: the program set the profiling equivalence tests cover.
+func equivPrograms(t *testing.T) []equivProgram {
+	t.Helper()
+	var progs []equivProgram
+	for _, w := range workload.All() {
+		progs = append(progs, equivProgram{w.Name, w.Build(1)})
+	}
+	for _, z := range synth.Zoo() {
+		p, err := synth.Generate(z)
+		if err != nil {
+			t.Fatalf("zoo %s: %v", z.Name, err)
+		}
+		progs = append(progs, equivProgram{z.Name, p})
+	}
+	return progs
+}
+
 // checkForest asserts the per-forest invariants: every tree satisfies
 // CheckInvariant, and the forest's misses are exactly the inserted slices.
 func checkForest(t *testing.T, cell string, f *slice.Forest) {
@@ -100,18 +109,21 @@ func checkForest(t *testing.T, cell string, f *slice.Forest) {
 // links), and instructions that produce nothing a load consumes.
 var fuzzOps = [...]isa.Op{isa.LI, isa.ADD, isa.ADDI, isa.MOV, isa.LD, isa.ST, isa.MUL, isa.LD, isa.ADD, isa.NOP, isa.BEQ, isa.JAL}
 
-// fuzzStream decodes fuzz input into a slicing scope, a maximum slice length
-// and a cpu.Exec stream. Three header bytes pick the scope (1..16, so
-// producers routinely fall out of it), the maximum length (1..40) and the
-// first Seq (observation may start mid-run). Every further three bytes are
-// one instruction over registers r0..r7 and four memory words, so repeated
-// sources (add r3,r1,r1), shared producers and store-to-load links are
-// common.
-func fuzzStream(data []byte) (scope, maxLen int, execs []cpu.Exec) {
+// fuzzStream decodes fuzz input into a slicing scope, a maximum slice length,
+// a wider shape at least as large in both, and a cpu.Exec stream. Three
+// header bytes pick the scope (1..16, so producers routinely fall out of
+// it), the maximum length (1..40) and the first Seq (observation may start
+// mid-run); the high parts of the first two pick how much wider the wide
+// shape is (0..15 more scope, 0..48 more length). Every further three bytes
+// are one instruction over registers r0..r7 and four memory words, so
+// repeated sources (add r3,r1,r1), shared producers and store-to-load links
+// are common.
+func fuzzStream(data []byte) (scope, maxLen, wideScope, wideLen int, execs []cpu.Exec) {
 	if len(data) < 3 {
-		return 0, 0, nil
+		return 0, 0, 0, 0, nil
 	}
 	scope, maxLen = 1+int(data[0]%16), 1+int(data[1]%40)
+	wideScope, wideLen = scope+int(data[0]/16), maxLen+8*int(data[1]/40)
 	seq := int64(data[2]) * 1000
 	data = data[3:]
 	for len(data) >= 3 && len(execs) < 4096 {
@@ -130,13 +142,16 @@ func fuzzStream(data []byte) (scope, maxLen int, execs []cpu.Exec) {
 		execs = append(execs, e)
 		seq++
 	}
-	return scope, maxLen, execs
+	return scope, maxLen, wideScope, wideLen, execs
 }
 
 // FuzzBackward is the slicer differential: for random instruction streams
 // through a small-scope tracker, Slicer.Backward must agree with the frozen
 // reference on the slice of every load. One Slicer serves the whole stream,
-// so reuse of its scratch across calls is exercised too.
+// so reuse of its scratch across calls is exercised too. A second tracker
+// and Slicer at a wider shape observe the same stream, and their slice of
+// every load, cut down to the narrow shape (the multi-shape profiling pass),
+// must equal the narrow slice.
 func FuzzBackward(f *testing.F) {
 	// Header (scope, maxlen, first seq), then (op, rd|rs1<<3, rs2|word<<3)
 	// triples; op indexes fuzzOps.
@@ -161,14 +176,14 @@ func FuzzBackward(f *testing.F) {
 		4, 1<<3 | 2, 0, // ld r2, (r1)
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		scope, maxLen, execs := fuzzStream(data)
+		scope, maxLen, wideScope, wideLen, execs := fuzzStream(data)
 		if len(execs) == 0 {
 			return
 		}
-		tr := trace.NewTracker(scope)
-		sl := &slice.Slicer{MaxLen: maxLen}
+		tr, wideTr := trace.NewTracker(scope), trace.NewTracker(wideScope)
+		sl, wideSl := &slice.Slicer{MaxLen: maxLen}, &slice.Slicer{MaxLen: wideLen}
 		for _, e := range execs {
-			ent := tr.Observe(e)
+			ent, wideEnt := tr.Observe(e), wideTr.Observe(e)
 			if e.Inst.Op != isa.LD {
 				continue
 			}
@@ -176,6 +191,10 @@ func FuzzBackward(f *testing.F) {
 			want := refBackward(maxLen, tr, ent)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seq %d (scope %d, maxlen %d): slice\n%+v\nreference\n%+v", e.Seq, scope, maxLen, got, want)
+			}
+			if cut := slice.Cut(wideSl.Backward(wideTr, wideEnt), scope, maxLen); !reflect.DeepEqual(cut, got) {
+				t.Fatalf("seq %d: slice at (scope %d, maxlen %d) cut to (%d, %d)\n%+v\nnarrow slice\n%+v",
+					e.Seq, wideScope, wideLen, scope, maxLen, cut, got)
 			}
 		}
 	})
@@ -209,5 +228,103 @@ func TestBackwardSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { sl.Backward(tr, miss) }); allocs != 0 {
 		t.Errorf("warm Slicer.Backward allocates %.0f times per call, want 0", allocs)
+	}
+}
+
+// TestProfileShapesMatchesPerShape pins the one-pass multi-shape profile to
+// separate single-shape profiles: over every built-in workload and every
+// synth.Zoo scenario, whole-run and regioned, each shape's regions from one
+// ProfileShapes pass must deeply equal Profile's for that shape alone. The
+// shape sets vary the scope only, the length only, and both at once with
+// neither shape containing the other.
+func TestProfileShapesMatchesPerShape(t *testing.T) {
+	type shape struct{ scope, maxLen int }
+	sets := map[string][]shape{
+		"scope":     {{256, 32}, {1024, 32}, {512, 32}},
+		"length":    {{1024, 8}, {1024, 32}, {1024, 16}},
+		"nonnested": {{64, 32}, {1024, 4}},
+	}
+	measure := int64(20_000)
+	if testing.Short() {
+		measure = 5_000
+	}
+	for _, pr := range equivPrograms(t) {
+		t.Run(pr.name, func(t *testing.T) {
+			t.Parallel()
+			for name, set := range sets {
+				for _, region := range []int64{0, measure / 4} {
+					base := slice.ProfileOptions{WarmInsts: 5_000, MaxInsts: measure, RegionInsts: region}
+					opts := make([]slice.ProfileOptions, len(set))
+					for i, sh := range set {
+						opts[i] = base
+						opts[i].Scope, opts[i].MaxSlice = sh.scope, sh.maxLen
+					}
+					got, err := slice.ProfileShapes(context.Background(), pr.p, opts)
+					if err != nil {
+						t.Fatalf("%s region=%d: %v", name, region, err)
+					}
+					if len(got) != len(opts) {
+						t.Fatalf("%s region=%d: %d region lists for %d shapes", name, region, len(got), len(opts))
+					}
+					for i, o := range opts {
+						want, err := slice.Profile(pr.p, o)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got[i], want) {
+							t.Errorf("%s region=%d: shape (%d, %d) differs from its own profile", name, region, o.Scope, o.MaxSlice)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestProfileShapesSampled checks the multi-shape pass under cyclic
+// sampling, where the tracker observes only the on phases and the slicing
+// window spans the gaps.
+func TestProfileShapesSampled(t *testing.T) {
+	w, err := workload.ByName("vpr.p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Build(1)
+	sched := &sampling.Schedule{OffInsts: 3_000, WarmInsts: 1_000, OnInsts: 2_000}
+	opts := []slice.ProfileOptions{
+		{MaxInsts: 12_000, Scope: 64, MaxSlice: 32, Sampling: sched},
+		{MaxInsts: 12_000, Scope: 4096, MaxSlice: 8, Sampling: sched},
+	}
+	got, err := slice.ProfileShapes(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range opts {
+		want, err := slice.Profile(p, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("sampled shape (%d, %d) differs from its own profile", o.Scope, o.MaxSlice)
+		}
+	}
+}
+
+// TestProfileShapesRejectsMixedOptions checks that a pass refuses shapes
+// that differ in anything but scope and length.
+func TestProfileShapesRejectsMixedOptions(t *testing.T) {
+	w, err := workload.ByName("crafty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []slice.ProfileOptions{
+		{MaxInsts: 5_000, Scope: 64},
+		{MaxInsts: 5_000, Scope: 1024, RegionInsts: 1_000},
+	}
+	if _, err := slice.ProfileShapes(context.Background(), w.Build(1), opts); err == nil {
+		t.Error("a pass over shapes with different region sizes succeeded")
+	}
+	if _, err := slice.ProfileShapes(context.Background(), w.Build(1), nil); err == nil {
+		t.Error("a pass over no shapes succeeded")
 	}
 }

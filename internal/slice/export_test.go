@@ -12,5 +12,15 @@ import (
 // a reference slicer.
 func ProfileWithBackward(ctx context.Context, p *program.Program, opts ProfileOptions, backward func(*trace.Tracker, *trace.Entry) []Inst) ([]Region, error) {
 	opts.fill()
-	return profile(ctx, p, opts, backward)
+	regs, err := profile(ctx, p, []ProfileOptions{opts}, backward)
+	if err != nil {
+		return nil, err
+	}
+	return regs[0], nil
+}
+
+// Cut is the per-shape cut ProfileShapes applies to a wide slice.
+func Cut(sl []Inst, scope, maxLen int) []Inst {
+	var buf []Inst
+	return cut(&buf, sl, scope, maxLen)
 }

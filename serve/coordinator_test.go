@@ -197,6 +197,42 @@ func TestCoordinatorMachineGridBitIdentical(t *testing.T) {
 	}
 }
 
+// sliceGridPoints is a Figure-4 grid: two slicing scopes x two maximum
+// p-thread lengths, four profile shapes per benchmark.
+var sliceGridPoints = []gridPoint{
+	{"sc256/ml8", `{"machine": {"warm_insts": 2000, "measure_insts": 8000}, "selection": {"scope": 256, "max_len": 8}}`},
+	{"sc256/ml32", `{"machine": {"warm_insts": 2000, "measure_insts": 8000}, "selection": {"scope": 256, "max_len": 32}}`},
+	{"sc1024/ml8", `{"machine": {"warm_insts": 2000, "measure_insts": 8000}, "selection": {"scope": 1024, "max_len": 8}}`},
+	{"sc1024/ml32", smallCfg},
+}
+
+// TestCoordinatorSliceGridBitIdentical checks a scope x length sweep through
+// the coordinator: the backends profile whichever shapes are routed to
+// them, and the merge still equals the single-node run, whose one pass per
+// benchmark counts as four profile runs.
+func TestCoordinatorSliceGridBitIdentical(t *testing.T) {
+	benches := coordGridBenches[:2]
+	coordURL, _, _ := coordFleet(t, 3, serve.FleetConfig{ProbeInterval: -1})
+	status, got := post(t, coordURL+"/v1/sweep", coordGridRequest(benches, sliceGridPoints, false, ""))
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, got)
+	}
+	want := singleNodeGolden(t, benches, coordGridConfigs(t, sliceGridPoints))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("coordinator sweep differs from the single-node run\ncoord:  %s\nsingle: %s",
+			firstDiffContext(got, want), firstDiffContext(want, got))
+	}
+	var res struct {
+		Cache preexec.CacheStats `json:"cache"`
+	}
+	if err := json.Unmarshal(got, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Cache.ProfileRuns != 8 || res.Cache.BaseRuns != 2 {
+		t.Errorf("cache = %+v, want 8 profile runs and 2 base runs", res.Cache)
+	}
+}
+
 // TestCoordinatorChaosEjectionGolden is the acceptance criterion's fault
 // half: one of three backends starts killing connections mid-grid (its
 // first request passes, everything after dies), gets ejected after the

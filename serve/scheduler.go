@@ -46,15 +46,15 @@ func (g *gate) inFlight() int { return len(g.slots) }
 // queueDepth is the number of stages blocked waiting for a slot.
 func (g *gate) queueDepth() int64 { return g.queued.Load() }
 
-// gatedProfiler runs the wrapped profiling backend inside a worker slot.
-// Only the computation acquires: requests coalesced onto a cached flight
-// never enter the gate.
+// gatedProfiler runs the wrapped profiling backend inside a worker slot, one
+// slot per pass however many slice shapes it profiles. Only the computation
+// acquires: requests coalesced onto a cached flight never enter the gate.
 type gatedProfiler struct {
 	g *gate
 	p preexec.Profiler
 }
 
-func (gp gatedProfiler) Profile(ctx context.Context, p *preexec.Program, opts preexec.ProfileOptions) ([]preexec.ProfileRegion, error) {
+func (gp gatedProfiler) Profile(ctx context.Context, p *preexec.Program, opts []preexec.ProfileOptions) ([][]preexec.ProfileRegion, error) {
 	if err := gp.g.acquire(ctx); err != nil {
 		return nil, err
 	}

@@ -94,17 +94,20 @@ type SweepResult struct {
 	// cache concurrently), plus the run's own replay memo counters
 	// (ReplayRuns/ReplayHits, exact). Zero when the cache is disabled. For a
 	// selection-only grid over N previously-unseen benchmarks, BaseRuns
-	// and ProfileRuns are exactly N.
+	// and ProfileRuns are exactly N; a scope x length grid of S shapes
+	// counts N*S ProfileRuns though it profiles in N passes.
 	Cache CacheStats `json:"cache"`
 }
 
 // Sweep evaluates a (benchmark x configuration) grid over the Suite worker
 // pool, memoizing the selection-independent stages in a StageCache so cells
 // that differ only in selection or ablation knobs share base timing runs
-// and profiles. Each Run also shares pre-execution runs among its cells:
-// cells whose selections yield the same p-threads on the same trace and
-// timing configuration replay once, and a cell that selects nothing reuses
-// its base run. Cell reports are bit-for-bit identical to uncached
+// and profiles. Each Run also shares work among its cells that the cache
+// keys apart: cells whose selections yield the same p-threads on the same
+// trace and timing configuration replay once, a cell that selects nothing
+// reuses its base run, and cells that profile one program under different
+// slicing scopes and maximum p-thread lengths (Figure 4) share one
+// profiling pass. Cell reports are bit-for-bit identical to uncached
 // evaluation.
 type Sweep struct {
 	// Engine supplies the stage backends (profiler/selector/simulator) the
@@ -133,8 +136,10 @@ type Sweep struct {
 // point a name, rejected with the offending index up front rather than
 // failing per-job at run time. The returned jobs carry per-cell engines
 // that share the given stage cache (nil = uncached) and, with a cache, one
-// replay memo of the plan's own: cells whose selections yield the same
-// p-threads on the same trace share one timing run.
+// memo of the plan's own: cells whose selections yield the same p-threads
+// on the same trace share one timing run, and the cells' profiles are
+// grouped by profiled program and every option but the slice shape, so
+// the first profile miss of a group profiles all its shapes in one pass.
 func (s *Sweep) Plan(benches []SweepBench, points []ConfigPoint, cache *StageCache) ([]Job, error) {
 	if len(benches) == 0 {
 		return nil, fmt.Errorf("preexec: sweep has no benchmarks")
@@ -156,9 +161,9 @@ func (s *Sweep) Plan(benches []SweepBench, points []ConfigPoint, cache *StageCac
 	if base == nil {
 		base = New()
 	}
-	var replays *replayMemo
+	var plan *planMemo
 	if cache != nil {
-		replays = &replayMemo{}
+		plan = newPlanMemo(cache)
 	}
 	jobs := make([]Job, 0, len(benches)*len(points))
 	for _, b := range benches {
@@ -175,7 +180,11 @@ func (s *Sweep) Plan(benches []SweepBench, points []ConfigPoint, cache *StageCac
 				WithStageCache(cache),
 				WithStageObserver(base.observer),
 			)
-			e.replays = replays
+			if plan != nil {
+				norm := e.cfg.Normalized()
+				plan.addShape(norm.profiledProgram(b.Program), norm.profileOptions())
+				e.plan = plan
+			}
 			jobs = append(jobs, Job{Name: b.label() + "/" + pt.Name, Program: b.Program, Engine: e})
 		}
 	}
@@ -218,7 +227,7 @@ func (s *Sweep) Run(ctx context.Context, benches []SweepBench, points []ConfigPo
 	}
 	if cache != nil {
 		res.Cache = cache.Stats().sub(before)
-		replays := jobs[0].Engine.replays // shared by every cell of the plan
+		replays := &jobs[0].Engine.plan.replays // shared by every cell of the plan
 		res.Cache.ReplayRuns, res.Cache.ReplayHits = replays.runs.Load(), replays.hits.Load()
 	}
 	return res, err

@@ -201,6 +201,97 @@ func TestSweepMachineGridSharesTraces(t *testing.T) {
 	}
 }
 
+// profileCounter is a StageObserver that counts profiling passes per
+// program.
+type profileCounter struct {
+	mu     sync.Mutex
+	passes map[string]int
+}
+
+func (c *profileCounter) StageStart(stage, bench string) func() {
+	if stage == "profile" {
+		c.mu.Lock()
+		c.passes[bench]++
+		c.mu.Unlock()
+	}
+	return func() {}
+}
+
+// TestSweepSliceGridOnePassPerProgram pins the one-pass profile of a
+// Figure-4 grid: scope x maximum length x opt/merge over three programs,
+// plus two points that profile the alternate input. Each program's shapes
+// are profiled by one pass (the observer sees one "profile" stage per
+// profiled program), yet the cache still counts every shape as its own
+// profile run, and the cells equal an uncached sweep's byte for byte.
+func TestSweepSliceGridOnePassPerProgram(t *testing.T) {
+	benches, err := preexec.SweepBenches([]string{"vpr.p", "crafty", "mcf"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []preexec.ConfigPoint
+	for _, scope := range []int{256, 1024} {
+		for _, ml := range []int{8, 32} {
+			for _, om := range []bool{false, true} {
+				cfg := sweepConfig(10_000, 30_000)
+				cfg.Selection.Scope, cfg.Selection.MaxLen = scope, ml
+				cfg.Selection.Optimize, cfg.Selection.Merge = om, om
+				points = append(points, preexec.ConfigPoint{Name: fmt.Sprintf("sc%d/ml%d/om%v", scope, ml, om), Config: cfg})
+			}
+		}
+	}
+	for _, scope := range []int{256, 1024} {
+		points = append(points, preexec.ConfigPoint{Name: fmt.Sprintf("test/sc%d", scope), Derive: func(b preexec.SweepBench) preexec.Config {
+			cfg := sweepConfig(10_000, 30_000)
+			cfg.Selection.Scope, cfg.Selection.ProfileOn = scope, b.Test
+			return cfg
+		}})
+	}
+	obs := &profileCounter{passes: make(map[string]int)}
+	cached := runSweep(t, &preexec.Sweep{Engine: preexec.New(preexec.WithStageObserver(obs)), Workers: 2}, benches, points)
+	uncached := runSweep(t, &preexec.Sweep{NoCache: true, Workers: 2}, benches, points)
+	got, err := json.Marshal(cached.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(uncached.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Error("slice-grid sweep's cells differ from the uncached sweep's bytes")
+	}
+	for _, cell := range cached.Cells {
+		if cell.Err != nil {
+			t.Errorf("%s/%s: %v", cell.Bench, cell.Point, cell.Err)
+		}
+	}
+
+	// Each program profiles its four evaluated-input shapes in one pass and
+	// its two test-input shapes in another; the train and test builds
+	// share a name.
+	wantPasses := make(map[string]int)
+	for _, b := range benches {
+		wantPasses[b.Program.Name]++
+		wantPasses[b.Test.Name]++
+	}
+	if !reflect.DeepEqual(obs.passes, wantPasses) {
+		t.Errorf("profile passes per program = %v, want %v", obs.passes, wantPasses)
+	}
+	// The counters are exactly those of profiling every shape on its own:
+	// per program, 6 profile shapes over 10 cells, one base run and one
+	// trace. 22 of the 30 pre-execution runs select nothing and are base
+	// hits; the other 8 share 5 replays, each of which looks the trace up.
+	wantStats := preexec.CacheStats{
+		BaseRuns: 3, BaseHits: 49,
+		ProfileRuns: 18, ProfileHits: 12,
+		TraceRuns: 3, TraceHits: 5,
+		ReplayRuns: 5, ReplayHits: 3,
+	}
+	if cached.Cache != wantStats {
+		t.Errorf("cache stats = %+v, want %+v", cached.Cache, wantStats)
+	}
+}
+
 // TestSweepSharedCacheAcrossRuns proves a caller-owned cache carries stage
 // results across Run calls over the same programs, and that each result
 // reports its own run's stage work (a counter delta, not the cumulative
@@ -501,14 +592,13 @@ func TestSweepCustomBackendCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := preexec.New(preexec.WithMachine(testMachine()))
-	cp := &countingProfiler{inner: defaultProfiler{inner}}
+	cp := &countingProfiler{}
 	s := &preexec.Sweep{Engine: preexec.New(preexec.WithProfiler(cp)), Workers: 1}
 	if _, err := s.Run(t.Context(), benches, selectionPoints(20_000, 60_000)); err != nil {
 		t.Fatal(err)
 	}
-	if cp.calls != 1 {
-		t.Errorf("custom profiler ran %d times for 4 cells, want 1", cp.calls)
+	if n := cp.calls.Load(); n != 1 {
+		t.Errorf("custom profiler ran %d times for 4 cells, want 1", n)
 	}
 }
 
