@@ -8,7 +8,7 @@
 //
 // and print the actual rows with cmd/texp. The windows here are slightly
 // smaller than texp's defaults so a full -bench=. sweep stays in the
-// minutes range; EXPERIMENTS.md records full-size runs.
+// minutes range; cmd/texp runs them at full size.
 package preexec_test
 
 import (

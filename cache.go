@@ -41,8 +41,9 @@ import (
 //     traces cleanly. The recorded front-end stream depends on the program
 //     alone (see timing.RecordTrace), so every machine point, mode and
 //     selection of one run length shares one trace: memory latencies and
-//     widths up to 16 do. Every timing run looks its trace up here; a run
-//     too long to retain gets a trace without records.
+//     widths up to 16 do. Every timing run and profiling pass looks its
+//     trace up here; a run too long to retain gets a trace without
+//     records.
 //
 // Cached profile regions are shared by pointer: selection only reads the
 // slice forests (paths and bodies are copied out), so concurrent selections
@@ -111,13 +112,14 @@ type CacheStats struct {
 	ProfileHits int64 `json:"profile_hits"`
 	// TraceRuns counts trace recordings, TraceHits trace lookups served
 	// from an existing recording. An evaluation looks its trace up for the
-	// base run only when the base run itself misses, and for a
-	// pre-execution run only when that run is actually replayed, so a sweep
-	// makes BaseRuns+ReplayRuns lookups. It records one trace per program
+	// base run only when the base run itself misses, for a pre-execution
+	// run only when that run is actually replayed, and for the profile
+	// only when a profiling pass actually runs, so a sweep makes
+	// BaseRuns+ReplayRuns+passes lookups. It records one trace per program
 	// and TraceSpan: a grid over N benchmarks that varies only selection
-	// knobs, memory latency or widths up to 16 records exactly N traces.
-	// A pre-execution run of an empty selection is the base run and counts
-	// as a base hit.
+	// knobs, memory latency or widths up to 16 records exactly N traces,
+	// which its profiles read too. A pre-execution run of an empty
+	// selection is the base run and counts as a base hit.
 	TraceRuns int64 `json:"trace_runs,omitempty"`
 	TraceHits int64 `json:"trace_hits,omitempty"`
 	// ReplayRuns counts the pre-execution runs a sweep replayed, ReplayHits
@@ -389,13 +391,13 @@ func (c *StageCache) regions(ctx context.Context, p *Program, opts ProfileOption
 	return c.profile.getOrCompute(ctx, profileKey{prog: p, opts: opts}, compute)
 }
 
-// traceFor returns the memoized trace a run of p under cfg replays,
-// recording it on a miss. The recorded front-end stream depends on the
+// traceFor returns the memoized trace a run of p under cfg replays — and a
+// profile of p reads — recording it on a miss. The recorded front-end stream depends on the
 // program alone, and cfg only sizes it, so the entry is keyed by the
 // program, timing.TraceSpan(cfg) and the simulator fingerprint (a
 // timing-core change invalidates recorded traces cleanly): every machine,
 // mode and selection with the same span shares it. Traces are immutable
-// after recording and shared by pointer across concurrent replays.
+// after recording and shared by pointer across concurrent readers.
 func (c *StageCache) traceFor(ctx context.Context, p *Program, cfg TimingConfig, compute func() (*Trace, error)) (*Trace, error) {
 	key := traceKey{prog: p, span: timing.TraceSpan(cfg), version: timing.TraceVersion}
 	return c.trace.getOrCompute(ctx, key, compute)

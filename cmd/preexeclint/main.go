@@ -10,7 +10,7 @@
 //	go run ./cmd/preexeclint ./...                # analyze the whole module
 //	go run ./cmd/preexeclint -json ./...          # machine-readable findings
 //	go run ./cmd/preexeclint -list                # describe the analyzers
-//	go run ./cmd/preexeclint -update-allocbudget  # regenerate the timing
+//	go run ./cmd/preexeclint -update-allocbudget  # regenerate the hot-path
 //	                                              # allocation budget
 //
 // Findings print as file:line:col: message (analyzer) — the format the
@@ -31,6 +31,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"preexec/internal/lint"
 	"preexec/internal/lint/analysis"
@@ -60,7 +61,10 @@ func main() {
 		patterns = []string{"./..."}
 	}
 	if *updateBudget {
-		patterns = []string{"./internal/timing"}
+		patterns = patterns[:0]
+		for _, path := range lint.BudgetedPackages {
+			patterns = append(patterns, "./"+strings.TrimPrefix(path, "preexec/"))
+		}
 	}
 
 	pkgs, fset, err := load.Module(".", patterns...)
@@ -181,30 +185,26 @@ func writeJSON(fset *token.FileSet, diags []analysis.Diagnostic) {
 }
 
 // regenerateBudget recomputes the allocation budget's recorded escapes from
-// a fresh escape-analysis run, preserving the hot-function list.
+// a fresh escape-analysis run, preserving the hot-function lists.
 func regenerateBudget(fset *token.FileSet, units []*analysis.PackageUnit) error {
-	var unit *analysis.PackageUnit
-	for _, u := range units {
-		if u.Path == "preexec/internal/timing" {
-			unit = u
-			break
-		}
+	budgeted := lint.BudgetedUnits(units)
+	if len(budgeted) != len(lint.BudgetedPackages) {
+		return fmt.Errorf("-update-allocbudget: %d of the budgeted packages %v loaded", len(budgeted), lint.BudgetedPackages)
 	}
-	if unit == nil {
-		return fmt.Errorf("-update-allocbudget: preexec/internal/timing not loaded")
-	}
-	root, err := lint.ModuleRoot(unit.Dir)
+	root, err := lint.ModuleRoot(budgeted[0].Dir)
 	if err != nil {
 		return err
 	}
 	path := filepath.Join(root, lint.AllocBudgetPath)
 	budget, err := lint.LoadBudget(path)
 	if err != nil {
-		return fmt.Errorf("loading %s: %v (the hot-function list must exist; only recorded escapes are regenerated)", path, err)
+		return fmt.Errorf("loading %s: %v (the hot-function lists must exist; only recorded escapes are regenerated)", path, err)
 	}
-	escapes, err := lint.CollectEscapes(unit.Dir, fset, unit.Files)
-	if err != nil {
-		return err
+	escapes := make(map[string][]lint.Escape)
+	for _, unit := range budgeted {
+		if escapes[unit.Path], err = lint.CollectEscapes(unit.Dir, fset, unit.Files); err != nil {
+			return err
+		}
 	}
 	return lint.UpdateBudget(path, budget, escapes)
 }

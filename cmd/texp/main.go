@@ -7,12 +7,11 @@
 //	     [-bench name,name,...] [-scale N] [-warm N] [-measure N] \
 //	     [-workers N] [-json] [-progress]
 //
-// Each experiment prints the same rows/series the paper reports; see
-// EXPERIMENTS.md for the paper-vs-measured comparison. The suite experiment
-// emits the full public preexec.Report per benchmark. Cells are evaluated
-// concurrently across -workers goroutines (default: all cores) with
-// deterministic row ordering; -json switches to machine-readable output and
-// Ctrl-C cancels mid-simulation.
+// Each experiment prints the same rows/series the paper reports. The suite
+// experiment emits the full public preexec.Report per benchmark. Cells are
+// evaluated concurrently across -workers goroutines (default: all cores)
+// with deterministic row ordering; -json switches to machine-readable
+// output and Ctrl-C cancels mid-simulation.
 package main
 
 import (
@@ -95,7 +94,7 @@ func run(ctx context.Context, exp string, opts experiments.Options, jsonOut bool
 		{"fig7", "Figure 7: impact of p-thread selection input data-set", experiments.Figure7},
 		{"fig8", "Figure 8: response to variations in memory latency", experiments.Figure8},
 		{"width", "Width: response to variations in processor width (§4.5)", experiments.Width},
-		{"ablate", "Ablation: this reproduction's model refinements (DESIGN.md)", experiments.Ablation},
+		{"ablate", "Ablation: this reproduction's model refinements", experiments.Ablation},
 	}
 
 	ran := false

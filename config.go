@@ -62,7 +62,8 @@ func DefaultSelection() SelectionConfig {
 }
 
 // AblationConfig holds the reproduction's model-refinement switches (see the
-// "ablate" experiment and DESIGN.md). The zero value is the refined model.
+// "ablate" experiment, internal/experiments.Ablation). The zero value is the
+// refined model.
 type AblationConfig struct {
 	// ModelLoadLat overrides the latency the SCDH model charges in-slice
 	// loads (0 = the default L2 hit latency; 1 = the paper's raw
@@ -137,6 +138,16 @@ func (c Config) profileOptions() ProfileOptions {
 		MaxSlice:    c.Selection.MaxLen,
 		RegionInsts: c.Selection.RegionInsts,
 	}
+}
+
+// profileTiming returns the timing configuration whose trace the profile
+// reads: the machine's, extended to the profile window when that is the
+// longer, so the recording covers the profile's warm-up and window. With
+// the default window it is the base run's, and one recording serves both.
+func (c Config) profileTiming() TimingConfig {
+	tc := c.timing(ModeBase)
+	tc.MaxInsts = max(tc.MaxInsts, c.Selection.ProfileInsts)
+	return tc
 }
 
 // profiledProgram returns the program the selection profiles when p is

@@ -10,16 +10,20 @@ import (
 	"preexec/internal/timing"
 )
 
-// Profiler is the functional profiling stage: it runs a program through the
-// cache model and builds slice trees for every dynamic L2 load miss. One
-// call is one pass over the program for a list of slice shapes — options
-// that differ only in Scope and MaxSlice — and returns one region list per
-// entry of opts, each exactly what a pass over that entry alone returns. It
-// returns an error if the options differ in any other field. The engine
-// passes one shape per cell, or, within a Sweep, every shape its cells
-// profile the program with (the Figure 4 scope × length axes).
+// Profiler is the functional profiling stage: it runs a program's recorded
+// front-end stream through the cache model and builds slice trees for every
+// dynamic L2 load miss. It reads the trace — the same recording the timing
+// runs replay, so a program executes once however many stages consume it —
+// and never executes the program itself. One call is one pass over the
+// trace for a list of slice shapes — options that differ only in Scope and
+// MaxSlice — and returns one region list per entry of opts, each exactly
+// what a pass over that entry alone returns. It returns an error if the
+// options differ in any other field. The engine passes one shape per cell,
+// or, within a Sweep, every shape its cells profile the program with (the
+// Figure 4 scope × length axes), and a trace that covers the profile's
+// warm-up and window (or a streamed trace, for runs too long to record).
 type Profiler interface {
-	Profile(ctx context.Context, p *Program, opts []ProfileOptions) ([][]ProfileRegion, error)
+	Profile(ctx context.Context, t *Trace, opts []ProfileOptions) ([][]ProfileRegion, error)
 }
 
 // Selector is the p-thread selection stage: it solves the profiled slice
@@ -53,8 +57,8 @@ type (
 	timingSimulator struct{}
 )
 
-func (sliceProfiler) Profile(ctx context.Context, p *Program, opts []ProfileOptions) ([][]ProfileRegion, error) {
-	return slice.ProfileShapes(ctx, p, opts)
+func (sliceProfiler) Profile(ctx context.Context, t *Trace, opts []ProfileOptions) ([][]ProfileRegion, error) {
+	return slice.ProfileShapes(ctx, t, opts)
 }
 
 func (treeSelector) Select(regions []ProfileRegion, opts SelectorOptions, regioned bool) SelectionResult {
@@ -80,12 +84,12 @@ func (timingSimulator) Replay(ctx context.Context, t *Trace, pts []*PThread, cfg
 // several slice shapes of a sweep), "select", and "replay" (a timing run
 // of a non-empty selection scored against the trace); bench is the
 // program under evaluation ("" where no single program applies). Stages
-// never nest, but Evaluate runs the profile concurrently with the trace
-// recording and base run, so StageStart may be called from several
-// goroutines and observed stage times of one evaluation may overlap. Only
-// real executions are observed — stage-cache, replay-memo and
-// profile-pass hits never reach the observer, so observed latencies are
-// true stage costs.
+// never nest, but Evaluate runs the profile concurrently with the base run
+// (and, when the profile reads a trace of its own, with that trace's
+// recording), so StageStart may be called from several goroutines and
+// observed stage times of one evaluation may overlap. Only real executions
+// are observed — stage-cache, replay-memo and profile-pass hits never
+// reach the observer, so observed latencies are true stage costs.
 //
 // Observers exist for instrumentation (the serve package feeds stage
 // latency histograms and span traces from this hook) and must not influence
@@ -213,17 +217,10 @@ func (e *Engine) run(ctx context.Context, c *StageCache, p *Program, pts []*PThr
 	})
 }
 
-// replay fetches — or records, observed as the "trace" stage — the trace
-// memoized in c for (p, cfg), then replays pts against it, observed as
-// stage. Recording finishes before the replay starts, so observed stages
-// never nest.
+// replay replays pts against the trace memoized in c for (p, cfg),
+// observed as stage.
 func (e *Engine) replay(ctx context.Context, c *StageCache, p *Program, pts []*PThread, cfg TimingConfig, stage string) (Stats, error) {
-	t, err := c.traceFor(ctx, p, cfg, func() (*Trace, error) {
-		if e.observer != nil {
-			defer e.observer.StageStart("trace", p.Name)()
-		}
-		return e.simulator.RecordTrace(ctx, p, cfg)
-	})
+	t, err := e.trace(ctx, c, p, cfg)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -233,19 +230,39 @@ func (e *Engine) replay(ctx context.Context, c *StageCache, p *Program, pts []*P
 	return e.simulator.Replay(ctx, t, pts, cfg)
 }
 
-// profile runs the profiling backend through the stage cache c. A miss is
-// served by one pass over every slice shape of (p, opts)'s profile group —
-// the shapes the engine's sweep plan profiles p with, or opts alone — and
-// within a sweep that pass is single-flighted and shared by the group's
-// other shapes. The stage observer wraps the pass, not the lookups, so
-// only real profiling passes are timed.
-func (e *Engine) profile(ctx context.Context, c *StageCache, p *Program, opts ProfileOptions) ([]ProfileRegion, error) {
+// trace fetches — or records, observed as the "trace" stage — the trace
+// memoized in c for a run of p under cfg. Recording finishes before the
+// stage that reads the trace starts, so observed stages never nest, and a
+// stage waiting on another caller's recording holds no backend resources.
+func (e *Engine) trace(ctx context.Context, c *StageCache, p *Program, cfg TimingConfig) (*Trace, error) {
+	return c.traceFor(ctx, p, cfg, func() (*Trace, error) {
+		if e.observer != nil {
+			defer e.observer.StageStart("trace", p.Name)()
+		}
+		return e.simulator.RecordTrace(ctx, p, cfg)
+	})
+}
+
+// profile runs the profiling backend on p through the stage cache c, under
+// the normalized configuration cfg. A miss is served by one pass over every
+// slice shape of the profile's group — the shapes the engine's sweep plan
+// profiles p with, or the configuration's alone — and within a sweep that
+// pass is single-flighted and shared by the group's other shapes. The pass
+// reads the trace memoized in c for cfg.profileTiming, by default the base
+// run's. The stage observer wraps the pass, not the lookups, so only real
+// profiling passes are timed.
+func (e *Engine) profile(ctx context.Context, c *StageCache, p *Program, cfg Config) ([]ProfileRegion, error) {
+	opts := cfg.profileOptions()
 	return c.regions(ctx, p, opts, func() ([]ProfileRegion, error) {
 		return e.plan.profileShape(ctx, p, opts, func(shapes []ProfileOptions) ([][]ProfileRegion, error) {
+			t, err := e.trace(ctx, c, p, cfg.profileTiming())
+			if err != nil {
+				return nil, err
+			}
 			if e.observer != nil {
 				defer e.observer.StageStart("profile", p.Name)()
 			}
-			out, err := e.profiler.Profile(ctx, p, shapes)
+			out, err := e.profiler.Profile(ctx, t, shapes)
 			if err == nil && len(out) != len(shapes) {
 				err = fmt.Errorf("preexec: profiler returned %d region lists for %d slice shapes", len(out), len(shapes))
 			}
@@ -255,10 +272,13 @@ func (e *Engine) profile(ctx context.Context, c *StageCache, p *Program, opts Pr
 }
 
 // Evaluate runs the full pipeline on one program: base timing run,
-// selection, and the pre-execution timing run. The profile the selection
-// reads does not depend on the base run, so it runs concurrently with it
-// and is joined before selection; a failed base run cancels it, and its
-// error wins over the profile's. Cancelling ctx stops the active
+// profile, selection, and the pre-execution timing run. The base run and
+// the profile both read the program's trace, which with the default
+// profile window is one recording: whichever stage misses first records it
+// and the other waits for it. The profile does not depend on the base run,
+// so the two then run concurrently and are joined before selection; a
+// failed base run (a failed recording included) cancels the profile, and
+// its error wins over the profile's. Cancelling ctx stops the active
 // simulation stages promptly and returns ctx.Err().
 func (e *Engine) Evaluate(ctx context.Context, p *Program) (Report, error) {
 	cfg := e.cfg.Normalized()
@@ -271,7 +291,7 @@ func (e *Engine) Evaluate(ctx context.Context, p *Program) (Report, error) {
 	defer cancel()
 	prof := make(chan profiled, 1)
 	go func() {
-		regions, err := e.profile(pctx, c, cfg.profiledProgram(p), cfg.profileOptions())
+		regions, err := e.profile(pctx, c, cfg.profiledProgram(p), cfg)
 		prof <- profiled{regions, err}
 	}()
 	base, err := e.run(ctx, c, p, nil, cfg.timing(ModeBase))
@@ -316,7 +336,7 @@ func (e *Engine) Evaluate(ctx context.Context, p *Program) (Report, error) {
 // With a stage cache attached (WithStageCache) the regions may be shared
 // with other engines: treat them as immutable.
 func (e *Engine) Profile(ctx context.Context, p *Program) ([]ProfileRegion, error) {
-	return e.profile(ctx, e.stages(), p, e.cfg.Normalized().profileOptions())
+	return e.profile(ctx, e.stages(), p, e.cfg.Normalized())
 }
 
 // Select runs only the selection half of the pipeline: profile (on
@@ -330,7 +350,7 @@ func (e *Engine) Select(ctx context.Context, p *Program, baseIPC float64) (Selec
 // selectOn is Select under the normalized configuration cfg, profiling
 // through the stage cache c.
 func (e *Engine) selectOn(ctx context.Context, c *StageCache, p *Program, baseIPC float64, cfg Config) (SelectionResult, int64, error) {
-	regions, err := e.profile(ctx, c, cfg.profiledProgram(p), cfg.profileOptions())
+	regions, err := e.profile(ctx, c, cfg.profiledProgram(p), cfg)
 	if err != nil {
 		return SelectionResult{}, 0, err
 	}

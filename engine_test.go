@@ -109,10 +109,10 @@ type countingProfiler struct {
 	calls atomic.Int64
 }
 
-func (c *countingProfiler) Profile(ctx context.Context, p *preexec.Program, opts []preexec.ProfileOptions) ([][]preexec.ProfileRegion, error) {
+func (c *countingProfiler) Profile(ctx context.Context, t *preexec.Trace, opts []preexec.ProfileOptions) ([][]preexec.ProfileRegion, error) {
 	c.calls.Add(1)
 	inner, _, _ := preexec.ReferenceStages()
-	return inner.Profile(ctx, p, opts)
+	return inner.Profile(ctx, t, opts)
 }
 
 func TestWithProfilerPluggable(t *testing.T) {
@@ -189,7 +189,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 // emptyProfiler returns no regions for every shape, and no error.
 type emptyProfiler struct{}
 
-func (emptyProfiler) Profile(_ context.Context, _ *preexec.Program, opts []preexec.ProfileOptions) ([][]preexec.ProfileRegion, error) {
+func (emptyProfiler) Profile(_ context.Context, _ *preexec.Trace, opts []preexec.ProfileOptions) ([][]preexec.ProfileRegion, error) {
 	return make([][]preexec.ProfileRegion, len(opts)), nil
 }
 
@@ -216,7 +216,7 @@ type stallProfiler struct {
 	sawCancel     atomic.Bool
 }
 
-func (s *stallProfiler) Profile(ctx context.Context, _ *preexec.Program, _ []preexec.ProfileOptions) ([][]preexec.ProfileRegion, error) {
+func (s *stallProfiler) Profile(ctx context.Context, _ *preexec.Trace, _ []preexec.ProfileOptions) ([][]preexec.ProfileRegion, error) {
 	defer close(s.done)
 	close(s.started)
 	if s.err != nil {
@@ -227,23 +227,36 @@ func (s *stallProfiler) Profile(ctx context.Context, _ *preexec.Program, _ []pre
 	return nil, ctx.Err()
 }
 
-// failingRecorder fails every trace recording with err once wait is
-// closed.
-type failingRecorder struct {
+// failingReplayer fails every replay with err once wait is closed; trace
+// recordings pass through.
+type failingReplayer struct {
 	preexec.Simulator
 	wait <-chan struct{}
 	err  error
 }
 
-func (f failingRecorder) RecordTrace(context.Context, *preexec.Program, preexec.TimingConfig) (*preexec.Trace, error) {
+func (f failingReplayer) Replay(context.Context, *preexec.Trace, []*preexec.PThread, preexec.TimingConfig) (preexec.Stats, error) {
 	<-f.wait
+	return preexec.Stats{}, f.err
+}
+
+// failingRecorder fails every trace recording with err.
+type failingRecorder struct {
+	preexec.Simulator
+	err error
+}
+
+func (f failingRecorder) RecordTrace(context.Context, *preexec.Program, preexec.TimingConfig) (*preexec.Trace, error) {
 	return nil, f.err
 }
 
 // TestEvaluateBaseFailureCancelsProfile pins the overlap of the profile with
 // the base run: a failing base run returns its own error — also when the
 // profile failed first — cancels a profile still running, and Evaluate
-// returns only after the profile has.
+// returns only after the profile has. The base run and the profile read one
+// trace, so the base run fails in its replay, after the recording both
+// waited for; a failed recording fails the evaluation as a base-run error
+// before the profiler is ever called.
 func TestEvaluateBaseFailureCancelsProfile(t *testing.T) {
 	prog := buildBench(t, "vpr.p")
 	_, _, sim := preexec.ReferenceStages()
@@ -251,9 +264,11 @@ func TestEvaluateBaseFailureCancelsProfile(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		profileErr error
+		recordErr  bool
 	}{
-		{"profile running", nil},
-		{"profile failed first", errProfile},
+		{"profile running", nil, false},
+		{"profile failed first", errProfile, false},
+		{"recording failed", nil, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prof := &stallProfiler{err: tc.profileErr, started: make(chan struct{}), done: make(chan struct{})}
@@ -263,10 +278,14 @@ func TestEvaluateBaseFailureCancelsProfile(t *testing.T) {
 			if tc.profileErr != nil {
 				wait = prof.done
 			}
+			var failing preexec.Simulator = failingReplayer{Simulator: sim, wait: wait, err: errBase}
+			if tc.recordErr {
+				failing = failingRecorder{Simulator: sim, err: errBase}
+			}
 			eng := preexec.New(
 				preexec.WithMachine(testMachine()),
 				preexec.WithProfiler(prof),
-				preexec.WithSimulator(failingRecorder{Simulator: sim, wait: wait, err: errBase}),
+				preexec.WithSimulator(failing),
 			)
 			_, err := eng.Evaluate(t.Context(), prog)
 			if !errors.Is(err, errBase) || errors.Is(err, errProfile) {
@@ -274,6 +293,14 @@ func TestEvaluateBaseFailureCancelsProfile(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), "preexec: base run") {
 				t.Errorf("err = %v, want it attributed to the base run", err)
+			}
+			if tc.recordErr {
+				select {
+				case <-prof.started:
+					t.Fatal("the profiler ran without a trace")
+				default:
+				}
+				return
 			}
 			select {
 			case <-prof.done:

@@ -29,8 +29,8 @@
 // 177 for 177.5) and picks the same winner. Candidate 3 is the one known
 // divergence: the paper credits it 1 cycle of latency tolerance for
 // statically skipping #05/#06, while this model scores the dependence-height-
-// dominated body at 0; the selection outcome is unaffected. See
-// EXPERIMENTS.md.
+// dominated body at 0; the selection outcome is unaffected (pinned by
+// TestWorkedExampleCandidates).
 package advantage
 
 import (

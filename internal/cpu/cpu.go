@@ -1,7 +1,8 @@
 // Package cpu implements the PRX functional interpreter. It is the single
-// source of architectural semantics in the repository: the trace generator,
-// the timing simulator's oracle front end, and p-thread bodies all execute
-// through it (or through ExecBody, which shares the ALU evaluator).
+// source of architectural semantics in the repository: the front end
+// (internal/frontend) — the one functional execution of a program, whose
+// records the profiler and the timing simulator read — steps it, and
+// p-thread bodies execute through ExecBody, which shares the ALU evaluator.
 package cpu
 
 import (
@@ -13,8 +14,10 @@ import (
 )
 
 // Exec describes one dynamically executed instruction. It carries everything
-// downstream consumers need: the trace/dependence tracker uses PC and the
-// register/memory identities; the timing simulator uses Taken/NextPC/EffAddr.
+// the front end turns into a record: PC, the instruction and its register
+// and memory identities for the producer links, Taken/NextPC for the branch
+// predictor, and EffAddr and RdVal for the memory model and the
+// architectural effect.
 type Exec struct {
 	Seq     int64    // dynamic instruction number (0-based)
 	PC      int      // static instruction index
@@ -39,12 +42,6 @@ type State struct {
 // initial data image.
 func New(p *program.Program) *State {
 	return &State{Prog: p, PC: p.Entry, Mem: p.Data.Clone()}
-}
-
-// NewSharing returns a machine that runs directly on m (no clone). Used when
-// the caller owns the image lifecycle.
-func NewSharing(p *program.Program, m *mem.Memory) *State {
-	return &State{Prog: p, PC: p.Entry, Mem: m}
 }
 
 // EvalALU computes the result of a non-memory, non-control instruction given

@@ -8,7 +8,7 @@ import (
 )
 
 // Ablation measures the two refinements this reproduction adds on top of
-// the paper's letter (both documented in DESIGN.md):
+// the paper's letter:
 //
 //   - "unit-loadlat": charge in-slice loads unit latency in the SCDH model,
 //     as the paper's worked example does. Dependent-miss chains (mcf) then

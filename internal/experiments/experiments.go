@@ -13,8 +13,7 @@
 //
 // Absolute numbers are not expected to match the paper — the substrate is a
 // from-scratch simulator running synthetic kernels — but the qualitative
-// shape (who wins, where effects saturate, how cross-validation orders) is;
-// EXPERIMENTS.md records both sides for every experiment.
+// shape (who wins, where effects saturate, how cross-validation orders) is.
 package experiments
 
 import (

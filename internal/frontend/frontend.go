@@ -1,0 +1,289 @@
+// Package frontend is the repository's one functional execution of a
+// program: the oracle interpreter, the branch predictor fetch consults, and
+// the rename and same-word store tables, stepped together into one record
+// per dynamic instruction. Both consumers read those records and never
+// execute the program themselves: the timing backend (internal/timing)
+// schedules them, and the slice-tree profiler (internal/slice) runs them
+// through the cache model and slices every L2 miss along their producer
+// links.
+//
+// The record stream depends on the program alone. Fetch is execution-driven
+// on the correct path, so the dynamic instruction sequence, the effective
+// addresses and the predictor's verdicts depend only on the program and the
+// fetch (= program) order in which the predictor trains — never on
+// p-threads, on the machine, or on the profiler's options. Record runs the
+// front end ahead once, so every consumer of a run's prefix can share one
+// recording; a consumer of a run too long to retain steps a fresh FrontEnd
+// instead and reads the same records.
+//
+// Each record also carries its architectural effect (destination value, or
+// store value): p-thread launches read the architectural state at the
+// launch point, which a replay reconstructs by applying records to a replica
+// in fetch order.
+package frontend
+
+import (
+	"context"
+	"math"
+
+	"preexec/internal/branch"
+	"preexec/internal/cpu"
+	"preexec/internal/isa"
+	"preexec/internal/program"
+)
+
+// Rec flags.
+const (
+	FStore      = 1 << iota // ST: Val is the stored value, EffAddr the address
+	FHasDest                // writes Rd (Rd may be the zero register)
+	FBrLookup               // conditional branch: counts a predictor lookup
+	FMispredict             // mispredicted branch or JR: becomes the fetch blocker
+	FBreak                  // taken control: fetch stops after this instruction
+	FHalt                   // HALT: fetch is done after this instruction
+)
+
+// NoDest marks an absent destination register in Rec.Rd.
+const NoDest = 0xff
+
+// Rec is one fetched instruction with everything its consumers need
+// precomputed: the renamer's producer links, the scheduler's class and
+// latency, the predictor's verdict, the architectural effect, and the
+// backward same-word store link.
+//
+// Prod holds, per source operand as enumerated by isa.Inst.Sources, the
+// backward distance to its producer — the most recent earlier record
+// writing that register — and PrevStore the distance to the most recent
+// earlier store to the same word; 0 is no link (see LinkTo). The rename
+// table is maintained in program order, which is exactly fetch order, so
+// its whole evolution is a property of the stream and is computed here.
+type Rec struct {
+	EffAddr   int64
+	Val       int64 // Rd value (FHasDest) or stored value (FStore)
+	Prod      [2]int32
+	PrevStore int32
+	PC        int32
+	Rd        uint8 // destination register; NoDest = none
+	Class     uint8 // isa.Class
+	LatAdd    uint8 // non-memory completion latency (Mul: 3, else 1)
+	Flags     uint8
+}
+
+// LinkTo encodes the backward link from record seq to the earlier record j
+// (-1 for none) as the distance seq-j, 0 meaning no link. Consumers follow
+// links only a bounded distance back — the timing backend within its
+// in-flight window of a few hundred records, the profiler within its
+// slicing scope — so a target farther back than an int32 distance is never
+// followed and dropping that link is exact. Sequence numbers themselves
+// never narrow.
+func LinkTo(seq, j int64) int32 {
+	if j < 0 || seq-j > math.MaxInt32 {
+		return 0
+	}
+	return int32(seq - j)
+}
+
+// LinkBack decodes a LinkTo distance from record seq: the linked record's
+// sequence number, or -1 for no link.
+func LinkBack(seq int64, d int32) int64 {
+	if d == 0 {
+		return -1
+	}
+	return seq - int64(d)
+}
+
+// Linker maintains the rename table (the most recent writer of each
+// register) and the per-word last-store table over sequence numbers, and
+// links each executed instruction's record to its producers and to the
+// previous store to its word. The zero Linker is not usable; see NewLinker.
+type Linker struct {
+	regProd   [isa.NumRegs]int64 // most recent writer of each register; -1 none
+	lastStore map[int64]int64    // word address -> most recent store to it
+}
+
+// NewLinker returns a Linker with no producers yet.
+func NewLinker() *Linker {
+	l := &Linker{}
+	l.init()
+	return l
+}
+
+func (l *Linker) init() {
+	l.lastStore = make(map[int64]int64)
+	for i := range l.regProd {
+		l.regProd[i] = -1
+	}
+}
+
+// Link fills rec with e's selection-independent fields — address, PC,
+// class, latency, destination and value, producer and store links — and
+// records e as the newest writer of its destination and of its word if it
+// stores. It leaves the predictor's flags and a store's value to the front
+// end.
+func (l *Linker) Link(e *cpu.Exec, rec *Rec) {
+	*rec = Rec{
+		EffAddr: e.EffAddr,
+		PC:      int32(e.PC),
+		Rd:      NoDest,
+		Class:   uint8(isa.ClassOf(e.Inst.Op)),
+		LatAdd:  uint8(isa.Latency(e.Inst.Op)),
+	}
+	srcs, ns := e.Inst.Sources()
+	for i := 0; i < ns; i++ {
+		if srcs[i] != isa.Zero {
+			rec.Prod[i] = LinkTo(e.Seq, l.regProd[srcs[i]])
+		}
+	}
+	if e.Inst.HasDest() {
+		rec.Rd = uint8(e.Inst.Rd)
+		rec.Flags |= FHasDest
+		rec.Val = e.RdVal
+		l.regProd[e.Inst.Rd] = e.Seq
+	}
+	switch isa.Class(rec.Class) {
+	case isa.ClassLoad:
+		if j, ok := l.lastStore[e.EffAddr&^7]; ok {
+			rec.PrevStore = LinkTo(e.Seq, j)
+		}
+	case isa.ClassStore:
+		w := e.EffAddr &^ 7
+		if j, ok := l.lastStore[w]; ok {
+			rec.PrevStore = LinkTo(e.Seq, j)
+		}
+		l.lastStore[w] = e.Seq
+		rec.Flags |= FStore
+	}
+}
+
+// FrontEnd is the simulator's front end: the functional oracle and the
+// branch predictor fetch consults, plus the Linker.
+type FrontEnd struct {
+	Oracle *cpu.State
+	pred   *branch.Predictor
+	links  Linker
+}
+
+// New returns a front end at prog's entry.
+func New(prog *program.Program) *FrontEnd {
+	f := &FrontEnd{
+		Oracle: cpu.New(prog),
+		pred:   branch.New(branch.DefaultConfig()),
+	}
+	f.links.init()
+	return f
+}
+
+// NewReplica returns prog's initial architectural state, which a consumer
+// of recorded records advances by applying each record's effect instead of
+// executing it.
+func NewReplica(prog *program.Program) *cpu.State { return cpu.New(prog) }
+
+// Step executes the next instruction and fills rec with its record. An
+// oracle error (running off the program's text) ends the stream: the
+// simulator's fetch stops there, and rec is untouched.
+func (f *FrontEnd) Step(rec *Rec) error {
+	e, err := f.Oracle.Step()
+	if err != nil {
+		return err
+	}
+	f.links.Link(&e, rec)
+	switch isa.Class(rec.Class) {
+	case isa.ClassStore:
+		// ST reads no destination; Val carries the stored value so a
+		// replay can maintain its memory replica in fetch order.
+		rec.Val = f.Oracle.Regs[e.Inst.Rs2]
+	case isa.ClassBranch:
+		rec.Flags |= FBrLookup
+		if _, correct := f.pred.PredictAndTrain(e.PC, e.Taken); !correct {
+			rec.Flags |= FMispredict
+		} else if e.Taken {
+			rec.Flags |= FBreak
+		}
+	case isa.ClassJump:
+		if e.Inst.Op == isa.JR {
+			if f.pred.BTBLookup(e.PC) != e.NextPC {
+				rec.Flags |= FMispredict
+				f.pred.BTBInsert(e.PC, e.NextPC)
+			}
+		}
+		rec.Flags |= FBreak
+	case isa.ClassHalt:
+		rec.Flags |= FHalt
+	}
+	return nil
+}
+
+// Trace is a recorded prefix of a program's record stream. A trace of
+// span 0 is streamed: it holds no records, and its consumers step a fresh
+// FrontEnd instead. Traces are immutable after recording and safe for
+// concurrent readers.
+type Trace struct {
+	prog    *program.Program
+	version string
+	recs    []Rec
+	// err is the oracle error that ended the recording before its span
+	// (running off the program's text), where a streamed run's fetch
+	// stops too. A trace without it ends at its span or at HALT.
+	err      error
+	streamed bool
+}
+
+// Program returns the program the trace was recorded from.
+func (t *Trace) Program() *program.Program { return t.prog }
+
+// Version returns the fingerprint the trace was recorded under.
+func (t *Trace) Version() string { return t.version }
+
+// Records returns the number of recorded instructions.
+func (t *Trace) Records() int { return len(t.recs) }
+
+// Recs returns the recorded records, indexed by sequence number. Callers
+// must not modify them.
+func (t *Trace) Recs() []Rec { return t.recs }
+
+// Err returns the oracle error that ended the recording early, or nil.
+func (t *Trace) Err() error { return t.err }
+
+// Streamed reports whether the trace holds no records because its run is
+// too long to retain.
+func (t *Trace) Streamed() bool { return t.streamed }
+
+// Halted reports whether the recording ends with the program's HALT.
+func (t *Trace) Halted() bool {
+	return len(t.recs) > 0 && t.recs[len(t.recs)-1].Flags&FHalt != 0
+}
+
+// ctxCheckMask gates how often Record polls ctx.Done(): every 4096
+// instructions.
+const ctxCheckMask = 1<<12 - 1
+
+// Record steps a fresh front end over prog for span records (fewer if the
+// program halts or runs off its text), tagging the trace with version, the
+// fingerprint of the code that reads it. A span of 0 records nothing and
+// returns a streamed trace.
+func Record(ctx context.Context, prog *program.Program, span int64, version string) (*Trace, error) {
+	if span <= 0 {
+		return &Trace{prog: prog, version: version, streamed: true}, nil
+	}
+	fe := New(prog)
+	t := &Trace{prog: prog, version: version, recs: make([]Rec, 0, span)}
+	done := ctx.Done()
+	for int64(len(t.recs)) < span && !fe.Oracle.Halted {
+		if done != nil && len(t.recs)&ctxCheckMask == 0 {
+			select {
+			case <-done:
+				return nil, ctx.Err()
+			default:
+			}
+		}
+		n := len(t.recs)
+		t.recs = t.recs[:n+1] // within the span-sized capacity
+		if err := fe.Step(&t.recs[n]); err != nil {
+			// The simulator's fetch stops at an oracle error; the stored
+			// error makes every consumer stop there the same way.
+			t.recs = t.recs[:n]
+			t.err = err
+			break
+		}
+	}
+	return t, nil
+}

@@ -1,0 +1,143 @@
+package frontend
+
+import (
+	"context"
+	"testing"
+
+	"preexec/internal/cpu"
+	"preexec/internal/isa"
+	"preexec/internal/workload"
+)
+
+// link links execs, which carry sequence numbers 0, 1, ..., into records.
+func link(execs ...cpu.Exec) []Rec {
+	l := NewLinker()
+	recs := make([]Rec, len(execs))
+	for i := range execs {
+		l.Link(&execs[i], &recs[i])
+	}
+	return recs
+}
+
+func exec(seq int64, in isa.Inst, addr int64) cpu.Exec {
+	return cpu.Exec{Seq: seq, PC: int(seq), Inst: in, EffAddr: addr}
+}
+
+func TestRegisterProducers(t *testing.T) {
+	recs := link(
+		exec(0, isa.Inst{Op: isa.LI, Rd: 1}, 0),
+		exec(1, isa.Inst{Op: isa.LI, Rd: 2}, 0),
+		exec(2, isa.Inst{Op: isa.ADD, Rd: 3, Rs1: 1, Rs2: 2}, 0),
+	)
+	if p0, p1 := LinkBack(2, recs[2].Prod[0]), LinkBack(2, recs[2].Prod[1]); p0 != 0 || p1 != 1 {
+		t.Errorf("producers = [%d %d], want [0 1]", p0, p1)
+	}
+}
+
+func TestLatestWriterWins(t *testing.T) {
+	recs := link(
+		exec(0, isa.Inst{Op: isa.LI, Rd: 1}, 0),
+		exec(1, isa.Inst{Op: isa.LI, Rd: 1}, 0),
+		exec(2, isa.Inst{Op: isa.MOV, Rd: 2, Rs1: 1}, 0),
+	)
+	if p := LinkBack(2, recs[2].Prod[0]); p != 1 {
+		t.Errorf("producer = %d, want 1 (latest writer)", p)
+	}
+}
+
+func TestR0HasNoProducer(t *testing.T) {
+	recs := link(
+		exec(0, isa.Inst{Op: isa.LI, Rd: 0}, 0), // write to R0: discarded
+		exec(1, isa.Inst{Op: isa.ADDI, Rd: 1, Rs1: 0}, 0),
+	)
+	if recs[1].Prod[0] != 0 {
+		t.Errorf("R0 producer link = %d, want none", recs[1].Prod[0])
+	}
+	if recs[0].Flags&FHasDest != 0 || recs[0].Rd != NoDest {
+		t.Errorf("write to R0 recorded as a destination: %+v", recs[0])
+	}
+}
+
+func TestNoSelfDependence(t *testing.T) {
+	recs := link(
+		exec(0, isa.Inst{Op: isa.LI, Rd: 1}, 0),
+		exec(1, isa.Inst{Op: isa.ADDI, Rd: 1, Rs1: 1, Imm: 1}, 0),
+	)
+	if p := LinkBack(1, recs[1].Prod[0]); p != 0 {
+		t.Errorf("producer = %d, want 0 (previous writer, not self)", p)
+	}
+}
+
+func TestMemoryDependence(t *testing.T) {
+	recs := link(
+		exec(0, isa.Inst{Op: isa.ST, Rs1: 1, Rs2: 2}, 0x100),
+		exec(1, isa.Inst{Op: isa.LD, Rd: 3, Rs1: 1}, 0x100),
+		exec(2, isa.Inst{Op: isa.LD, Rd: 3, Rs1: 1}, 0x108), // other word
+		exec(3, isa.Inst{Op: isa.ST, Rs1: 1, Rs2: 2}, 0x200),
+		exec(4, isa.Inst{Op: isa.LD, Rd: 3, Rs1: 1}, 0x204), // same word
+		exec(5, isa.Inst{Op: isa.ST, Rs1: 1, Rs2: 2}, 0x200),
+	)
+	for _, c := range []struct {
+		seq, want int64
+	}{
+		{1, 0},
+		{2, -1}, // different address: no dependence
+		{4, 3},  // same word, different byte offset: still a dependence
+		{5, 3},  // a store links to the previous store to its word
+	} {
+		if p := LinkBack(c.seq, recs[c.seq].PrevStore); p != c.want {
+			t.Errorf("record %d: store link = %d, want %d", c.seq, p, c.want)
+		}
+	}
+}
+
+func TestProducerOutsideScopeStillReported(t *testing.T) {
+	// The linker reports the true producer however far back it is; a
+	// consumer with a bounded window (the slicer's scope, the backend's
+	// in-flight window) treats farther producers as live-ins.
+	execs := []cpu.Exec{exec(0, isa.Inst{Op: isa.LI, Rd: 1}, 0)}
+	for seq := int64(1); seq < 3000; seq++ {
+		execs = append(execs, exec(seq, isa.Inst{Op: isa.NOP}, 0))
+	}
+	execs = append(execs, exec(3000, isa.Inst{Op: isa.MOV, Rd: 2, Rs1: 1}, 0))
+	recs := link(execs...)
+	if p := LinkBack(3000, recs[3000].Prod[0]); p != 0 {
+		t.Errorf("producer = %d, want 0", p)
+	}
+}
+
+// TestRecordMatchesStreamedFrontEnd pins the recording to the front end it
+// runs ahead: the records equal a fresh front end's, step for step, and a
+// span of 0 records nothing.
+func TestRecordMatchesStreamedFrontEnd(t *testing.T) {
+	w, err := workload.ByName("vpr.p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Build(1)
+	tr, err := Record(context.Background(), p, 20_000, "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Records() != 20_000 || tr.Err() != nil || tr.Halted() || tr.Streamed() || tr.Version() != "v" {
+		t.Fatalf("recording: %d records, err %v, halted %v, streamed %v, version %q",
+			tr.Records(), tr.Err(), tr.Halted(), tr.Streamed(), tr.Version())
+	}
+	fe := New(p)
+	var rec Rec
+	for i, want := range tr.Recs() {
+		if err := fe.Step(&rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec != want {
+			t.Fatalf("record %d: recorded %+v, streamed %+v", i, want, rec)
+		}
+	}
+	st, err := Record(context.Background(), p, 0, "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Streamed() || st.Records() != 0 || st.Program() != p {
+		t.Errorf("span 0: streamed %v with %d records", st.Streamed(), st.Records())
+	}
+}

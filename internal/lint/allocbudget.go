@@ -18,9 +18,10 @@ import (
 
 // AllocBudget turns the PR 2 zero-alloc property of the timing hot path into
 // a CI-failing static gate: it drives the compiler's escape analysis
-// (`go build -gcflags='-m -m'`) over the budgeted package and diffs the
-// heap-escape diagnostics attributed to the hot-path functions against the
-// checked-in budget (internal/lint/testdata/allocbudget.json). A new escape
+// (`go build -gcflags='-m -m'`) over each budgeted package — the timing
+// backend and the front end that feeds it — and diffs the heap-escape
+// diagnostics attributed to the hot-path functions against the checked-in
+// budget (internal/lint/testdata/allocbudget.json). A new escape
 // in a hot function fails immediately — before any benchmark runs — instead
 // of surfacing later as allocs/op drift in benchsnap. Amortized allocations
 // the hot path legitimately performs (arena chunk growth, ring doubling) are
@@ -34,7 +35,7 @@ import (
 var AllocBudget = &analysis.Analyzer{
 	Name: "allocbudget", // keep in sync with the Category literals below
 
-	Doc: "diffs compiler escape-analysis diagnostics for the timing hot path " +
+	Doc: "diffs compiler escape-analysis diagnostics for the timing and front-end hot paths " +
 		"against the checked-in budget, failing on any new heap escape in a " +
 		"hot function",
 	RunModule: runAllocBudget,
@@ -43,13 +44,19 @@ var AllocBudget = &analysis.Analyzer{
 // AllocBudgetPath locates the budget file relative to the module root.
 const AllocBudgetPath = "internal/lint/testdata/allocbudget.json"
 
-// Budget is the checked-in allocation budget.
+// BudgetFile is the checked-in allocation budget: one Budget per budgeted
+// package.
+type BudgetFile struct {
+	// Gcflags documents the escape-analysis invocation the budget was
+	// generated with (informational).
+	Gcflags  string    `json:"gcflags"`
+	Packages []*Budget `json:"packages"`
+}
+
+// Budget is one package's allocation budget.
 type Budget struct {
 	// Package is the budgeted import path.
 	Package string `json:"package"`
-	// Gcflags documents the escape-analysis invocation the budget was
-	// generated with (informational).
-	Gcflags string `json:"gcflags"`
 	// Hot lists the hot-path functions the gate covers, named as
 	// (*types.Func).FullName with the package path stripped — e.g.
 	// "(*replaySim).fetch", "busWait".
@@ -60,19 +67,21 @@ type Budget struct {
 }
 
 // LoadBudget reads the budget file.
-func LoadBudget(path string) (*Budget, error) {
+func LoadBudget(path string) (*BudgetFile, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var b Budget
-	if err := json.Unmarshal(raw, &b); err != nil {
+	var f BudgetFile
+	if err := json.Unmarshal(raw, &f); err != nil {
 		return nil, fmt.Errorf("parsing %s: %v", path, err)
 	}
-	if b.Allowed == nil {
-		b.Allowed = map[string][]string{}
+	for _, b := range f.Packages {
+		if b.Allowed == nil {
+			b.Allowed = map[string][]string{}
+		}
 	}
-	return &b, nil
+	return &f, nil
 }
 
 // Escape is one heap-escape diagnostic attributed to a function.
@@ -300,24 +309,27 @@ func missingFrom(want, have []string) []string {
 	return missing
 }
 
-// UpdateBudget recomputes the Allowed map for b's hot list from escapes,
-// preserving the hot list itself, and writes the result to path.
-func UpdateBudget(path string, b *Budget, escapes []Escape) error {
-	hot := map[string]bool{}
-	for _, h := range b.Hot {
-		hot[h] = true
-	}
-	allowed := map[string][]string{}
-	for _, e := range escapes {
-		if hot[e.Func] {
-			allowed[e.Func] = append(allowed[e.Func], e.Message)
+// UpdateBudget recomputes the Allowed map of every package's hot list in f
+// from escapes (keyed by import path), preserving the hot lists
+// themselves, and writes the result to path.
+func UpdateBudget(path string, f *BudgetFile, escapes map[string][]Escape) error {
+	for _, b := range f.Packages {
+		hot := map[string]bool{}
+		for _, h := range b.Hot {
+			hot[h] = true
 		}
+		allowed := map[string][]string{}
+		for _, e := range escapes[b.Package] {
+			if hot[e.Func] {
+				allowed[e.Func] = append(allowed[e.Func], e.Message)
+			}
+		}
+		for _, msgs := range allowed {
+			sort.Strings(msgs)
+		}
+		b.Allowed = allowed
 	}
-	for _, msgs := range allowed {
-		sort.Strings(msgs)
-	}
-	b.Allowed = allowed
-	out, err := json.MarshalIndent(b, "", "  ")
+	out, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -343,43 +355,66 @@ func ModuleRoot(dir string) (string, error) {
 }
 
 func runAllocBudget(pass *analysis.ModulePass) (any, error) {
-	var unit *analysis.PackageUnit
-	for _, u := range pass.Packages {
-		if u.Path == "preexec/internal/timing" {
-			unit = u
-			break
+	var budgets *BudgetFile
+	for _, unit := range BudgetedUnits(pass.Packages) {
+		if budgets == nil {
+			root, err := ModuleRoot(unit.Dir)
+			if err != nil {
+				return nil, err
+			}
+			if budgets, err = LoadBudget(filepath.Join(root, AllocBudgetPath)); err != nil {
+				return nil, fmt.Errorf("allocbudget: %v (regenerate with `preexeclint -update-allocbudget`)", err)
+			}
 		}
-	}
-	if unit == nil {
-		// The budgeted package is not among the analyzed patterns; nothing
-		// to gate.
-		return nil, nil
-	}
-	root, err := ModuleRoot(unit.Dir)
-	if err != nil {
-		return nil, err
-	}
-	budget, err := LoadBudget(filepath.Join(root, AllocBudgetPath))
-	if err != nil {
-		return nil, fmt.Errorf("allocbudget: %v (regenerate with `preexeclint -update-allocbudget`)", err)
-	}
-	if budget.Package != unit.Path {
-		return nil, fmt.Errorf("allocbudget: budget covers %q but the loaded package is %q", budget.Package, unit.Path)
-	}
-	escapes, err := CollectEscapes(unit.Dir, pass.Fset, unit.Files)
-	if err != nil {
-		return nil, err
-	}
-	lookup := posLookup(pass.Fset, unit.Files)
-	for _, d := range CheckBudget(budget, escapes, lookup) {
-		if d.Pos == token.NoPos {
-			// Anchor position-less findings (stale entries) on the package's
-			// first file so drivers can render file:line.
-			d.Pos = unit.Files[0].Pos()
+		budget := budgets.For(unit.Path)
+		if budget == nil {
+			return nil, fmt.Errorf("allocbudget: %s lists no budget for %q", AllocBudgetPath, unit.Path)
 		}
-		pass.Report(d)
+		escapes, err := CollectEscapes(unit.Dir, pass.Fset, unit.Files)
+		if err != nil {
+			return nil, err
+		}
+		lookup := posLookup(pass.Fset, unit.Files)
+		for _, d := range CheckBudget(budget, escapes, lookup) {
+			if d.Pos == token.NoPos {
+				// Anchor position-less findings (stale entries) on the
+				// package's first file so drivers can render file:line.
+				d.Pos = unit.Files[0].Pos()
+			}
+			pass.Report(d)
+		}
 	}
 	return nil, nil
+}
+
+// BudgetedPackages are the import paths the allocation budget gates: the
+// timing backend and the front end that feeds it.
+var BudgetedPackages = []string{"preexec/internal/frontend", "preexec/internal/timing"}
+
+// BudgetedUnits returns the analyzed packages the budget gates, in
+// BudgetedPackages order; packages outside the analyzed patterns are not
+// gated.
+func BudgetedUnits(units []*analysis.PackageUnit) []*analysis.PackageUnit {
+	var out []*analysis.PackageUnit
+	for _, path := range BudgetedPackages {
+		for _, u := range units {
+			if u.Path == path {
+				out = append(out, u)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// For returns the budget of the package with the given import path, or nil.
+func (f *BudgetFile) For(pkg string) *Budget {
+	for _, b := range f.Packages {
+		if b.Package == pkg {
+			return b
+		}
+	}
+	return nil
 }
 
 // posLookup resolves (base file name, line) to a token.Pos within files.

@@ -82,55 +82,62 @@ func TestCheckBudgetStale(t *testing.T) {
 }
 
 // TestAllocBudgetTimingPackage is the integration half: it runs the real
-// escape-analysis collection over internal/timing and checks both that the
-// known amortized allocations are attributed to the right hot functions and
-// that the checked-in budget is exactly in sync with the code — the same
-// check CI's allocbudget analyzer performs.
+// escape-analysis collection over internal/timing and internal/frontend and
+// checks both that the known amortized allocations are attributed to the
+// right hot functions and that the checked-in budget is exactly in sync
+// with the code — the same check CI's allocbudget analyzer performs.
 func TestAllocBudgetTimingPackage(t *testing.T) {
 	root, err := lint.ModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, fset, err := load.Module(root, "./internal/timing")
+	pkgs, fset, err := load.Module(root, "./internal/timing", "./internal/frontend")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pkg *load.Package
-	for _, p := range pkgs {
-		if p.Path == "preexec/internal/timing" {
-			pkg = p
-		}
-	}
-	if pkg == nil {
-		t.Fatal("internal/timing not loaded")
-	}
-
-	escapes, err := lint.CollectEscapes(pkg.Dir, fset, pkg.Files)
+	budgets, err := lint.LoadBudget(filepath.Join(root, lint.AllocBudgetPath))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The slot-id ring's doubling is the canonical amortized allocation:
-	// it must be present and attributed to (*i32ring).push.
-	found := false
-	for _, e := range escapes {
-		if e.Func == "(*i32ring).push" && e.Message == "make([]int32, len(r.buf) * 2) escapes to heap" {
-			found = true
+	for _, path := range lint.BudgetedPackages {
+		var pkg *load.Package
+		for _, p := range pkgs {
+			if p.Path == path {
+				pkg = p
+			}
 		}
-	}
-	if !found {
-		t.Fatalf("ring growth allocation not attributed to (*i32ring).push; escapes: %+v", escapes)
-	}
-
-	budget, err := lint.LoadBudget(filepath.Join(root, lint.AllocBudgetPath))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diags := lint.CheckBudget(budget, escapes, nil); len(diags) != 0 {
-		msgs := make([]string, len(diags))
-		for i, d := range diags {
-			msgs[i] = d.Message
+		if pkg == nil {
+			t.Fatalf("%s not loaded", path)
 		}
-		t.Fatalf("checked-in budget out of sync with internal/timing:\n%s\n(run `preexeclint -update-allocbudget` after an intentional change)",
-			strings.Join(msgs, "\n"))
+		escapes, err := lint.CollectEscapes(pkg.Dir, fset, pkg.Files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if path == "preexec/internal/timing" {
+			// The slot-id ring's doubling is the canonical amortized
+			// allocation: it must be present and attributed to
+			// (*i32ring).push.
+			found := false
+			for _, e := range escapes {
+				if e.Func == "(*i32ring).push" && e.Message == "make([]int32, len(r.buf) * 2) escapes to heap" {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("ring growth allocation not attributed to (*i32ring).push; escapes: %+v", escapes)
+			}
+		}
+		budget := budgets.For(path)
+		if budget == nil {
+			t.Fatalf("no budget for %s", path)
+		}
+		if diags := lint.CheckBudget(budget, escapes, nil); len(diags) != 0 {
+			msgs := make([]string, len(diags))
+			for i, d := range diags {
+				msgs[i] = d.Message
+			}
+			t.Fatalf("checked-in budget out of sync with %s:\n%s\n(run `preexeclint -update-allocbudget` after an intentional change)",
+				path, strings.Join(msgs, "\n"))
+		}
 	}
 }

@@ -55,6 +55,7 @@ func Analyzers() []*analysis.Analyzer {
 // the pipeline stages.
 var DeterministicScope = map[string][]string{
 	"preexec":                    {"report.go", "config.go", "engine.go"},
+	"preexec/internal/frontend":  nil,
 	"preexec/internal/timing":    nil,
 	"preexec/internal/slice":     nil,
 	"preexec/internal/selector":  nil,

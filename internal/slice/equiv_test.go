@@ -7,62 +7,87 @@ import (
 	"testing"
 
 	"preexec/internal/cpu"
+	"preexec/internal/frontend"
 	"preexec/internal/isa"
 	"preexec/internal/program"
-	"preexec/internal/sampling"
 	"preexec/internal/slice"
-	"preexec/internal/trace"
+	"preexec/internal/timing"
 	"preexec/internal/workload"
 	"preexec/synth"
 )
 
-// TestBackwardMatchesReference pins Slicer.Backward to the frozen reference
-// slicer (refslice_test.go): over every built-in workload and every synth.Zoo
+// TestBackwardMatchesReference pins the profiler to the frozen reference
+// (refslice_test.go), which executes the program itself and rebuilds its
+// dataflow in a Tracker: over every built-in workload and every synth.Zoo
 // scenario, at two slicing scopes and two maximum lengths, whole-run and
-// regioned profiles must produce deeply equal forests. Every forest must also
-// satisfy the slice-tree invariant, and since each miss is inserted into
-// exactly one tree, L2Misses must equal the trees' summed Misses.
+// regioned profiles must produce deeply equal forests, from both record
+// sources — the ring a standalone Profile streams through, and a recorded
+// trace profiled for one shape and for all four at once. Every forest must
+// also satisfy the slice-tree invariant, and since each miss is inserted
+// into exactly one tree, L2Misses must equal the trees' summed Misses.
 func TestBackwardMatchesReference(t *testing.T) {
 	measure := int64(20_000)
 	if testing.Short() {
 		measure = 5_000
 	}
+	ctx := context.Background()
 	for _, pr := range equivPrograms(t) {
 		t.Run(pr.name, func(t *testing.T) {
 			t.Parallel()
-			for _, scope := range []int{64, 1024} {
-				for _, maxLen := range []int{4, 32} {
-					for _, region := range []int64{0, measure / 4} {
-						opts := slice.ProfileOptions{
+			tr := recordFor(t, pr.p, 5_000+measure)
+			for _, region := range []int64{0, measure / 4} {
+				var shapes []slice.ProfileOptions
+				for _, scope := range []int{64, 1024} {
+					for _, maxLen := range []int{4, 32} {
+						shapes = append(shapes, slice.ProfileOptions{
 							WarmInsts: 5_000, MaxInsts: measure,
 							Scope: scope, MaxSlice: maxLen, RegionInsts: region,
-						}
-						cell := fmt.Sprintf("scope=%d maxlen=%d region=%d", scope, maxLen, region)
-						got, err := slice.Profile(pr.p, opts)
-						if err != nil {
-							t.Fatalf("%s: %v", cell, err)
-						}
-						ref := func(tr *trace.Tracker, miss *trace.Entry) []slice.Inst {
-							return refBackward(maxLen, tr, miss)
-						}
-						want, err := slice.ProfileWithBackward(context.Background(), pr.p, opts, ref)
-						if err != nil {
-							t.Fatalf("%s (reference): %v", cell, err)
-						}
+						})
+					}
+				}
+				several, err := slice.ProfileShapes(ctx, tr, shapes)
+				if err != nil {
+					t.Fatalf("region=%d: %v", region, err)
+				}
+				for i, opts := range shapes {
+					cell := fmt.Sprintf("scope=%d maxlen=%d region=%d", opts.Scope, opts.MaxSlice, region)
+					want, err := refProfile(ctx, pr.p, opts)
+					if err != nil {
+						t.Fatalf("%s (reference): %v", cell, err)
+					}
+					ring, err := slice.Profile(pr.p, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", cell, err)
+					}
+					one, err := slice.ProfileShapes(ctx, tr, shapes[i:i+1])
+					if err != nil {
+						t.Fatalf("%s: %v", cell, err)
+					}
+					for name, got := range map[string][]slice.Region{"streamed": ring, "recorded": one[0], "several shapes": several[i]} {
 						if len(got) != len(want) {
-							t.Fatalf("%s: %d regions, reference %d", cell, len(got), len(want))
+							t.Fatalf("%s %s: %d regions, reference %d", cell, name, len(got), len(want))
 						}
-						for i := range got {
-							if !reflect.DeepEqual(got[i], want[i]) {
-								t.Errorf("%s: region %d differs from the reference slicer", cell, i)
+						for j := range got {
+							if !reflect.DeepEqual(got[j], want[j]) {
+								t.Errorf("%s %s: region %d differs from the reference profiler", cell, name, j)
 							}
-							checkForest(t, cell, got[i].Forest)
+							checkForest(t, cell, got[j].Forest)
 						}
 					}
 				}
 			}
 		})
 	}
+}
+
+// recordFor records span records of p's front-end stream.
+func recordFor(t *testing.T, p *program.Program, span int64) *frontend.Trace {
+	t.Helper()
+	tr, err := frontend.Record(context.Background(), p, span, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 type equivProgram struct {
@@ -115,9 +140,9 @@ var fuzzOps = [...]isa.Op{isa.LI, isa.ADD, isa.ADDI, isa.MOV, isa.LD, isa.ST, is
 // it), the maximum length (1..40) and the first Seq (observation may start
 // mid-run); the high parts of the first two pick how much wider the wide
 // shape is (0..15 more scope, 0..48 more length). Every further three bytes
-// are one instruction over registers r0..r7 and four memory words, so
-// repeated sources (add r3,r1,r1), shared producers and store-to-load links
-// are common.
+// are one instruction, at its own PC, over registers r0..r7 and four memory
+// words, so repeated sources (add r3,r1,r1), shared producers and
+// store-to-load links are common.
 func fuzzStream(data []byte) (scope, maxLen, wideScope, wideLen int, execs []cpu.Exec) {
 	if len(data) < 3 {
 		return 0, 0, 0, 0, nil
@@ -135,7 +160,7 @@ func fuzzStream(data []byte) (scope, maxLen, wideScope, wideLen int, execs []cpu
 			Rs1: isa.Reg(b1 >> 3 & 7),
 			Rs2: isa.Reg(b2 & 7),
 		}
-		e := cpu.Exec{Seq: seq, PC: int(b0 >> 4), Inst: in}
+		e := cpu.Exec{Seq: seq, PC: len(execs), Inst: in}
 		if in.IsMem() {
 			e.EffAddr = int64(b2>>3&3) * 8
 		}
@@ -146,12 +171,13 @@ func fuzzStream(data []byte) (scope, maxLen, wideScope, wideLen int, execs []cpu
 }
 
 // FuzzBackward is the slicer differential: for random instruction streams
-// through a small-scope tracker, Slicer.Backward must agree with the frozen
-// reference on the slice of every load. One Slicer serves the whole stream,
-// so reuse of its scratch across calls is exercised too. A second tracker
-// and Slicer at a wider shape observe the same stream, and their slice of
-// every load, cut down to the narrow shape (the multi-shape profiling pass),
-// must equal the narrow slice.
+// linked into front-end records, Slicer.Backward over a small-scope window
+// must agree on the slice of every load with the frozen reference slicer
+// over a Tracker that observed the same stream. One Slicer serves the whole
+// stream, so reuse of its scratch across calls is exercised too. A second
+// Slicer at a wider shape slices the same records, and its slice of every
+// load, cut down to the narrow shape (the multi-shape profiling pass), must
+// equal the narrow slice.
 func FuzzBackward(f *testing.F) {
 	// Header (scope, maxlen, first seq), then (op, rd|rs1<<3, rs2|word<<3)
 	// triples; op indexes fuzzOps.
@@ -180,19 +206,22 @@ func FuzzBackward(f *testing.F) {
 		if len(execs) == 0 {
 			return
 		}
-		tr, wideTr := trace.NewTracker(scope), trace.NewTracker(wideScope)
+		tr := newTracker(scope)
+		w := slice.LinkedWindow(scope, execs)
+		wide := *w
+		wide.Scope = int64(wideScope)
 		sl, wideSl := &slice.Slicer{MaxLen: maxLen}, &slice.Slicer{MaxLen: wideLen}
 		for _, e := range execs {
-			ent, wideEnt := tr.Observe(e), wideTr.Observe(e)
+			ent := tr.Observe(e)
 			if e.Inst.Op != isa.LD {
 				continue
 			}
-			got := sl.Backward(tr, ent)
+			got := sl.Backward(w, e.Seq)
 			want := refBackward(maxLen, tr, ent)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seq %d (scope %d, maxlen %d): slice\n%+v\nreference\n%+v", e.Seq, scope, maxLen, got, want)
 			}
-			if cut := slice.Cut(wideSl.Backward(wideTr, wideEnt), scope, maxLen); !reflect.DeepEqual(cut, got) {
+			if cut := slice.Cut(wideSl.Backward(&wide, e.Seq), scope, maxLen); !reflect.DeepEqual(cut, got) {
 				t.Fatalf("seq %d: slice at (scope %d, maxlen %d) cut to (%d, %d)\n%+v\nnarrow slice\n%+v",
 					e.Seq, wideScope, wideLen, scope, maxLen, cut, got)
 			}
@@ -208,25 +237,19 @@ func TestBackwardSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := cpu.New(w.Build(1))
-	tr := trace.NewTracker(1024)
-	// The first load after 20k instructions, sliced while it is the newest
-	// entry in a full window.
-	var miss *trace.Entry
-	for miss == nil {
-		e, err := st.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ent := tr.Observe(e); e.Inst.Op == isa.LD && st.Count >= 20_000 {
-			miss = ent
-		}
+	p := w.Build(1)
+	tr := recordFor(t, p, 30_000)
+	win := &slice.Window{Recs: tr.Recs(), Mask: -1, Scope: 1024, Text: p.Insts}
+	// The first load after 20k instructions, sliced with a full window.
+	miss := int64(20_000)
+	for isa.Class(win.Recs[miss].Class) != isa.ClassLoad {
+		miss++
 	}
 	sl := &slice.Slicer{MaxLen: 32}
-	if n := len(sl.Backward(tr, miss)); n < 2 {
+	if n := len(sl.Backward(win, miss)); n < 2 {
 		t.Fatalf("slice of %d instructions: want a load with producers", n)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { sl.Backward(tr, miss) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { sl.Backward(win, miss) }); allocs != 0 {
 		t.Errorf("warm Slicer.Backward allocates %.0f times per call, want 0", allocs)
 	}
 }
@@ -251,6 +274,7 @@ func TestProfileShapesMatchesPerShape(t *testing.T) {
 	for _, pr := range equivPrograms(t) {
 		t.Run(pr.name, func(t *testing.T) {
 			t.Parallel()
+			tr := recordFor(t, pr.p, 5_000+measure)
 			for name, set := range sets {
 				for _, region := range []int64{0, measure / 4} {
 					base := slice.ProfileOptions{WarmInsts: 5_000, MaxInsts: measure, RegionInsts: region}
@@ -259,7 +283,7 @@ func TestProfileShapesMatchesPerShape(t *testing.T) {
 						opts[i] = base
 						opts[i].Scope, opts[i].MaxSlice = sh.scope, sh.maxLen
 					}
-					got, err := slice.ProfileShapes(context.Background(), pr.p, opts)
+					got, err := slice.ProfileShapes(context.Background(), tr, opts)
 					if err != nil {
 						t.Fatalf("%s region=%d: %v", name, region, err)
 					}
@@ -281,35 +305,6 @@ func TestProfileShapesMatchesPerShape(t *testing.T) {
 	}
 }
 
-// TestProfileShapesSampled checks the multi-shape pass under cyclic
-// sampling, where the tracker observes only the on phases and the slicing
-// window spans the gaps.
-func TestProfileShapesSampled(t *testing.T) {
-	w, err := workload.ByName("vpr.p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := w.Build(1)
-	sched := &sampling.Schedule{OffInsts: 3_000, WarmInsts: 1_000, OnInsts: 2_000}
-	opts := []slice.ProfileOptions{
-		{MaxInsts: 12_000, Scope: 64, MaxSlice: 32, Sampling: sched},
-		{MaxInsts: 12_000, Scope: 4096, MaxSlice: 8, Sampling: sched},
-	}
-	got, err := slice.ProfileShapes(context.Background(), p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range opts {
-		want, err := slice.Profile(p, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("sampled shape (%d, %d) differs from its own profile", o.Scope, o.MaxSlice)
-		}
-	}
-}
-
 // TestProfileShapesRejectsMixedOptions checks that a pass refuses shapes
 // that differ in anything but scope and length.
 func TestProfileShapesRejectsMixedOptions(t *testing.T) {
@@ -321,10 +316,68 @@ func TestProfileShapesRejectsMixedOptions(t *testing.T) {
 		{MaxInsts: 5_000, Scope: 64},
 		{MaxInsts: 5_000, Scope: 1024, RegionInsts: 1_000},
 	}
-	if _, err := slice.ProfileShapes(context.Background(), w.Build(1), opts); err == nil {
+	tr := recordFor(t, w.Build(1), 5_000)
+	if _, err := slice.ProfileShapes(context.Background(), tr, opts); err == nil {
 		t.Error("a pass over shapes with different region sizes succeeded")
 	}
-	if _, err := slice.ProfileShapes(context.Background(), w.Build(1), nil); err == nil {
+	if _, err := slice.ProfileShapes(context.Background(), tr, nil); err == nil {
 		t.Error("a pass over no shapes succeeded")
+	}
+}
+
+// TestProfileStreamedSource pins the streamed record source on a run too
+// long to record: with MaxInsts unbounded, a halting workload's timing
+// trace is streamed, and its profile — records stepped from a fresh front
+// end through a ring — must deeply equal both the profile of a recording of
+// the whole run and the frozen reference.
+func TestProfileStreamedSource(t *testing.T) {
+	ctx := context.Background()
+	w, err := workload.ByName("crafty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.BuildTest(1)
+	streamed, err := timing.RecordTrace(ctx, p, timing.Config{WarmInsts: 5_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !streamed.Streamed() {
+		t.Fatalf("unbounded run recorded %d records, want a streamed trace", streamed.Records())
+	}
+	// Count the whole run, then record all of it.
+	fe := frontend.New(p)
+	var rec frontend.Rec
+	var n int64
+	for ; !fe.Oracle.Halted; n++ {
+		if err := fe.Step(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole := recordFor(t, p, n)
+	if !whole.Halted() {
+		t.Fatalf("recording of %d records does not end at HALT", whole.Records())
+	}
+	for _, opts := range []slice.ProfileOptions{
+		{WarmInsts: 5_000, Scope: 64, MaxSlice: 8},
+		{WarmInsts: 5_000, RegionInsts: n / 3},
+	} {
+		want, err := refProfile(ctx, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := slice.ProfileShapes(ctx, streamed, []slice.ProfileOptions{opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recorded, err := slice.ProfileShapes(ctx, whole, []slice.ProfileOptions{opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, recorded) {
+			t.Errorf("%+v: streamed profile differs from the recorded one", opts)
+		}
+		if !reflect.DeepEqual(got[0], want) {
+			t.Errorf("%+v: streamed profile differs from the reference profiler", opts)
+		}
 	}
 }

@@ -1,22 +1,35 @@
 package slice
 
 import (
-	"context"
-
-	"preexec/internal/program"
-	"preexec/internal/trace"
+	"preexec/internal/cpu"
+	"preexec/internal/frontend"
+	"preexec/internal/isa"
 )
 
-// ProfileWithBackward is ProfileContext with the given backward slicer in
-// place of a Slicer, so external tests can run the same profiling loop over
-// a reference slicer.
-func ProfileWithBackward(ctx context.Context, p *program.Program, opts ProfileOptions, backward func(*trace.Tracker, *trace.Entry) []Inst) ([]Region, error) {
-	opts.fill()
-	regs, err := profile(ctx, p, []ProfileOptions{opts}, backward)
-	if err != nil {
-		return nil, err
+// LinkedWindow links execs, which must carry consecutive sequence numbers
+// and one instruction per PC, into front-end records and returns a window
+// over them at the given scope: a ring long enough to hold every record,
+// with the slicing window starting at the first exec, so tests can slice
+// hand-built streams.
+func LinkedWindow(scope int, execs []cpu.Exec) *Window {
+	n := int64(1)
+	for n < int64(len(execs)) {
+		n <<= 1
 	}
-	return regs[0], nil
+	w := &Window{Recs: make([]frontend.Rec, n), Mask: n - 1, Scope: int64(scope)}
+	if len(execs) > 0 {
+		w.First = execs[0].Seq
+	}
+	l := frontend.NewLinker()
+	for i := range execs {
+		e := &execs[i]
+		for e.PC >= len(w.Text) {
+			w.Text = append(w.Text, isa.Inst{})
+		}
+		w.Text[e.PC] = e.Inst
+		l.Link(e, &w.Recs[e.Seq&w.Mask])
+	}
+	return w
 }
 
 // Cut is the per-shape cut ProfileShapes applies to a wide slice.

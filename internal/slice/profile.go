@@ -4,22 +4,12 @@ import (
 	"context"
 	"fmt"
 	"maps"
-	"sync"
 
 	"preexec/internal/cache"
-	"preexec/internal/cpu"
+	"preexec/internal/frontend"
 	"preexec/internal/isa"
 	"preexec/internal/program"
-	"preexec/internal/sampling"
-	"preexec/internal/trace"
 )
-
-// trackerPool recycles dataflow trackers across profiling runs: a tracker's
-// ring is Scope entries (~100KB at the default 1024), and engines and the
-// suite runner profile every workload per Evaluate, so reuse removes the
-// dominant per-profile allocation. Trackers are Reset before use and retain
-// no references into published results.
-var trackerPool = sync.Pool{New: func() any { return new(trace.Tracker) }}
 
 // ProfileOptions configures a functional profiling run.
 type ProfileOptions struct {
@@ -40,14 +30,6 @@ type ProfileOptions struct {
 	// dynamic instructions, each with its own Forest (selection granularity,
 	// paper §4.4 Figure 6).
 	RegionInsts int64
-	// Hierarchy overrides the cache hierarchy (default: the paper's).
-	Hierarchy *cache.Hierarchy
-	// Sampling, if non-nil, applies the paper's cyclic off/warm/on sampling
-	// (§4.1) instead of the single warm-up + measure window: off phases
-	// fast-forward, warm phases train the caches, and only on phases record
-	// misses and trigger counts. MaxInsts then bounds the *measured*
-	// instructions. WarmInsts is ignored when Sampling is set.
-	Sampling *sampling.Schedule
 }
 
 func (o *ProfileOptions) fill() {
@@ -56,9 +38,6 @@ func (o *ProfileOptions) fill() {
 	}
 	if o.MaxSlice <= 0 {
 		o.MaxSlice = 32
-	}
-	if o.Hierarchy == nil {
-		o.Hierarchy = cache.DefaultHierarchy()
 	}
 	if o.MaxInsts <= 0 {
 		o.MaxInsts = 1 << 62
@@ -84,38 +63,47 @@ const ctxCheckMask = 1<<12 - 1
 
 // ProfileContext is Profile honouring ctx: a cancelled or expired context
 // stops the functional run within a few thousand instructions and returns
-// ctx.Err().
+// ctx.Err(). It streams the program's records from a fresh front end; a
+// caller holding a recorded trace of the run profiles it with ProfileShapes
+// instead, for the same regions.
 func ProfileContext(ctx context.Context, p *program.Program, opts ProfileOptions) ([]Region, error) {
-	regs, err := ProfileShapes(ctx, p, []ProfileOptions{opts})
+	regs, err := profileShapes(ctx, p, nil, []ProfileOptions{opts})
 	if err != nil {
 		return nil, err
 	}
 	return regs[0], nil
 }
 
-// ProfileShapes profiles p once for several slice shapes — options that
-// differ only in Scope and MaxSlice, the axes of the paper's Figure 4 — and
-// returns, per entry of opts, exactly the regions ProfileContext returns for
-// it alone. It fails if the options differ in any other field.
+// ProfileShapes profiles the records of trace t once for several slice
+// shapes — options that differ only in Scope and MaxSlice, the axes of the
+// paper's Figure 4 — and returns, per entry of opts, exactly the regions
+// ProfileContext returns for t's program and that entry alone. It fails if
+// the options differ in any other field. It reads the records
+// [0, WarmInsts+MaxInsts), so t must cover them or end at HALT or at an
+// oracle error; a streamed trace is served from a fresh front end.
 //
 // One pass serves every shape because Backward visits the in-scope producer
 // closure in strictly decreasing Seq order and a producer is always older
 // than its consumer: the slice of a shape (S, L) is the prefix of a wider
 // shape's slice holding the entries with Dist < S, at most L of them, with
-// dependences that point past the cut turned into NoDep (see cut). Tracker
-// dataflow and trigger counts do not depend on the scope, so the pass tracks
-// at the widest scope, slices each miss once at the widest length, and cuts
-// that slice per shape.
-func ProfileShapes(ctx context.Context, p *program.Program, opts []ProfileOptions) ([][]Region, error) {
+// dependences that point past the cut turned into NoDep (see cut). Trigger
+// counts do not depend on the scope, so the pass slices each miss once at
+// the widest scope and length, and cuts that slice per shape.
+func ProfileShapes(ctx context.Context, t *frontend.Trace, opts []ProfileOptions) ([][]Region, error) {
+	return profileShapes(ctx, t.Program(), t, opts)
+}
+
+// profileShapes is ProfileShapes over p's records: t's, or streamed from a
+// fresh front end when t is nil or streamed.
+func profileShapes(ctx context.Context, p *program.Program, t *frontend.Trace, opts []ProfileOptions) ([][]Region, error) {
 	if len(opts) == 0 {
 		return nil, fmt.Errorf("profile %s: no slice shapes", p.Name)
 	}
-	// Every shape shares the first one's filled options (one cache
-	// hierarchy serves the pass) with its own scope and length.
+	// Every shape shares the first one's filled options with its own scope
+	// and length.
 	filled := opts[0]
 	filled.fill()
 	shapes := make([]ProfileOptions, len(opts))
-	wide := &Slicer{}
 	for i, o := range opts {
 		if unshaped(o) != unshaped(opts[0]) {
 			return nil, fmt.Errorf("profile %s: shape %d differs from shape 0 in more than scope and length", p.Name, i)
@@ -124,9 +112,8 @@ func ProfileShapes(ctx context.Context, p *program.Program, opts []ProfileOption
 		shape.Scope, shape.MaxSlice = o.Scope, o.MaxSlice
 		shape.fill()
 		shapes[i] = shape
-		wide.MaxLen = max(wide.MaxLen, shape.MaxSlice)
 	}
-	return profile(ctx, p, shapes, wide.Backward)
+	return profile(ctx, p, t, shapes)
 }
 
 // unshaped returns o without its slice shape.
@@ -135,45 +122,81 @@ func unshaped(o ProfileOptions) ProfileOptions {
 	return o
 }
 
-// profile is ProfileShapes with the backward slicer supplied by the caller
-// (tests pin the slicer against a frozen reference through it). shapes must
-// be filled and differ only in Scope and MaxSlice, and backward must slice
-// at the widest MaxSlice; the tracker runs at the widest Scope.
-func profile(ctx context.Context, p *program.Program, shapes []ProfileOptions, backward func(*trace.Tracker, *trace.Entry) []Inst) ([][]Region, error) {
-	done := ctx.Done()
-	opts := shapes[0]
-	if opts.Sampling != nil {
-		if err := opts.Sampling.Validate(); err != nil {
+// records is the profiler's record source: a recorded trace read in place,
+// or a ring fed by a fresh front end.
+type records struct {
+	w  *Window
+	fe *frontend.FrontEnd // nil: w.Recs is the recording
+	t  *frontend.Trace
+}
+
+// next returns the record of sequence number seq, the one after the last
+// returned: it steps the front end into the ring, or reads the recording,
+// where a recording that ends before seq ends the stream with its oracle
+// error, or with an error of its own if it was too short.
+func (r *records) next(seq int64) (*frontend.Rec, error) {
+	if r.fe != nil {
+		rec := &r.w.Recs[seq&r.w.Mask]
+		if err := r.fe.Step(rec); err != nil {
 			return nil, err
 		}
+		return rec, nil
 	}
-	scope := opts.Scope
-	for _, s := range shapes[1:] {
-		scope = max(scope, s.Scope)
+	if seq >= int64(len(r.w.Recs)) {
+		if err := r.t.Err(); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("trace of %d records too short", len(r.w.Recs))
 	}
-	st := cpu.New(p)
-	tr := trackerPool.Get().(*trace.Tracker)
-	tr.Reset(scope)
-	defer trackerPool.Put(tr)
+	return &r.w.Recs[seq], nil
+}
 
-	if opts.Sampling == nil {
-		// Warm-up: train the caches without recording anything.
-		for w := int64(0); w < opts.WarmInsts && !st.Halted; w++ {
-			if done != nil && w&ctxCheckMask == 0 {
-				select {
-				case <-done:
-					return nil, ctx.Err()
-				default:
-				}
-			}
-			e, err := st.Step()
-			if err != nil {
-				return nil, fmt.Errorf("profile %s (warm-up): %w", p.Name, err)
-			}
-			if e.Inst.IsMem() {
-				opts.Hierarchy.Access(e.EffAddr, e.Inst.Op == isa.ST)
+// profile is profileShapes over filled shapes that differ only in Scope and
+// MaxSlice. It slices each miss at the widest of both.
+func profile(ctx context.Context, p *program.Program, t *frontend.Trace, shapes []ProfileOptions) ([][]Region, error) {
+	done := ctx.Done()
+	opts := shapes[0]
+	w := &Window{First: opts.WarmInsts, Text: p.Insts}
+	wide := &Slicer{}
+	for _, s := range shapes {
+		w.Scope = max(w.Scope, int64(s.Scope))
+		wide.MaxLen = max(wide.MaxLen, s.MaxSlice)
+	}
+	src := records{w: w, t: t}
+	if t == nil || t.Streamed() {
+		// The ring holds every record a slice can reach: the widest
+		// scope's worth up to the miss.
+		n := int64(1)
+		for n < w.Scope {
+			n <<= 1
+		}
+		src.fe = frontend.New(p)
+		w.Recs, w.Mask = make([]frontend.Rec, n), n-1
+	} else {
+		w.Recs, w.Mask = t.Recs(), -1
+	}
+	h := cache.DefaultHierarchy()
+
+	// Warm-up: train the caches without recording anything.
+	var n int64 // instructions executed, the next record's sequence number
+	halted := false
+	for n < opts.WarmInsts && !halted {
+		if done != nil && n&ctxCheckMask == 0 {
+			select {
+			case <-done:
+				return nil, ctx.Err()
+			default:
 			}
 		}
+		rec, err := src.next(n)
+		if err != nil {
+			return nil, fmt.Errorf("profile %s (warm-up): %w", p.Name, err)
+		}
+		n++
+		if c := isa.Class(rec.Class); c == isa.ClassLoad || c == isa.ClassStore {
+			h.Access(rec.EffAddr, c == isa.ClassStore)
+		}
+		halted = rec.Flags&frontend.FHalt != 0
 	}
 
 	regions := make([][]Region, len(shapes))
@@ -184,24 +207,23 @@ func profile(ctx context.Context, p *program.Program, shapes []ProfileOptions, b
 	var cutBuf []Inst // scratch of the per-shape cuts, reused across misses
 	// Region boundaries are absolute dynamic instruction indices (the
 	// timing simulator gates launches on absolute trigger positions), so
-	// after warm-up the measured window starts at st.Count.
-	regionStart := st.Count
+	// after warm-up the measured window starts at n.
+	regionStart := n
 	var regionMeasured, loads, misses int64
-	// Snapshot per-PC counts for a region in one pass: the tracker counts
-	// globally, so diff against (and refresh) the reused previous-snapshot
-	// scratch. Every shape's forest gets its own copy.
-	prevDCtrig := make(map[int]int64, 256)
+	// trig counts each static instruction's executions in the open region;
+	// every shape's forest gets its own copy.
+	trig := make([]int64, len(p.Insts))
 	closeRegion := func(end int64) {
-		trig := forests[0].DCtrig
-		for pc, n := range tr.DCtrig {
-			if d := n - prevDCtrig[pc]; d > 0 {
-				trig[pc] = d
+		dc := forests[0].DCtrig
+		for pc, c := range trig {
+			if c > 0 {
+				dc[pc] = c
+				trig[pc] = 0
 			}
-			prevDCtrig[pc] = n
 		}
 		for i, f := range forests {
 			if i > 0 {
-				maps.Copy(f.DCtrig, trig)
+				maps.Copy(f.DCtrig, dc)
 			}
 			f.Insts, f.Loads, f.L2Misses = regionMeasured, loads, misses
 			regions[i] = append(regions[i], Region{Start: regionStart, End: end, Forest: f})
@@ -214,54 +236,40 @@ func profile(ctx context.Context, p *program.Program, shapes []ProfileOptions, b
 		regionMeasured, loads, misses = 0, 0, 0
 	}
 
-	n := st.Count
-	var measured int64
-	for measured < opts.MaxInsts && !st.Halted {
-		if done != nil && st.Count&ctxCheckMask == 0 {
+	for measured := int64(0); measured < opts.MaxInsts && !halted; measured++ {
+		if done != nil && n&ctxCheckMask == 0 {
 			select {
 			case <-done:
 				return nil, ctx.Err()
 			default:
 			}
 		}
-		phase := sampling.On
-		if opts.Sampling != nil {
-			phase, _ = opts.Sampling.PhaseAt(st.Count)
-		}
-		e, err := st.Step()
+		rec, err := src.next(n)
 		if err != nil {
 			return nil, fmt.Errorf("profile %s: %w", p.Name, err)
 		}
-		switch phase {
-		case sampling.Off:
-			// Fast-forward: architectural state only.
-		case sampling.Warm:
-			if e.Inst.IsMem() {
-				opts.Hierarchy.Access(e.EffAddr, e.Inst.Op == isa.ST)
-			}
-		case sampling.On:
-			measured++
-			regionMeasured++
-			ent := tr.Observe(e)
-			if e.Inst.IsMem() {
-				res := opts.Hierarchy.Access(e.EffAddr, e.Inst.Op == isa.ST)
-				if e.Inst.Op == isa.LD {
-					loads++
-					if res == cache.MissL2 {
-						misses++
-						sl := backward(tr, ent)
-						for i, f := range forests {
-							shape := sl
-							if len(shapes) > 1 {
-								shape = cut(&cutBuf, sl, shapes[i].Scope, shapes[i].MaxSlice)
-							}
-							f.TreeFor(e.PC, e.Inst).Insert(shape)
-						}
+		seq := n
+		n++
+		regionMeasured++
+		trig[rec.PC]++
+		switch isa.Class(rec.Class) {
+		case isa.ClassStore:
+			h.Access(rec.EffAddr, true)
+		case isa.ClassLoad:
+			loads++
+			if h.Access(rec.EffAddr, false) == cache.MissL2 {
+				misses++
+				sl := wide.Backward(w, seq)
+				for i, f := range forests {
+					shape := sl
+					if len(shapes) > 1 {
+						shape = cut(&cutBuf, sl, shapes[i].Scope, shapes[i].MaxSlice)
 					}
+					f.TreeFor(int(rec.PC), p.Insts[rec.PC]).Insert(shape)
 				}
 			}
 		}
-		n = st.Count
+		halted = rec.Flags&frontend.FHalt != 0
 		if opts.RegionInsts > 0 && n-regionStart >= opts.RegionInsts {
 			closeRegion(n)
 		}

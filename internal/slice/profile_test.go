@@ -3,7 +3,6 @@ package slice
 import (
 	"testing"
 
-	"preexec/internal/sampling"
 	"preexec/internal/workload"
 )
 
@@ -91,47 +90,6 @@ func TestProfileRegions(t *testing.T) {
 	}
 	if sum != want {
 		t.Errorf("regioned DCtrig sum = %d, whole = %d", sum, want)
-	}
-}
-
-func TestProfileCyclicSampling(t *testing.T) {
-	// The paper verifies cyclic sampling is "equivalent" to unsampled
-	// execution by miss rates: the sampled profile's misses-per-measured-
-	// instruction must track the unsampled one.
-	w, err := workload.ByName("vpr.p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := ProfileWhole(w.Build(1), ProfileOptions{WarmInsts: 30_000, MaxInsts: 60_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := sampling.Schedule{OffInsts: 20_000, WarmInsts: 10_000, OnInsts: 30_000}
-	sampled, err := ProfileWhole(w.Build(1), ProfileOptions{MaxInsts: 60_000, Sampling: &sched})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sampled.Insts != 60_000 {
-		t.Errorf("sampled measured %d, want 60000", sampled.Insts)
-	}
-	fullRate := float64(full.L2Misses) / float64(full.Insts)
-	sampledRate := float64(sampled.L2Misses) / float64(sampled.Insts)
-	if sampledRate < fullRate*0.7 || sampledRate > fullRate*1.3 {
-		t.Errorf("sampled miss rate %.4f too far from unsampled %.4f", sampledRate, fullRate)
-	}
-	if len(sampled.Trees) == 0 {
-		t.Error("sampled profile built no slice trees")
-	}
-}
-
-func TestProfileInvalidSampling(t *testing.T) {
-	w, err := workload.ByName("crafty")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := sampling.Schedule{OnInsts: 0}
-	if _, err := ProfileWhole(w.Build(1), ProfileOptions{MaxInsts: 1000, Sampling: &bad}); err == nil {
-		t.Error("invalid sampling schedule should fail")
 	}
 }
 

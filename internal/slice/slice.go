@@ -4,8 +4,8 @@
 package slice
 
 import (
+	"preexec/internal/frontend"
 	"preexec/internal/isa"
-	"preexec/internal/trace"
 )
 
 // NoDep marks a source operand with no producer inside the slice (a live-in
@@ -29,7 +29,39 @@ type Inst struct {
 	MemDepPos int
 }
 
-// Slicer extracts backward slices from a Tracker's window. A Slicer carries
+// Window is the backward slicer's view of a front-end record stream. The
+// record of sequence number seq is Recs[seq&Mask]: Mask is -1 (all ones)
+// over a whole recording, indexed by sequence number, and len(Recs)-1 over
+// a ring of a power-of-two length at least Scope, which holds the Scope
+// records up to the miss being sliced. Text is the program's instructions,
+// indexed by Rec.PC.
+//
+// The window implements the paper's slicing scope — the length of dynamic
+// trace the p-thread constructor may examine (§4.4, Figure 4): a producer
+// is in scope when it is fewer than Scope records before the miss and at or
+// after First, the first measured instruction. Producers outside it, warm-up
+// producers included, are live-ins.
+type Window struct {
+	Recs  []frontend.Rec
+	Mask  int64
+	First int64
+	Scope int64
+	Text  []isa.Inst
+}
+
+// producers returns the sequence numbers of record seq's register producers,
+// per source operand, and, for a load, of the store that produced its word;
+// -1 for none.
+func (w *Window) producers(seq int64) [3]int64 {
+	r := &w.Recs[seq&w.Mask]
+	mem := int64(-1)
+	if isa.Class(r.Class) == isa.ClassLoad {
+		mem = frontend.LinkBack(seq, r.PrevStore)
+	}
+	return [3]int64{frontend.LinkBack(seq, r.Prod[0]), frontend.LinkBack(seq, r.Prod[1]), mem}
+}
+
+// Slicer extracts backward slices from a record Window. A Slicer carries
 // scratch reused across Backward calls, so one Slicer serves one profiling
 // run (it is not safe for concurrent use); once warm it allocates nothing.
 type Slicer struct {
@@ -37,15 +69,16 @@ type Slicer struct {
 	// maximum p-thread length; default configuration uses 32).
 	MaxLen int
 
-	pending []int64        // max-heap of producer Seqs still to expand
-	ents    []*trace.Entry // the slice's entries, in decreasing Seq
-	out     []Inst         // the returned slice's backing array
+	pending []int64 // max-heap of producer Seqs still to expand
+	seqs    []int64 // the slice's sequence numbers, decreasing
+	pos     []int32 // 1 + slice position by distance from the miss, 0 none
+	out     []Inst  // the returned slice's backing array
 }
 
-// Backward builds the dynamic backward data-dependence slice of the given
-// miss entry. The slice includes the load itself at position 0 and follows
-// register producers and (for loads) store producers, bounded by the
-// tracker's scope window and by MaxLen instructions.
+// Backward builds the dynamic backward data-dependence slice of the miss
+// with sequence number miss. The slice includes the load itself at position
+// 0 and follows register producers and (for loads) store producers, bounded
+// by the window's slicing scope and by MaxLen instructions.
 //
 // Producers are expanded in decreasing-Seq order: the latest pending
 // instruction always comes next, so the MaxLen cutoff keeps the
@@ -60,7 +93,7 @@ type Slicer struct {
 // they produce no register values the computation consumes (JAL link values
 // are followed like any dataflow, but workload miss computations do not use
 // them). This realizes the paper's control-less p-thread model.
-func (s *Slicer) Backward(tr *trace.Tracker, miss *trace.Entry) []Inst {
+func (s *Slicer) Backward(w *Window, miss int64) []Inst {
 	maxLen := s.MaxLen
 	if maxLen <= 0 {
 		maxLen = 32
@@ -70,58 +103,56 @@ func (s *Slicer) Backward(tr *trace.Tracker, miss *trace.Entry) []Inst {
 	// Seq order. A producer reached twice (add r3,r1,r1, or two consumers
 	// sharing it) therefore pops right after its twin and is skipped there:
 	// no seen-set is needed.
-	s.pending = append(s.pending[:0], miss.Seq)
-	ents := s.ents[:0]
-	for len(s.pending) > 0 && len(ents) < maxLen {
+	s.pending = append(s.pending[:0], miss)
+	seqs := s.seqs[:0]
+	for len(s.pending) > 0 && len(seqs) < maxLen {
 		seq := s.popMax()
-		if len(ents) > 0 && ents[len(ents)-1].Seq == seq {
+		if len(seqs) > 0 && seqs[len(seqs)-1] == seq {
 			continue
 		}
-		ent := miss
-		if seq != miss.Seq {
-			ent, _ = tr.Get(seq) // in scope: checked when pushed
-		}
-		ents = append(ents, ent)
+		seqs = append(seqs, seq)
 		// A producer outside the slicing scope is a live-in: never pushed.
-		for _, prod := range [3]int64{ent.SrcProd[0], ent.SrcProd[1], ent.MemProd} {
-			if prod != trace.NoProducer && tr.InScope(prod) {
+		for _, prod := range w.producers(seq) {
+			if prod >= w.First && miss-prod < w.Scope {
 				s.push(prod)
 			}
 		}
 	}
-	s.ents = ents
+	s.seqs = seqs
 
+	// Index the slice by distance from the miss, which is below the scope
+	// for every entry, so each producer's position is one lookup.
+	if int64(len(s.pos)) < w.Scope {
+		s.pos = make([]int32, w.Scope)
+	}
+	for i, seq := range seqs {
+		s.pos[miss-seq] = int32(i + 1)
+	}
 	out := s.out[:0]
-	for _, ent := range ents {
+	for _, seq := range seqs {
+		pc := w.Recs[seq&w.Mask].PC
+		p := w.producers(seq)
 		out = append(out, Inst{
-			PC:        ent.PC,
-			Op:        ent.Inst,
-			Dist:      miss.Seq - ent.Seq,
-			DepPos:    [2]int{posOf(ents, ent.SrcProd[0]), posOf(ents, ent.SrcProd[1])},
-			MemDepPos: posOf(ents, ent.MemProd),
+			PC:        int(pc),
+			Op:        w.Text[pc],
+			Dist:      miss - seq,
+			DepPos:    [2]int{s.posOf(miss, p[0]), s.posOf(miss, p[1])},
+			MemDepPos: s.posOf(miss, p[2]),
 		})
+	}
+	for _, seq := range seqs {
+		s.pos[miss-seq] = 0
 	}
 	s.out = out
 	return out
 }
 
-// posOf returns the position of the entry with the given Seq in ents (sorted
-// by decreasing Seq), or NoDep if the slice does not contain it.
-func posOf(ents []*trace.Entry, seq int64) int {
-	if seq == trace.NoProducer {
-		return NoDep
-	}
-	lo, hi := 0, len(ents)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ents[mid].Seq > seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(ents) && ents[lo].Seq == seq {
-		return lo
+// posOf returns the slice position of the producer with sequence number
+// prod (-1 for none) in the slice of miss, or NoDep if the slice does not
+// contain it.
+func (s *Slicer) posOf(miss, prod int64) int {
+	if d := miss - prod; prod >= 0 && d < int64(len(s.pos)) {
+		return int(s.pos[d]) - 1
 	}
 	return NoDep
 }

@@ -4,19 +4,14 @@ import (
 	"testing"
 
 	"preexec/internal/cpu"
+	"preexec/internal/frontend"
 	"preexec/internal/isa"
-	"preexec/internal/trace"
 )
 
-// feed pushes a sequence of execs through a fresh tracker and returns the
-// tracker plus the entry of the final instruction.
-func feed(scope int, execs []cpu.Exec) (*trace.Tracker, *trace.Entry) {
-	tr := trace.NewTracker(scope)
-	var last *trace.Entry
-	for _, e := range execs {
-		last = tr.Observe(e)
-	}
-	return tr, last
+// feed links a sequence of execs into a window of the given scope and
+// returns it with the sequence number of the final instruction.
+func feed(scope int, execs []cpu.Exec) (*Window, int64) {
+	return LinkedWindow(scope, execs), execs[len(execs)-1].Seq
 }
 
 func TestBackwardLinearChain(t *testing.T) {
@@ -159,5 +154,37 @@ func TestBackwardInductionUnrolling(t *testing.T) {
 		if sl[i].PC != 11 {
 			t.Errorf("slice[%d].PC = %d, want 11 (induction instance)", i, sl[i].PC)
 		}
+	}
+}
+
+// TestWindowEviction pins the slicing window over a ring the length of the
+// scope: a producer 3 records before the miss is sliced, the one 4 records
+// before — already overwritten in the 4-record ring — is a live-in, and so
+// is every producer before First, the first measured instruction.
+func TestWindowEviction(t *testing.T) {
+	execs := []cpu.Exec{
+		{Seq: 0, PC: 0, Inst: isa.Inst{Op: isa.LI, Rd: 1}},
+		{Seq: 1, PC: 1, Inst: isa.Inst{Op: isa.LI, Rd: 2}},
+		{Seq: 2, PC: 2, Inst: isa.Inst{Op: isa.ADDI, Rd: 3, Rs1: 2}},
+		{Seq: 3, PC: 3, Inst: isa.Inst{Op: isa.NOP}},
+		{Seq: 4, PC: 4, Inst: isa.Inst{Op: isa.NOP}},
+		{Seq: 5, PC: 5, Inst: isa.Inst{Op: isa.LD, Rd: 4, Rs1: 3}, EffAddr: 0x40},
+	}
+	w := &Window{Recs: make([]frontend.Rec, 4), Mask: 3, Scope: 4}
+	l := frontend.NewLinker()
+	for i := range execs {
+		w.Text = append(w.Text, execs[i].Inst)
+		l.Link(&execs[i], &w.Recs[execs[i].Seq&w.Mask])
+	}
+	sl := (&Slicer{MaxLen: 32}).Backward(w, 5)
+	if len(sl) != 2 || sl[1].PC != 2 {
+		t.Fatalf("slice = %+v, want the load and its in-scope producer", sl)
+	}
+	if sl[1].DepPos[0] != NoDep {
+		t.Error("a producer past the ring's scope must be a live-in")
+	}
+	w.First = 3
+	if sl := (&Slicer{MaxLen: 32}).Backward(w, 5); len(sl) != 1 || sl[0].DepPos[0] != NoDep {
+		t.Errorf("slice = %+v, want the load alone: its producer precedes First", sl)
 	}
 }

@@ -77,10 +77,10 @@ func (t *Tree) Insert(sl []Inst) {
 	}
 	t.Misses++
 	node := t.Root
-	node.adoptDeps(sl[0])
+	node.adoptDeps(&sl[0])
 	node.DCptcm++
 	for i := 1; i < len(sl); i++ {
-		si := sl[i]
+		si := &sl[i]
 		c := node.child(si.PC)
 		if c == nil {
 			c = &Node{
@@ -99,7 +99,7 @@ func (t *Tree) Insert(sl []Inst) {
 // adoptDeps refines a node's dependence structure: slices whose producers
 // fell outside the slicing scope (or before observation started) report
 // NoDep; a later instance that does see the producer fills the hole in.
-func (n *Node) adoptDeps(si Inst) {
+func (n *Node) adoptDeps(si *Inst) {
 	for k := 0; k < 2; k++ {
 		if n.DepPos[k] == NoDep && si.DepPos[k] != NoDep {
 			n.DepPos[k] = si.DepPos[k]

@@ -11,22 +11,17 @@
 // feeds fetch); branch mispredictions stall fetch until the branch resolves
 // plus a redirect penalty. Wrong-path instructions and wrong-path p-thread
 // launches are not simulated — the one deliberate divergence from the paper,
-// whose own selection model also ignores wrong-path triggers (§4.3); see
-// DESIGN.md.
+// whose own selection model also ignores wrong-path triggers (§4.3).
 //
-// Performance invariant: the one backend (replay.go), fed by the streamed
-// or recorded front end (trace.go), is heavily optimized — slot rings,
-// event-driven issue scheduling, idle-cycle fast-forward — but
+// Performance invariant: the one backend (replay.go), fed by the streamed or
+// recorded front end (internal/frontend), is heavily optimized — slot
+// rings, event-driven issue scheduling, idle-cycle fast-forward — but
 // optimizations must preserve bit-for-bit identical Stats. The frozen
 // pre-optimization core in refsim_test.go and the equivalence tests in
 // equiv_test.go and synth_equiv_test.go enforce this; an intentional model
 // change updates that frozen copy in the same commit. BENCH_baseline.json at the repository root records the
 // micro-benchmark baseline that CI guards (cmd/benchsnap).
 package timing
-
-import (
-	"preexec/internal/cache"
-)
 
 // Mode selects what the simulated p-threads are allowed to do. The
 // diagnostic modes implement the paper's validation methodology (§4.3).
@@ -104,9 +99,6 @@ type Config struct {
 	WarmInsts int64
 	MaxInsts  int64 // measured main-thread instructions
 	Mode      Mode
-
-	// Hierarchy overrides the cache geometry (nil = the paper's).
-	Hierarchy *cache.Hierarchy
 }
 
 // DefaultConfig returns the paper's base configuration: 8-wide, 14-stage

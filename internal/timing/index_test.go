@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"preexec/internal/frontend"
 	"preexec/internal/workload"
 )
 
@@ -28,17 +29,17 @@ func TestDynamicIndicesAre64Bit(t *testing.T) {
 	}
 
 	seq, prod := edge31+5, edge31-2
-	if got := linkBack(seq, linkTo(seq, prod)); got != prod {
+	if got := frontend.LinkBack(seq, frontend.LinkTo(seq, prod)); got != prod {
 		t.Errorf("link %d -> %d decodes to %d", seq, prod, got)
 	}
-	if d := linkTo(seq, 3); d != 0 {
+	if d := frontend.LinkTo(seq, 3); d != 0 {
 		t.Errorf("linkTo over %d records = %d, want the dropped link 0", seq-3, d)
 	}
-	if d := linkTo(seq, -1); d != 0 {
-		t.Errorf("linkTo(none) = %d, want 0", d)
+	if d := frontend.LinkTo(seq, -1); d != 0 {
+		t.Errorf("frontend.LinkTo(none) = %d, want 0", d)
 	}
-	if got := linkBack(seq, 0); got != -1 {
-		t.Errorf("linkBack(no link) = %d, want -1", got)
+	if got := frontend.LinkBack(seq, 0); got != -1 {
+		t.Errorf("frontend.LinkBack(no link) = %d, want -1", got)
 	}
 
 	var r replaySim
@@ -80,7 +81,7 @@ func TestStreamedRunPast32Bits(t *testing.T) {
 	cfg = cfg.withDefaults()
 	r := newReplay(prog, nil, pts, cfg)
 	const start = edge31 - 10_000
-	r.fe.oracle.Count = start
+	r.fe.Oracle.Count = start
 	r.pos, r.winSeq, r.stats.Retired = start, start, start
 	// The livelock guard scales with the offset run's total, so a narrowed
 	// index that wedges the machine is cut off by the deadline instead.

@@ -29,10 +29,9 @@ type memsys struct {
 }
 
 func newMemsys(cfg Config, stats *Stats) *memsys {
-	h := cfg.Hierarchy
-	if h == nil {
-		h = cache.DefaultHierarchy()
-	}
+	// Every run gets its own caches: a hierarchy shared between runs would
+	// carry cache state from one run into the next.
+	h := cache.DefaultHierarchy()
 	return &memsys{
 		l1d:           h.L1D,
 		l2:            h.L2,

@@ -68,10 +68,7 @@ type refMemsys struct {
 }
 
 func newRefMemsys(cfg Config, stats *Stats) *refMemsys {
-	h := cfg.Hierarchy
-	if h == nil {
-		h = cache.DefaultHierarchy()
-	}
+	h := cache.DefaultHierarchy()
 	return &refMemsys{cfg: cfg, l1d: h.L1D, l2: h.L2, stats: stats}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"preexec/internal/cpu"
+	"preexec/internal/frontend"
 	"preexec/internal/isa"
 	"preexec/internal/program"
 	"preexec/internal/pthread"
@@ -13,13 +14,13 @@ import (
 
 // This file is the simulator's backend: the fetch, rename, schedule,
 // issue, complete and retire stages of the SMT pipeline. Its front-end
-// records (trace.go) come from one of two sources that produce identical
-// streams: RunContext steps the functional oracle and the branch predictor
-// inside fetch, and Replay reads a Trace recorded ahead of time, so one
-// base-run recording re-times any selection in any mode. Either way the
-// Stats equal the frozen reference core's (refsim_test.go), pinned by
-// equiv_test.go, replay_equiv_test.go and the synth corpus differentials in
-// synth_equiv_test.go.
+// records (internal/frontend) come from one of two sources that produce
+// identical streams: RunContext steps the functional oracle and the branch
+// predictor inside fetch, and Replay reads a Trace recorded ahead of time,
+// so one base-run recording re-times any selection in any mode. Either way
+// the Stats equal the frozen reference core's (refsim_test.go), pinned by
+// equiv_test.go, replay_equiv_test.go and the synth corpus differentials
+// in synth_equiv_test.go.
 //
 // The hot path is built around three ideas, none of which changes Stats:
 //
@@ -326,10 +327,10 @@ type replaySim struct {
 	// the architectural state at the fetch frontier that p-thread launches
 	// read: the oracle itself when streaming, a replica the records'
 	// effects are applied to when replaying.
-	fe        *frontEnd
+	fe        *frontend.FrontEnd
 	trace     *Trace
 	arch      *cpu.State
-	recs      []traceRec
+	recs      []frontend.Rec
 	recMask   int64
 	pos       int64
 	fetchQ    i32ring
@@ -378,23 +379,22 @@ type replaySim struct {
 // streamed trace (a run over the recording cap) is served by stepping the
 // front end exactly as RunContext does.
 func Replay(ctx context.Context, t *Trace, pts []*pthread.PThread, cfg Config) (Stats, error) {
-	if t.version != TraceVersion {
-		return Stats{}, fmt.Errorf("timing: trace version %q does not match simulator %q", t.version, TraceVersion)
+	if t.Version() != TraceVersion {
+		return Stats{}, fmt.Errorf("timing: trace version %q does not match simulator %q", t.Version(), TraceVersion)
 	}
 	cfg = cfg.withDefaults()
 	total := runTotal(cfg)
-	if t.streamed {
-		return newReplay(t.prog, nil, pts, cfg).run(ctx, total)
+	if t.Streamed() {
+		return newReplay(t.Program(), nil, pts, cfg).run(ctx, total)
 	}
 	// A trace ending in HALT (or truncated by an oracle error) covers the
 	// whole fetch stream; an extent-bounded trace must cover this run's
 	// total plus its maximum fetch-ahead.
-	complete := t.truncated ||
-		(len(t.recs) > 0 && t.recs[len(t.recs)-1].flags&tfHalt != 0)
-	if !complete && total+traceExtent(cfg) > int64(len(t.recs)) {
-		return Stats{}, fmt.Errorf("timing: trace of %d records too short for a %d-instruction run", len(t.recs), total)
+	complete := t.Err() != nil || t.Halted()
+	if !complete && total+traceExtent(cfg) > int64(t.Records()) {
+		return Stats{}, fmt.Errorf("timing: trace of %d records too short for a %d-instruction run", t.Records(), total)
 	}
-	return newReplay(t.prog, t, pts, cfg).run(ctx, total)
+	return newReplay(t.Program(), t, pts, cfg).run(ctx, total)
 }
 
 // newReplay prepares a simulation of prog fed from the recorded trace t, or
@@ -430,12 +430,12 @@ func newReplay(prog *program.Program, t *Trace, pts []*pthread.PThread, cfg Conf
 		ctxs:            make([]rctx, cfg.PtContexts),
 	}
 	if t == nil {
-		r.fe = newFrontEnd(prog)
-		r.arch = r.fe.oracle
-		r.recs, r.recMask = make([]traceRec, sz), r.slotMask
+		r.fe = frontend.New(prog)
+		r.arch = r.fe.Oracle
+		r.recs, r.recMask = make([]frontend.Rec, sz), r.slotMask
 	} else {
-		r.arch = cpu.New(prog)
-		r.recs, r.recMask = t.recs, -1
+		r.arch = frontend.NewReplica(prog)
+		r.recs, r.recMask = t.Recs(), -1
 	}
 	for i := range r.wheel {
 		r.wheel[i] = none
@@ -556,7 +556,7 @@ func (r *replaySim) run(ctx context.Context, total int64) (Stats, error) {
 		}
 	}
 	if r.exhausted {
-		return r.stats, fmt.Errorf("timing: trace of %d records exhausted mid-run (%s)", len(r.trace.recs), r.prog.Name)
+		return r.stats, fmt.Errorf("timing: trace of %d records exhausted mid-run (%s)", len(r.recs), r.prog.Name)
 	}
 	st := subStats(r.stats, warm)
 	st.Cycles = r.cycle - warmCycle
@@ -689,26 +689,26 @@ func (r *replaySim) fetch() bool {
 		// stack and block-copied, a measurable cost once per instruction.
 		u := &r.slots[id]
 		*u = rslot{}
-		u.availC, u.effAddr, u.seq = r.cycle+r.frontEndDepth, rec.effAddr, r.pos
+		u.availC, u.effAddr, u.seq = r.cycle+r.frontEndDepth, rec.EffAddr, r.pos
 		u.prod = [3]int64{none, none, none}
 		u.waiterHead, u.nextWaiter = none, none
-		u.class, u.latAdd, u.isStore = rec.class, rec.latAdd, rec.flags&tfStore != 0
+		u.class, u.latAdd, u.isStore = rec.Class, rec.LatAdd, rec.Flags&frontend.FStore != 0
 		r.fetchQ.push(id)
 		r.pos++
 		work = true
-		if rec.flags&tfBrLookup != 0 {
+		if rec.Flags&frontend.FBrLookup != 0 {
 			r.stats.BrLookups++
 		}
-		if rec.flags&tfMispredict != 0 {
+		if rec.Flags&frontend.FMispredict != 0 {
 			r.stats.BrMispred++
 			r.blocker = id
 			return true
 		}
-		if rec.flags&tfHalt != 0 {
+		if rec.Flags&frontend.FHalt != 0 {
 			r.fetchDone = true
 			return true
 		}
-		if rec.flags&tfBreak != 0 {
+		if rec.Flags&frontend.FBreak != 0 {
 			return true
 		}
 	}
@@ -722,30 +722,30 @@ func (r *replaySim) fetch() bool {
 // errors out, which a recording marks as truncation; a recording ending
 // anywhere else was too short for this run, which fails the replay rather
 // than letting it diverge.
-func (r *replaySim) next() *traceRec {
+func (r *replaySim) next() *frontend.Rec {
 	if r.fe != nil {
 		rec := r.rec(r.pos)
-		if r.fe.step(rec) != nil {
+		if r.fe.Step(rec) != nil {
 			return nil
 		}
 		return rec
 	}
 	if r.pos >= int64(len(r.recs)) {
-		r.exhausted = !r.trace.truncated
+		r.exhausted = r.trace.Err() == nil
 		return nil
 	}
 	rec := r.rec(r.pos)
-	if rec.flags&tfHasDest != 0 {
-		r.arch.Regs[rec.rd] = rec.val
-	} else if rec.flags&tfStore != 0 {
-		r.arch.Mem.Write(rec.effAddr, rec.val)
+	if rec.Flags&frontend.FHasDest != 0 {
+		r.arch.Regs[rec.Rd] = rec.Val
+	} else if rec.Flags&frontend.FStore != 0 {
+		r.arch.Mem.Write(rec.EffAddr, rec.Val)
 	}
 	return rec
 }
 
 // rec returns the front-end record of main-thread instruction seq, which
 // must be fetched and not yet overwritten (in flight, when streaming).
-func (r *replaySim) rec(seq int64) *traceRec { return &r.recs[seq&r.recMask] }
+func (r *replaySim) rec(seq int64) *frontend.Rec { return &r.recs[seq&r.recMask] }
 
 // rename moves instructions from the front end into the backend, injects
 // p-thread bursts (stealing sequencing slots), and launches p-threads when
@@ -823,7 +823,7 @@ func (r *replaySim) rename() bool {
 		// rename table would hold, a retired one a dependency the table
 		// would already have cleared.
 		for i := 0; i < 2; i++ {
-			if j := linkBack(u.seq, rec.prod[i]); r.inFlight(j) {
+			if j := frontend.LinkBack(u.seq, rec.Prod[i]); r.inFlight(j) {
 				u.prod[i] = mainRef(j)
 			}
 		}
@@ -833,7 +833,7 @@ func (r *replaySim) rename() bool {
 		r.rob.push(id)
 		r.enterWindow(id)
 		if r.trig != nil {
-			if ti := r.trig[rec.pc]; ti != 0 {
+			if ti := r.trig[rec.PC]; ti != 0 {
 				// launch allocates slots: u is invalid after this call.
 				r.launch(r.trigList[ti-1], id)
 			}
@@ -1051,7 +1051,7 @@ func (r *replaySim) complete(id int32) int64 {
 // forward.
 func (r *replaySim) forwardFrom(u *rslot) bool {
 	seq := u.seq
-	for d := r.rec(seq).prevStore; d != 0; d = r.rec(seq).prevStore {
+	for d := r.rec(seq).PrevStore; d != 0; d = r.rec(seq).PrevStore {
 		if seq -= int64(d); !r.inFlight(seq) {
 			break
 		}

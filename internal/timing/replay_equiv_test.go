@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"testing"
 
+	"preexec/internal/frontend"
 	"preexec/internal/program"
 	"preexec/internal/pthread"
 	"preexec/internal/workload"
@@ -175,7 +176,7 @@ func TestReplayTruncatedTrace(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WarmInsts, cfg.MaxInsts = 0, 50_000
 	tr := recordFor(t, p, cfg)
-	if !tr.truncated {
+	if tr.Err() == nil {
 		t.Fatalf("trace not truncated: %d records", tr.Records())
 	}
 	want, err := Run(p, nil, cfg)
@@ -210,7 +211,10 @@ func TestReplayRejectsShortTrace(t *testing.T) {
 		t.Error("replay of a too-short trace did not fail")
 	}
 
-	stale := &Trace{prog: tr.prog, version: "rt0-stale", recs: tr.recs}
+	stale, err := frontend.Record(context.Background(), prog, TraceSpan(cfg), "rt0-stale")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Replay(context.Background(), stale, nil, cfg); err == nil {
 		t.Error("replay of a version-mismatched trace did not fail")
 	}

@@ -2,8 +2,8 @@
 // stand in for the paper's ten SPEC2000int benchmark/input combinations
 // (bzip2, crafty, gap, gcc, mcf, parser, twolf, vortex, vpr.p, vpr.r).
 //
-// SPEC binaries and inputs are not available to this reproduction (see
-// DESIGN.md's substitution table), so each kernel is engineered to exhibit
+// SPEC binaries and inputs are not available to this reproduction, so each
+// kernel is engineered to exhibit
 // the *memory-behaviour signature* the paper reports for its namesake —
 // the properties the selection framework actually responds to:
 //

@@ -72,7 +72,8 @@ type TimingConfig = timing.Config
 
 // Trace is a recorded base-run event trace: the complete front-end input of
 // any timing simulation of its program under its recorded configuration
-// family (all modes, any selection). See Simulator.
+// family (all modes, any selection), and of a profile of the same prefix.
+// See Simulator and Profiler.
 type Trace = timing.Trace
 
 // Mode selects what simulated p-threads are allowed to do; the diagnostic

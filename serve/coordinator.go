@@ -171,9 +171,11 @@ type coordCell struct {
 // profiles), plus one per cell whose merged report selected nothing: that
 // cell's pre-execution run is its base run. The other cells' pre-execution
 // runs group by preexec.ReplayKey: ReplayRuns is the number of groups and
-// ReplayHits the cells beyond the first of each. Each base run and each
-// replay looks its trace up once; TraceRuns is the number of distinct trace
-// keys and TraceHits the remaining lookups, BaseRuns+ReplayRuns-TraceRuns.
+// ReplayHits the cells beyond the first of each. Each base run, each
+// replay and each profiling pass (one per distinct ProfilePass key) looks
+// its trace up once; TraceRuns is the number of distinct trace keys, the
+// profiles' included, and TraceHits the remaining lookups,
+// BaseRuns+ReplayRuns+passes-TraceRuns.
 // Summing backend deltas would drift under faults (a truncated response
 // loses a counted run, a retry recounts one), silently breaking
 // byte-identity with the single-node golden.
@@ -181,6 +183,7 @@ func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, p
 	cells := make([]coordCell, 0, len(benches)*len(points))
 	baseGroups := make(map[string]bool)
 	profGroups := make(map[string]bool)
+	passGroups := make(map[string]bool)
 	traceGroups := make(map[string]bool)
 	for _, b := range benches {
 		name := b.Name
@@ -191,7 +194,9 @@ func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, p
 			ks := preexec.StageKeys(name, scale, pt.Config)
 			baseGroups[ks.Base] = true
 			profGroups[ks.Profile] = true
+			passGroups[ks.ProfilePass] = true
 			traceGroups[ks.Trace] = true
+			traceGroups[ks.ProfileTrace] = true
 			cells = append(cells, coordCell{
 				bench:    name,
 				point:    pt.Name,
@@ -254,7 +259,7 @@ func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, p
 			res.Cache.ReplayRuns++
 		}
 	}
-	res.Cache.TraceHits = res.Cache.BaseRuns + res.Cache.ReplayRuns - res.Cache.TraceRuns
+	res.Cache.TraceHits = res.Cache.BaseRuns + res.Cache.ReplayRuns + int64(len(passGroups)) - res.Cache.TraceRuns
 	return res, err
 }
 

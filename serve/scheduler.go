@@ -48,18 +48,21 @@ func (g *gate) queueDepth() int64 { return g.queued.Load() }
 
 // gatedProfiler runs the wrapped profiling backend inside a worker slot, one
 // slot per pass however many slice shapes it profiles. Only the computation
-// acquires: requests coalesced onto a cached flight never enter the gate.
+// acquires: requests coalesced onto a cached flight never enter the gate,
+// and the engine resolves the pass's trace — waiting on another stage's
+// recording, or recording it through the gated simulator — before calling
+// Profile, so a pass never holds a slot while it waits for a trace.
 type gatedProfiler struct {
 	g *gate
 	p preexec.Profiler
 }
 
-func (gp gatedProfiler) Profile(ctx context.Context, p *preexec.Program, opts []preexec.ProfileOptions) ([][]preexec.ProfileRegion, error) {
+func (gp gatedProfiler) Profile(ctx context.Context, t *preexec.Trace, opts []preexec.ProfileOptions) ([][]preexec.ProfileRegion, error) {
 	if err := gp.g.acquire(ctx); err != nil {
 		return nil, err
 	}
 	defer gp.g.release()
-	return gp.p.Profile(ctx, p, opts)
+	return gp.p.Profile(ctx, t, opts)
 }
 
 // gatedSimulator runs the wrapped timing backend's trace recordings and

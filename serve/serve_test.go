@@ -173,6 +173,38 @@ func TestEvaluateCoalescesIdenticalRequests(t *testing.T) {
 	}
 }
 
+// TestSingleWorkerEvaluateReadsOneTrace runs evaluations on a one-slot
+// worker pool, where a profile holding its slot while it waited for a
+// trace recording would deadlock. The default profile window reads the
+// base run's trace — one recording serves both stages — and a longer
+// profile window records a trace of its own beside it.
+func TestSingleWorkerEvaluateReadsOneTrace(t *testing.T) {
+	ts := newTestServer(t, serve.WithWorkers(1))
+	for i, c := range []struct {
+		name                 string
+		cfg                  string
+		traceRuns, traceHits int64
+	}{
+		{"default window", smallCfg, 1, 2},
+		{"longer window", `{"machine": {"warm_insts": 2000, "measure_insts": 8000}, "selection": {"profile_insts": 12000}}`, 2, 3},
+	} {
+		status, body := post(t, ts.URL+"/v1/evaluate", fmt.Sprintf(`{"workload": "vpr.p", "config": %s}`, c.cfg))
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.name, status, body)
+		}
+		var cache preexec.CacheStats
+		if err := json.Unmarshal(serverStats(t, ts.URL)["cache"], &cache); err != nil {
+			t.Fatal(err)
+		}
+		// Cumulative: the second evaluation shares the first's base run and
+		// its trace, and records one more for its profile.
+		if cache.TraceRuns != c.traceRuns || cache.TraceHits != c.traceHits || cache.ProfileRuns != int64(i+1) {
+			t.Errorf("%s: cache %+v, want %d trace recordings, %d trace hits and %d profiles",
+				c.name, cache, c.traceRuns, c.traceHits, i+1)
+		}
+	}
+}
+
 // TestEvaluateErrorMapping pins the 4xx contract: unknown workloads are 404
 // with the offending field named, invalid scales and configurations 400, and
 // non-POST methods 405.

@@ -30,11 +30,16 @@ func normalizeBaseTiming(cfg TimingConfig) TimingConfig {
 // StageKeySet names the memoized stages one evaluation needs, in the same
 // terms the StageCache keys them. A trace is keyed by its run's
 // timing.TraceSpan, not the whole machine, so cells of different base runs
-// can share one Trace key.
+// can share one Trace key. ProfileTrace is the trace the profile reads,
+// which with the default profile window is Trace itself, and ProfilePass
+// the profiling pass that serves the profile within a sweep: the profile
+// key without the slice shape.
 type StageKeySet struct {
-	Base    string
-	Profile string
-	Trace   string
+	Base         string
+	Profile      string
+	Trace        string
+	ProfileTrace string
+	ProfilePass  string
 }
 
 // StageKeys renders the stage identities of evaluating bench at the given
@@ -48,9 +53,17 @@ func StageKeys(bench string, scale int, cfg Config) StageKeySet {
 		Base: baseStageKey(bench, scale, n),
 		Profile: fmt.Sprintf("prof|%s|%d|wi%d|pi%d|sc%d|ml%d|ri%d",
 			bench, scale, po.WarmInsts, po.MaxInsts, po.Scope, po.MaxSlice, po.RegionInsts),
-		Trace: fmt.Sprintf("trace|%s|%d|s%d|%s",
-			bench, scale, timing.TraceSpan(n.timing(ModeBase)), timing.TraceVersion),
+		Trace:        traceStageKey(bench, scale, n.timing(ModeBase)),
+		ProfileTrace: traceStageKey(bench, scale, n.profileTiming()),
+		ProfilePass: fmt.Sprintf("pass|%s|%d|wi%d|pi%d|ri%d",
+			bench, scale, po.WarmInsts, po.MaxInsts, po.RegionInsts),
 	}
+}
+
+// traceStageKey renders the identity of the trace a run of bench at scale
+// under tc reads.
+func traceStageKey(bench string, scale int, tc TimingConfig) string {
+	return fmt.Sprintf("trace|%s|%d|s%d|%s", bench, scale, timing.TraceSpan(tc), timing.TraceVersion)
 }
 
 // baseStageKey renders the base-run identity of bench at scale under the

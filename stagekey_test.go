@@ -8,9 +8,9 @@ import (
 )
 
 // stagekeyGrid crosses every axis cmd/tsweep exposes (scope, maxlen, opt,
-// merge, region, memlat, selmemlat, width, selwidth) with a default and a
-// variant value: 512 configurations covering every combination of
-// stage-feeding and stage-irrelevant knobs.
+// merge, region, memlat, selmemlat, width, selwidth) and the profile window
+// with a default and a variant value: 1024 configurations covering every
+// combination of stage-feeding and stage-irrelevant knobs.
 func stagekeyGrid() []Config {
 	type mut struct {
 		name  string
@@ -26,6 +26,7 @@ func stagekeyGrid() []Config {
 		{{"selmemlat=0", nil}, {"selmemlat=140", func(c *Config) { c.Selection.MemLat = 140 }}},
 		{{"width=8", nil}, {"width=4", func(c *Config) { c.Machine.Width = 4 }}},
 		{{"selwidth=0", nil}, {"selwidth=4", func(c *Config) { c.Selection.Width = 4 }}},
+		{{"profile=0", nil}, {"profile=240000", func(c *Config) { c.Selection.ProfileInsts = 240_000 }}},
 	}
 	cfgs := []Config{DefaultConfig()}
 	for _, ax := range axes {
@@ -49,13 +50,29 @@ func stagekeyGrid() []Config {
 // fixed). The timing config is derived precisely the way the engine derives
 // it for the cached stages — normalization, ModeBase, then the shared
 // base-run reduction. trace and preTrace are the identities of the base
-// and pre-execution runs' trace lookups, which must land on one entry.
-func localStageIdentity(cfg Config) (base TimingConfig, trace, preTrace traceKey, prof ProfileOptions) {
+// and pre-execution runs' trace lookups, which must land on one entry;
+// profTrace is the profile's trace lookup, and pass the sweep plan's group
+// of the profile.
+type localStageIdentity struct {
+	base                       TimingConfig
+	trace, preTrace, profTrace traceKey
+	prof                       ProfileOptions
+	pass                       profileKey
+}
+
+func localStageIdentityOf(cfg Config) localStageIdentity {
 	n := cfg.Normalized()
-	base = normalizeBaseTiming(n.timing(ModeBase))
-	trace = traceKey{span: timing.TraceSpan(n.timing(ModeBase)), version: timing.TraceVersion}
-	preTrace = traceKey{span: timing.TraceSpan(n.timing(ModeNormal)), version: timing.TraceVersion}
-	return base, trace, preTrace, n.profileOptions()
+	span := func(tc TimingConfig) traceKey {
+		return traceKey{span: timing.TraceSpan(tc), version: timing.TraceVersion}
+	}
+	return localStageIdentity{
+		base:      normalizeBaseTiming(n.timing(ModeBase)),
+		trace:     span(n.timing(ModeBase)),
+		preTrace:  span(n.timing(ModeNormal)),
+		profTrace: span(n.profileTiming()),
+		prof:      n.profileOptions(),
+		pass:      groupKey(nil, n.profileOptions()),
+	}
 }
 
 // TestStageKeysMatchLocalCacheIdentity is the single-source regression for
@@ -68,31 +85,37 @@ func localStageIdentity(cfg Config) (base TimingConfig, trace, preTrace traceKey
 func TestStageKeysMatchLocalCacheIdentity(t *testing.T) {
 	cfgs := stagekeyGrid()
 	keys := make([]StageKeySet, len(cfgs))
-	bases := make([]TimingConfig, len(cfgs))
-	traces := make([]traceKey, len(cfgs))
-	profs := make([]ProfileOptions, len(cfgs))
+	ids := make([]localStageIdentity, len(cfgs))
 	for i, cfg := range cfgs {
 		keys[i] = StageKeys("bench", 1, cfg)
-		var pre traceKey
-		bases[i], traces[i], pre, profs[i] = localStageIdentity(cfg)
+		ids[i] = localStageIdentityOf(cfg)
 		// The pre-execution run replays the trace its base run recorded.
-		if pre != traces[i] {
-			t.Fatalf("config %d: pre-execution trace identity %+v, base run's %+v", i, pre, traces[i])
+		if ids[i].preTrace != ids[i].trace {
+			t.Fatalf("config %d: pre-execution trace identity %+v, base run's %+v", i, ids[i].preTrace, ids[i].trace)
+		}
+		// The default profile window reads the base run's trace.
+		if cfg.Selection.ProfileInsts == 0 && keys[i].ProfileTrace != keys[i].Trace {
+			t.Fatalf("config %d: profile trace %s, base run's %s", i, keys[i].ProfileTrace, keys[i].Trace)
 		}
 	}
 	for i := range cfgs {
 		for j := i + 1; j < len(cfgs); j++ {
-			if got, want := keys[i].Base == keys[j].Base, bases[i] == bases[j]; got != want {
-				t.Errorf("configs %d/%d: base keys equal=%v, cache identity equal=%v\n i: %s\n j: %s",
-					i, j, got, want, keys[i].Base, keys[j].Base)
-			}
-			if got, want := keys[i].Profile == keys[j].Profile, profs[i] == profs[j]; got != want {
-				t.Errorf("configs %d/%d: profile keys equal=%v, cache identity equal=%v\n i: %s\n j: %s",
-					i, j, got, want, keys[i].Profile, keys[j].Profile)
-			}
-			if got, want := keys[i].Trace == keys[j].Trace, traces[i] == traces[j]; got != want {
-				t.Errorf("configs %d/%d: trace keys equal=%v, cache identity equal=%v\n i: %s\n j: %s",
-					i, j, got, want, keys[i].Trace, keys[j].Trace)
+			a, b := ids[i], ids[j]
+			for _, c := range []struct {
+				stage      string
+				ki, kj     string
+				cacheEqual bool
+			}{
+				{"base", keys[i].Base, keys[j].Base, a.base == b.base},
+				{"profile", keys[i].Profile, keys[j].Profile, a.prof == b.prof},
+				{"trace", keys[i].Trace, keys[j].Trace, a.trace == b.trace},
+				{"profile trace", keys[i].ProfileTrace, keys[j].ProfileTrace, a.profTrace == b.profTrace},
+				{"profile pass", keys[i].ProfilePass, keys[j].ProfilePass, a.pass == b.pass},
+			} {
+				if got := c.ki == c.kj; got != c.cacheEqual {
+					t.Errorf("configs %d/%d: %s keys equal=%v, cache identity equal=%v\n i: %s\n j: %s",
+						i, j, c.stage, got, c.cacheEqual, c.ki, c.kj)
+				}
 			}
 		}
 	}

@@ -71,7 +71,8 @@ func assertCellsEqual(t *testing.T, cached, uncached *preexec.SweepResult) {
 // bit-for-bit identical to the uncached path. The eight cells of crafty and
 // mcf select nothing, so their pre-execution runs are base hits; of the
 // other 32 cells, 26 distinct p-thread sets are replayed (one trace hit
-// each) and 6 share another cell's replay.
+// each) and 6 share another cell's replay. Each benchmark's profile reads
+// the trace its base run recorded: ten more trace hits.
 func TestSweepSelectionGridCacheCounts(t *testing.T) {
 	benches, err := preexec.SweepBenches(nil, 1) // all ten
 	if err != nil {
@@ -88,7 +89,7 @@ func TestSweepSelectionGridCacheCounts(t *testing.T) {
 	want := preexec.CacheStats{
 		BaseRuns: 10, BaseHits: 38,
 		ProfileRuns: 10, ProfileHits: 30,
-		TraceRuns: 10, TraceHits: 26,
+		TraceRuns: 10, TraceHits: 36,
 		ReplayRuns: 26, ReplayHits: 6,
 	}
 	if cached.Cache != want {
@@ -143,12 +144,13 @@ func TestSweepMixedGridKeySeparation(t *testing.T) {
 	// crafty selects a p-thread only at ml140, so its other four
 	// pre-execution runs are base hits. vpr.p's base, nomerge and scope512
 	// cells select the same p-thread and share one replay; ml140 and
-	// nothrottle time under configurations of their own. Every base run and
-	// replay looks the trace up: 4+4 lookups, 2 of them recordings.
+	// nothrottle time under configurations of their own. Every base run,
+	// replay and profiling pass looks the trace up — each program's two
+	// profile shapes share one pass: 4+4+2 lookups, 2 of them recordings.
 	want := preexec.CacheStats{
 		BaseRuns: 4, BaseHits: 10,
 		ProfileRuns: 4, ProfileHits: 6,
-		TraceRuns: 2, TraceHits: 6,
+		TraceRuns: 2, TraceHits: 8,
 		ReplayRuns: 4, ReplayHits: 2,
 	}
 	if cached.Cache != want {
@@ -189,11 +191,12 @@ func TestSweepMachineGridSharesTraces(t *testing.T) {
 	// Every cell is its own base run, and the profile ignores the machine.
 	// Both programs select p-threads at every point, and each point times
 	// them under its own machine: 8 replays. One trace per program serves
-	// its 4 base runs and 4 replays: 2 recordings, 8+8-2 hits.
+	// its 4 base runs, 4 replays and its profile: 2 recordings, 8+8+2-2
+	// hits.
 	wantStats := preexec.CacheStats{
 		BaseRuns:    8,
 		ProfileRuns: 2, ProfileHits: 6,
-		TraceRuns: int64(len(benches)), TraceHits: 14,
+		TraceRuns: int64(len(benches)), TraceHits: 16,
 		ReplayRuns: 8,
 	}
 	if cached.Cache != wantStats {
@@ -277,14 +280,17 @@ func TestSweepSliceGridOnePassPerProgram(t *testing.T) {
 	if !reflect.DeepEqual(obs.passes, wantPasses) {
 		t.Errorf("profile passes per program = %v, want %v", obs.passes, wantPasses)
 	}
-	// The counters are exactly those of profiling every shape on its own:
-	// per program, 6 profile shapes over 10 cells, one base run and one
-	// trace. 22 of the 30 pre-execution runs select nothing and are base
-	// hits; the other 8 share 5 replays, each of which looks the trace up.
+	// The profile counters are exactly those of profiling every shape on its
+	// own: per program, 6 profile shapes over 10 cells, and one base run.
+	// 22 of the 30 pre-execution runs select nothing and are base hits; the
+	// other 8 share 5 replays. Every replay and pass looks its trace up: a
+	// program's evaluated-input pass reads its base run's trace, and its
+	// test-input pass records the test build's — 6 recordings and
+	// 3+5+6-6 hits.
 	wantStats := preexec.CacheStats{
 		BaseRuns: 3, BaseHits: 49,
 		ProfileRuns: 18, ProfileHits: 12,
-		TraceRuns: 3, TraceHits: 5,
+		TraceRuns: 6, TraceHits: 8,
 		ReplayRuns: 5, ReplayHits: 3,
 	}
 	if cached.Cache != wantStats {
@@ -305,10 +311,11 @@ func TestSweepSharedCacheAcrossRuns(t *testing.T) {
 	s := &preexec.Sweep{Cache: cache}
 	first := runSweep(t, s, benches, selectionPoints(10_000, 30_000)[:2])
 	second := runSweep(t, s, benches, selectionPoints(10_000, 30_000)[2:])
+	// The base run, the profile and both replays read one trace.
 	wantFirst := preexec.CacheStats{
 		BaseRuns: 1, BaseHits: 1,
 		ProfileRuns: 1, ProfileHits: 1,
-		TraceRuns: 1, TraceHits: 2,
+		TraceRuns: 1, TraceHits: 3,
 		ReplayRuns: 2,
 	}
 	if first.Cache != wantFirst {
@@ -325,7 +332,7 @@ func TestSweepSharedCacheAcrossRuns(t *testing.T) {
 	wantTotal := preexec.CacheStats{
 		BaseRuns: 1, BaseHits: 3,
 		ProfileRuns: 1, ProfileHits: 3,
-		TraceRuns: 1, TraceHits: 4,
+		TraceRuns: 1, TraceHits: 5,
 	}
 	if got := cache.Stats(); got != wantTotal {
 		t.Errorf("cumulative cache stats = %+v, want %+v", got, wantTotal)
@@ -380,8 +387,10 @@ func TestSweepCacheConcurrentRuns(t *testing.T) {
 				i, res.Cache.ReplayRuns, res.Cache.ReplayHits, replays, shared)
 		}
 	}
-	if stats.TraceHits != 2*replays {
-		t.Errorf("trace hits = %d, want one per executed replay (%d)", stats.TraceHits, 2*replays)
+	// Every base run, profiling pass (one per profile run: each program
+	// profiles one shape) and executed replay looks its trace up once.
+	if got, want := stats.TraceHits+stats.TraceRuns, stats.BaseRuns+stats.ProfileRuns+2*replays; got != want {
+		t.Errorf("trace lookups = %d, want one per base run, profiling pass and executed replay (%d)", got, want)
 	}
 }
 
@@ -621,10 +630,11 @@ func TestEngineStageCacheOption(t *testing.T) {
 	if _, err := b.Evaluate(t.Context(), prog); err != nil {
 		t.Fatal(err)
 	}
+	// One trace serves a's base run, profile and replay, and b's replay.
 	want := preexec.CacheStats{
 		BaseRuns: 1, BaseHits: 1,
 		ProfileRuns: 1, ProfileHits: 1,
-		TraceRuns: 1, TraceHits: 2,
+		TraceRuns: 1, TraceHits: 3,
 	}
 	if got := cache.Stats(); got != want {
 		t.Errorf("cache stats = %+v, want %+v", got, want)
@@ -704,11 +714,12 @@ func TestSweepReplayMemoSharesRepeatedSelections(t *testing.T) {
 	// do the two selector memory latencies; nothrottle times the base
 	// cell's p-threads under its own configuration. Three replays and two
 	// shared per benchmark. mcf selects nothing at any point: its five
-	// pre-execution runs are base hits.
+	// pre-execution runs are base hits. Each benchmark's profile and
+	// replays read its base run's trace.
 	wantStats := preexec.CacheStats{
 		BaseRuns: 3, BaseHits: 12 + 5,
 		ProfileRuns: 3, ProfileHits: 12,
-		TraceRuns: 3, TraceHits: 6,
+		TraceRuns: 3, TraceHits: 3 + 6,
 		ReplayRuns: 6, ReplayHits: 4,
 	}
 	if cached.Cache != wantStats {
