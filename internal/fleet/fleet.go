@@ -130,6 +130,8 @@ type backendState struct {
 	ejected bool
 	load    int // last probed load (queue depth + in-flight), failover preference
 
+	// inFlight counts Do attempts currently running against the backend.
+	inFlight     obs.Gauge
 	failures     obs.Counter
 	successes    obs.Counter
 	ejections    obs.Counter
@@ -149,6 +151,9 @@ type BackendStatus struct {
 	Successes           int64 `json:"successes"`
 	Ejections           int64 `json:"ejections"`
 	Readmissions        int64 `json:"readmissions"`
+	// InFlight is the number of attempts currently running against the
+	// backend (see Pool.InFlight).
+	InFlight int64 `json:"in_flight"`
 }
 
 // New builds a pool over the named backends.
@@ -230,6 +235,10 @@ func (p *Pool) Readmit(i int) {
 	}
 }
 
+// InFlight returns the number of Do attempts currently running against
+// backend i. A failed-over attempt counts against the backend serving it.
+func (p *Pool) InFlight(i int) int64 { return p.backends[i].inFlight.Value() }
+
 // SetLoad records backend i's probed load for failover preference.
 func (p *Pool) SetLoad(i, load int) {
 	p.mu.Lock()
@@ -268,6 +277,7 @@ func (p *Pool) Snapshot() []BackendStatus {
 			Live:                !b.ejected,
 			ConsecutiveFailures: b.consec,
 			Load:                b.load,
+			InFlight:            b.inFlight.Value(),
 			Failures:            b.failures.Value(),
 			Successes:           b.successes.Value(),
 			Ejections:           b.ejections.Value(),
@@ -353,6 +363,8 @@ type DoStats struct {
 // no backend is live the error matches ErrNoBackends; a cancelled ctx is
 // returned as its own error without consuming further budget, and an error
 // wrapped by Permanent returns immediately without charging the backend.
+// Each attempt counts as in flight against the backend it runs on for as
+// long as fn runs (see InFlight).
 func Do[T any](ctx context.Context, p *Pool, key string, fn func(ctx context.Context, backend int) (T, error)) (T, DoStats, error) {
 	var zero T
 	st := DoStats{Backend: -1}
@@ -380,7 +392,9 @@ func Do[T any](ctx context.Context, p *Pool, key string, fn func(ctx context.Con
 		}
 		seq := p.FailSeq(b)
 		actx, cancel := context.WithTimeout(ctx, p.cfg.AttemptTimeout)
+		p.backends[b].inFlight.Add(1)
 		v, err := fn(actx, b)
+		p.backends[b].inFlight.Add(-1)
 		cancel()
 		if err == nil {
 			p.Success(b, seq)

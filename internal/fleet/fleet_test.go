@@ -178,6 +178,38 @@ func TestDoFailsOverAfterEjection(t *testing.T) {
 	}
 }
 
+// TestPoolInFlightFollowsAttempts checks the per-backend in-flight count
+// Do keeps: each attempt counts against the backend it runs on, the home
+// while it fails and the failover backend once the home is ejected, and
+// every count is back at 0 when Do returns.
+func TestPoolInFlightFollowsAttempts(t *testing.T) {
+	p := New([]string{"a", "b"}, fastCfg())
+	home := p.Order("k")[0]
+	_, st, err := Do(context.Background(), p, "k", func(ctx context.Context, b int) (int, error) {
+		for i, s := range p.Snapshot() {
+			want := int64(0)
+			if i == b {
+				want = 1
+			}
+			if p.InFlight(i) != want || s.InFlight != want {
+				t.Errorf("attempt on backend %d: backend %d in flight %d (snapshot %d), want %d", b, i, p.InFlight(i), s.InFlight, want)
+			}
+		}
+		if b == home {
+			return 0, errors.New("injected")
+		}
+		return 1, nil
+	})
+	if err != nil || !st.FailedOver {
+		t.Fatalf("Do: stats %+v, err %v; want a failover", st, err)
+	}
+	for i, s := range p.Snapshot() {
+		if p.InFlight(i) != 0 || s.InFlight != 0 {
+			t.Errorf("backend %d in flight %d (snapshot %d) after Do, want 0", i, p.InFlight(i), s.InFlight)
+		}
+	}
+}
+
 func TestDoAllBackendsDeadIsErrNoBackends(t *testing.T) {
 	cfg := fastCfg()
 	cfg.EjectAfter = 1

@@ -163,19 +163,22 @@ type coordCell struct {
 }
 
 // sweep evaluates the grid across the fleet and merges the result in grid
-// order. raws aligns with points (the submitted config fragments; nil for
-// the implicit default point). The merged CacheStats are modeled, not
-// summed — exactly the counters a fresh single-node cache and replay memo
-// report. BaseRuns is the number of distinct base-stage groups in the grid
-// and BaseHits the cells beyond the first of each group (likewise
-// profiles), plus one per cell whose merged report selected nothing: that
-// cell's pre-execution run is its base run. The other cells' pre-execution
-// runs group by preexec.ReplayKey: ReplayRuns is the number of groups and
-// ReplayHits the cells beyond the first of each. Each base run, each
-// replay and each profiling pass (one per distinct ProfilePass key) looks
-// its trace up once; TraceRuns is the number of distinct trace keys, the
-// profiles' included, and TraceHits the remaining lookups,
-// BaseRuns+ReplayRuns+passes-TraceRuns.
+// order. Up to workers cells run at once, one per slot; each slot takes its
+// next cell by backend load (see dispatch), so no slot forwards to a busy
+// backend while another live backend idles with cells of its own queued.
+// Progress events still carry each cell's grid index. raws aligns with
+// points (the submitted config fragments; nil for the implicit default
+// point). The merged CacheStats are modeled, not summed — exactly the
+// counters a fresh single-node cache and replay memo report. BaseRuns is the
+// number of distinct base-stage groups in the grid and BaseHits the cells
+// beyond the first of each group (likewise profiles), plus one per cell
+// whose merged report selected nothing: that cell's pre-execution run is its
+// base run. The other cells' pre-execution runs group by preexec.ReplayKey:
+// ReplayRuns is the number of groups and ReplayHits the cells beyond the
+// first of each. Each base run, each replay and each profiling pass (one per
+// distinct ProfilePass key) looks its trace up once; TraceRuns is the number
+// of distinct trace keys, the profiles' included, and TraceHits the
+// remaining lookups, BaseRuns+ReplayRuns+passes-TraceRuns.
 // Summing backend deltas would drift under faults (a truncated response
 // loses a counted run, a retry recounts one), silently breaking
 // byte-identity with the single-node golden.
@@ -225,8 +228,11 @@ func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, p
 		mu   sync.Mutex // guards done and progress calls
 		done int
 	)
-	err := preexec.ParallelEach(ctx, workers, len(cells), func(ctx context.Context, i int) error {
-		rep, err := c.runCell(ctx, cells[i])
+	d := newDispatch(c.pool, cells)
+	err := preexec.ParallelEach(ctx, workers, len(cells), func(ctx context.Context, _ int) error {
+		i := d.take()
+		rep, err := c.runCell(ctx, cells[i], func() { d.started(i) })
+		d.started(i)
 		if err == nil {
 			res.Cells[i].Report = rep
 		}
@@ -263,6 +269,77 @@ func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, p
 	return res, err
 }
 
+// dispatch hands a sweep's cells to its slots by backend load. Each home
+// backend has a FIFO of its cells in grid order. A free slot takes the next
+// cell of the live home backend with the fewest forwards in flight, lowest
+// index first on ties; a cell whose home backend is ejected goes to the
+// first free slot, and fleet.Do picks where it fails over to. A taken cell
+// counts against its home from take until its first forward starts, when
+// the pool's in-flight count takes over, so two slots freed together do not
+// both pick the same idle backend.
+type dispatch struct {
+	pool *fleet.Pool
+	home []int // per cell: its home backend
+
+	mu      sync.Mutex
+	queues  [][]int // per home backend: its untaken cells' grid indices
+	claimed []int64 // per home backend: taken cells not yet forwarded
+	claim   []bool  // per cell: taken and not yet forwarded
+}
+
+func newDispatch(pool *fleet.Pool, cells []coordCell) *dispatch {
+	n := len(pool.Names())
+	d := &dispatch{
+		pool:    pool,
+		home:    make([]int, len(cells)),
+		queues:  make([][]int, n),
+		claimed: make([]int64, n),
+		claim:   make([]bool, len(cells)),
+	}
+	for i, cl := range cells {
+		h := pool.Order(cl.routeKey)[0]
+		d.home[i] = h
+		d.queues[h] = append(d.queues[h], i)
+	}
+	return d
+}
+
+// take removes the next cell from its home's queue and returns its grid
+// index. Each call must be matched by a cell still queued.
+func (d *dispatch) take() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	home, best := -1, int64(0)
+	for b, q := range d.queues {
+		if len(q) == 0 {
+			continue
+		}
+		if !d.pool.Live(b) {
+			home = b
+			break
+		}
+		if load := d.pool.InFlight(b) + d.claimed[b]; home < 0 || load < best {
+			home, best = b, load
+		}
+	}
+	i := d.queues[home][0]
+	d.queues[home] = d.queues[home][1:]
+	d.claimed[home]++
+	d.claim[i] = true
+	return i
+}
+
+// started ends cell i's claim on its home backend: its first forward has
+// begun, or it finished without one. Later calls are no-ops.
+func (d *dispatch) started(i int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.claim[i] {
+		d.claim[i] = false
+		d.claimed[d.home[i]]--
+	}
+}
+
 // runCell evaluates one cell: remotely on its home backend with retry,
 // backoff, and failover; locally through the coordinator's own engine and
 // StageCache when no backend is live (graceful degradation) or when the
@@ -275,8 +352,8 @@ func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, p
 // propagated in the X-Preexec-Trace header so the backend's own spans
 // stitch underneath), and a "local-fallback" child when the coordinator
 // evaluates the cell itself. With tracing off every span below is nil and
-// each call a no-op.
-func (c *coordinator) runCell(ctx context.Context, cell coordCell) (preexec.Report, error) {
+// each call a no-op. forwarding is called as each remote attempt starts.
+func (c *coordinator) runCell(ctx context.Context, cell coordCell, forwarding func()) (preexec.Report, error) {
 	tc := obs.TraceFrom(ctx)
 	if !tc.Record {
 		tc.Trace = ""
@@ -286,6 +363,7 @@ func (c *coordinator) runCell(ctx context.Context, cell coordCell) (preexec.Repo
 	route.SetAttr("cell", cell.bench+"/"+cell.point)
 	defer route.End()
 	rep, st, err := fleet.Do(ctx, c.pool, cell.routeKey, func(ctx context.Context, backend int) (preexec.Report, error) {
+		forwarding()
 		fw := tr.StartSpan(tc.Trace, route.SpanID(), "forward")
 		fw.SetAttr("backend", c.addrs[backend])
 		var hdr string

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -112,6 +114,7 @@ func coordFleetStats(t *testing.T, coordURL string) (st struct {
 		Name      string `json:"name"`
 		Live      bool   `json:"live"`
 		Ejections int64  `json:"ejections"`
+		InFlight  int64  `json:"in_flight"`
 	} `json:"backends"`
 	Retries        int64 `json:"retries"`
 	Failovers      int64 `json:"failovers"`
@@ -443,5 +446,295 @@ func TestGateStats(t *testing.T) {
 	}
 	if gate.InFlight != 0 || gate.Queued != 0 {
 		t.Errorf("idle server reports in_flight=%d queued=%d", gate.InFlight, gate.Queued)
+	}
+}
+
+// namedFleet serves each handler on a loopback listener and builds a
+// coordinator over them (probing off) that reaches them as
+// http://backend-<i>. The ring hashes backend names, so fixed names route
+// every cell the same way on every run, where httptest's random ports would
+// not.
+func namedFleet(t *testing.T, workers int, fc serve.FleetConfig, handlers ...http.Handler) (coordURL string, coord *serve.Server) {
+	t.Helper()
+	hosts := make(map[string]string) // dialed host:port -> listener address
+	var urls []string
+	for i, h := range handlers {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		name := fmt.Sprintf("backend-%d", i)
+		hosts[name+":80"] = ts.Listener.Addr().String()
+		urls = append(urls, "http://"+name)
+	}
+	var d net.Dialer
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		return d.DialContext(ctx, network, hosts[addr])
+	}}
+	t.Cleanup(tr.CloseIdleConnections)
+	fc.ProbeInterval = -1
+	fc.Client = &http.Client{Transport: tr}
+	coord = serve.New(serve.WithWorkers(workers), serve.WithBackends(urls...), serve.WithFleetConfig(fc))
+	t.Cleanup(coord.Close)
+	cts := httptest.NewServer(coord)
+	t.Cleanup(cts.Close)
+	return cts.URL, coord
+}
+
+// holdFleet wraps two backends' handlers so that every forward blocks
+// until the test releases it. It counts held forwards per backend and the
+// home cells of each backend not yet forwarded, and flags a forward that
+// lands on a backend already holding one while the other backend holds none
+// and still has home cells queued. A forward stops counting when it is
+// released, so a response racing back to the coordinator cannot leave a
+// stale count behind.
+type holdFleet struct {
+	t        *testing.T
+	arrivals chan chan struct{} // one release channel per forward
+	stop     chan struct{}      // closed at cleanup: held forwards return unserved
+
+	mu     sync.Mutex
+	homes  map[string]int // cell name (bench/point) -> home backend
+	held   [2]int
+	queued [2]int
+}
+
+// newHoldFleet holds the forwards of a grid of n cells. The caller closes
+// stop in a cleanup registered after the servers' own, so it runs first.
+func newHoldFleet(t *testing.T, n int) *holdFleet {
+	return &holdFleet{t: t, arrivals: make(chan chan struct{}, n), stop: make(chan struct{})}
+}
+
+// route records each cell's home backend; call it before the sweep.
+func (h *holdFleet) route(homes map[string]int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.homes = homes
+	for _, b := range homes {
+		h.queued[b]++
+	}
+}
+
+// wrap holds backend b's forwards before passing them to next.
+func (h *holdFleet) wrap(b int, next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		var req struct {
+			Benches []string
+			Points  []struct{ Name string }
+		}
+		if err := json.Unmarshal(body, &req); err != nil || len(req.Benches) != 1 || len(req.Points) != 1 {
+			h.t.Errorf("backend %d: unexpected forward %s", b, body)
+			return
+		}
+		cell := req.Benches[0] + "/" + req.Points[0].Name
+		o := 1 - b
+		h.mu.Lock()
+		h.queued[h.homes[cell]]--
+		h.held[b]++
+		if h.held[b] > 1 && h.held[o] == 0 && h.queued[o] > 0 {
+			h.t.Errorf("cell %s: second forward to backend %d while backend %d idles with %d cells queued", cell, b, o, h.queued[o])
+		}
+		h.mu.Unlock()
+		release := make(chan struct{})
+		select {
+		case h.arrivals <- release:
+		case <-h.stop:
+			return
+		}
+		select {
+		case <-release:
+		case <-h.stop:
+			return
+		}
+		h.mu.Lock()
+		h.held[b]--
+		h.mu.Unlock()
+		next.ServeHTTP(w, r)
+	})
+}
+
+// releaseAll keeps slots forwards held at once (fewer once fewer cells
+// remain) and releases them oldest first until all n have been released,
+// so every slot is busy whenever a slot picks a cell.
+func (h *holdFleet) releaseAll(n, slots int) {
+	h.t.Helper()
+	var held []chan struct{}
+	timeout := time.NewTimer(2 * time.Minute)
+	defer timeout.Stop()
+	for released := 0; released < n; released++ {
+		for len(held) < slots && len(held) < n-released {
+			select {
+			case ch := <-h.arrivals:
+				held = append(held, ch)
+			case <-timeout.C:
+				h.t.Fatalf("%d of %d forwards released, %d held: no further forward arrived", released, n, len(held))
+			}
+		}
+		close(held[0])
+		held = held[1:]
+	}
+}
+
+// postAsync posts body and delivers the response on the returned channel,
+// so the test goroutine stays free to release forwards.
+func postAsync(url, body string) <-chan postResult {
+	out := make(chan postResult, 1)
+	go func() {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			out <- postResult{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		out <- postResult{status: resp.StatusCode, body: raw, err: err}
+	}()
+	return out
+}
+
+type postResult struct {
+	status int
+	body   []byte
+	err    error
+}
+
+// dispatchGridPoints are two points that share every stage key (they differ
+// only in a selection switch), so each benchmark's two adjacent grid cells
+// share a route key and a home backend.
+var dispatchGridPoints = []gridPoint{
+	{"o1", smallCfg},
+	{"o0", `{"machine": {"warm_insts": 2000, "measure_insts": 8000}, "selection": {"optimize": false}}`},
+}
+
+// TestCoordinatorDispatchKeepsBackendsBusy sweeps a grid whose adjacent
+// cells share a home backend over two single-worker backends with two
+// slots. Forwards are held and released one at a time, so both slots are
+// busy whenever one picks a cell. No slot may forward to a backend already
+// serving a cell while the other backend idles with home cells queued (a
+// grid-order feed sends cells 0 and 1 to one backend), and the merge must
+// equal the local sweep.
+func TestCoordinatorDispatchKeepsBackendsBusy(t *testing.T) {
+	benches := []string{"crafty", "gap", "mcf", "vpr.p"}
+	points := coordGridConfigs(t, dispatchGridPoints)
+	cells := len(benches) * len(points)
+	hf := newHoldFleet(t, cells)
+	var handlers []http.Handler
+	for b := 0; b < 2; b++ {
+		backend := serve.New(serve.WithWorkers(1))
+		t.Cleanup(backend.Close)
+		handlers = append(handlers, hf.wrap(b, backend))
+	}
+	coordURL, coord := namedFleet(t, 1, serve.FleetConfig{}, handlers...)
+	t.Cleanup(func() { close(hf.stop) })
+
+	homes := make(map[string]int)
+	var perHome [2]int
+	for _, bench := range benches {
+		for i, pt := range points {
+			b := 0
+			if coord.CoordinatorHome(bench, 1, pt.Config) == "http://backend-1" {
+				b = 1
+			}
+			homes[bench+"/"+dispatchGridPoints[i].name] = b
+			perHome[b]++
+		}
+	}
+	if perHome[0] == 0 || perHome[1] == 0 {
+		t.Fatalf("grid homes %v leave a backend without cells", homes)
+	}
+	hf.route(homes)
+
+	done := postAsync(coordURL+"/v1/sweep", coordGridRequest(benches, dispatchGridPoints, false, ""))
+	hf.releaseAll(cells, 2)
+	res := <-done
+	if res.err != nil || res.status != http.StatusOK {
+		t.Fatalf("sweep: status %d, err %v: %s", res.status, res.err, res.body)
+	}
+	want := singleNodeGolden(t, benches, points)
+	if !bytes.Equal(res.body, want) {
+		t.Fatalf("coordinator sweep differs from the single-node run\ncoord:  %s\nsingle: %s",
+			firstDiffContext(res.body, want), firstDiffContext(want, res.body))
+	}
+}
+
+// TestCoordinatorEjectionDrainsQueuedCells ejects one of two backends
+// mid-grid: the backend home to most cells serves its first forward and
+// kills every later one. Every cell still queued for it must complete by
+// failover, the sweep must finish with the single-node bytes, and every
+// backend's forwards-in-flight count must be back at 0 in both /v1/stats
+// and /metrics.
+func TestCoordinatorEjectionDrainsQueuedCells(t *testing.T) {
+	var proxies [2]*chaos.Proxy
+	var handlers []http.Handler
+	for b := range proxies {
+		backend := serve.New(serve.WithWorkers(1))
+		t.Cleanup(backend.Close)
+		proxies[b] = chaos.New(backend, chaos.Schedule{})
+		handlers = append(handlers, proxies[b])
+	}
+	coordURL, coord := namedFleet(t, 1, serve.FleetConfig{Fleet: fleet.Config{
+		BackoffBase: time.Millisecond,
+		BackoffMax:  5 * time.Millisecond,
+	}}, handlers...)
+
+	points := coordGridConfigs(t, coordGridPoints)
+	perHome := make(map[string]int)
+	for _, bench := range coordGridBenches {
+		for _, pt := range points {
+			perHome[coord.CoordinatorHome(bench, 1, pt.Config)]++
+		}
+	}
+	target := 0
+	if perHome["http://backend-1"] > perHome["http://backend-0"] {
+		target = 1
+	}
+	targetCells := perHome[fmt.Sprintf("http://backend-%d", target)]
+	if targetCells < 4 {
+		t.Fatalf("routing map %v: want a backend home to >= 4 cells, so cells stay queued after its ejection", perHome)
+	}
+	proxies[target].SetSchedule(chaos.Schedule{
+		Plan: []chaos.Fault{{Kind: chaos.None}},
+		Then: chaos.Fault{Kind: chaos.Kill},
+	})
+
+	done := postAsync(coordURL+"/v1/sweep", coordGridRequest(coordGridBenches, coordGridPoints, false, ""))
+	var res postResult
+	select {
+	case res = <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("sweep did not finish after the ejection")
+	}
+	if res.err != nil || res.status != http.StatusOK {
+		t.Fatalf("sweep: status %d, err %v: %s", res.status, res.err, res.body)
+	}
+	want := singleNodeGolden(t, coordGridBenches, points)
+	if !bytes.Equal(res.body, want) {
+		t.Fatalf("ejection sweep differs from the single-node run\ncoord:  %s\nsingle: %s",
+			firstDiffContext(res.body, want), firstDiffContext(want, res.body))
+	}
+
+	st := coordFleetStats(t, coordURL)
+	cells := int64(len(coordGridBenches) * len(coordGridPoints))
+	if st.RemoteCells != cells || st.LocalFallbacks != 0 {
+		t.Errorf("remote_cells %d local_fallbacks %d, want every cell served remotely", st.RemoteCells, st.LocalFallbacks)
+	}
+	// The target served one cell; each of its other home cells failed over.
+	if want := int64(targetCells - 1); st.Failovers != want {
+		t.Errorf("failovers %d, want %d (the target's home cells after its first)", st.Failovers, want)
+	}
+	if b := st.Backends[target]; b.Live || b.Ejections != 1 {
+		t.Errorf("target backend %+v, want ejected exactly once", b)
+	}
+	text := metricsText(t, coordURL)
+	for _, b := range st.Backends {
+		if b.InFlight != 0 {
+			t.Errorf("backend %s: /v1/stats in_flight %d after the sweep, want 0", b.Name, b.InFlight)
+		}
+		if got := metricValue(t, text, `preexec_fleet_backend_in_flight{backend="`+b.Name+`"}`); got != 0 {
+			t.Errorf("backend %s: /metrics in flight %d after the sweep, want 0", b.Name, got)
+		}
 	}
 }

@@ -122,9 +122,9 @@ func newServerObs(s *Server) *serverObs {
 }
 
 // registerFleet adds coordinator-mode metrics: the fleet pool's own retry,
-// failover, and per-backend health counters (registered by reference — the
-// pool mutates them, the registry renders them), plus the coordinator's
-// remote-cell and local-fallback counters.
+// failover, and per-backend health counters and in-flight gauges (read from
+// the objects the pool mutates, as Snapshot reads them), plus the
+// coordinator's remote-cell and local-fallback counters.
 func (o *serverObs) registerFleet(c *coordinator) {
 	r := o.reg
 	retries, failovers := c.pool.Counters()
@@ -159,6 +159,9 @@ func (o *serverObs) registerFleet(c *coordinator) {
 		r.GaugeFunc("preexec_fleet_backend_load",
 			"Backend load as last reported by the health probe.",
 			func() int64 { return int64(c.pool.Snapshot()[i].Load) }, b)
+		r.GaugeFunc("preexec_fleet_backend_in_flight",
+			"Forwards currently running against the backend.",
+			func() int64 { return c.pool.InFlight(i) }, b)
 	}
 }
 

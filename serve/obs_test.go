@@ -121,36 +121,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("sweep status %d: %s", status, out)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("content type %q, want text/plain exposition", ct)
-	}
-	text := buf.String()
-
+	text := metricsText(t, ts.URL)
 	metric := func(series string) int64 {
 		t.Helper()
-		for _, line := range strings.Split(text, "\n") {
-			if rest, ok := strings.CutPrefix(line, series+" "); ok {
-				v, err := strconv.ParseInt(rest, 10, 64)
-				if err != nil {
-					t.Fatalf("series %s: value %q: %v", series, rest, err)
-				}
-				return v
-			}
-		}
-		t.Fatalf("series %s not rendered:\n%s", series, text)
-		return 0
+		return metricValue(t, text, series)
 	}
 
 	if got := metric(`preexec_stage_duration_seconds_count{stage="base"}`); got != 1 {
@@ -194,6 +168,80 @@ func TestMetricsEndpoint(t *testing.T) {
 	if reqs.Completed != completedAtScrape+1 || reqs.InFlight != 1 {
 		t.Errorf("stats requests = %+v, want completed %d and the stats request itself in flight",
 			reqs, completedAtScrape+1)
+	}
+}
+
+// metricsText scrapes GET /metrics, checking its status and content type.
+func metricsText(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics status %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Errorf("content type %q, want text/plain exposition", ct)
+	}
+	return buf.String()
+}
+
+// metricValue returns the value of one rendered series of a scrape.
+func metricValue(t *testing.T, text, series string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			v, err := strconv.ParseInt(rest, 10, 64)
+			if err != nil {
+				t.Fatalf("series %s: value %q: %v", series, rest, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("series %s not rendered:\n%s", series, text)
+	return 0
+}
+
+// TestCoordinatorInFlightMetrics holds one forward on a coordinator's only
+// backend: /v1/stats fleet.backends[].in_flight and the /metrics gauge
+// preexec_fleet_backend_in_flight read the same count, 1 while the forward
+// is held and 0 once the sweep is done.
+func TestCoordinatorInFlightMetrics(t *testing.T) {
+	hf := newHoldFleet(t, 1)
+	backend := serve.New(serve.WithWorkers(1))
+	t.Cleanup(backend.Close)
+	coordURL, _ := namedFleet(t, 1, serve.FleetConfig{}, hf.wrap(0, backend))
+	t.Cleanup(func() { close(hf.stop) })
+
+	inFlight := func() (stats, metrics int64) {
+		t.Helper()
+		st := coordFleetStats(t, coordURL)
+		if len(st.Backends) != 1 {
+			t.Fatalf("fleet stats list %d backends, want 1", len(st.Backends))
+		}
+		return st.Backends[0].InFlight, metricValue(t, metricsText(t, coordURL), `preexec_fleet_backend_in_flight{backend="http://backend-0"}`)
+	}
+	if s, m := inFlight(); s != 0 || m != 0 {
+		t.Fatalf("idle coordinator: stats in_flight %d, metrics %d, want 0", s, m)
+	}
+	body := fmt.Sprintf(`{"benches": ["crafty"], "points": [{"name": "a", "config": %s}]}`, smallCfg)
+	done := postAsync(coordURL+"/v1/sweep", body)
+	release := <-hf.arrivals
+	if s, m := inFlight(); s != 1 || m != 1 {
+		t.Errorf("forward held: stats in_flight %d, metrics %d, want 1", s, m)
+	}
+	close(release)
+	if res := <-done; res.err != nil || res.status != http.StatusOK {
+		t.Fatalf("sweep: status %d, err %v: %s", res.status, res.err, res.body)
+	}
+	if s, m := inFlight(); s != 0 || m != 0 {
+		t.Errorf("sweep done: stats in_flight %d, metrics %d, want 0", s, m)
 	}
 }
 

@@ -59,10 +59,13 @@ func (ev SuiteEvent) MarshalJSON() ([]byte, error) {
 }
 
 // ParallelEach runs fn(i) for every i in [0, n) across a bounded worker
-// pool (workers <= 0 selects GOMAXPROCS). The first error cancels the
-// context passed to the remaining calls and is returned once the pool
-// drains; index association is the caller's (write results[i] inside fn).
-// Suite.Run and the experiment tables are built on it.
+// pool (workers <= 0 selects GOMAXPROCS), handing out i in increasing order
+// as workers free up. The first error cancels the context passed to the
+// remaining calls and is returned once the pool drains; index association
+// is the caller's (write results[i] inside fn). A caller with its own
+// schedule may treat i as a ticket and pick the item inside fn. Suite.Run,
+// the experiment tables and the serve coordinator's sweep (which picks each
+// cell by backend load) are built on it.
 func ParallelEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
