@@ -21,7 +21,6 @@ import (
 	"preexec/internal/selector"
 	"preexec/internal/slice"
 	"preexec/internal/timing"
-	"preexec/internal/workload"
 )
 
 func benchOpts() experiments.Options {
@@ -124,125 +123,118 @@ func BenchmarkWidth(b *testing.B) {
 	}
 }
 
-// benchSim measures one bare timing.Run (50k measured instructions, base
-// mode) so the simulator hot loop is observable in isolation from profiling
-// and selection. These are the benchmarks cmd/benchsnap snapshots into
-// BENCH_baseline.json and that CI guards against allocation regressions.
-func benchSim(b *testing.B, name string) {
-	b.Helper()
-	w, err := workload.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := w.Build(1)
-	cfg := timing.DefaultConfig()
-	cfg.MaxInsts = 50_000
+// An op is one micro-benchmark: it sets up and returns the one call it
+// measures — a bare timing run, a trace recording or replay, a selection
+// sweep — so one stage is observable in isolation. Setup and call failures
+// fail tb. Each op is defined once: its Benchmark* function times it, and
+// TestAllocCeilings bounds its heap allocations per call, the
+// machine-independent regression signal the zero-allocation simulator core
+// is defended by.
+type op func(tb testing.TB) func()
+
+// benchOp times o's call.
+func benchOp(b *testing.B, o op) {
+	call := o(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := timing.Run(p, nil, cfg); err != nil {
-			b.Fatal(err)
+		call()
+	}
+}
+
+// simOp is one bare base-mode timing.Run of 50k instructions of the named
+// workload: the simulator hot loop without profiling or selection.
+func simOp(name string) op {
+	return func(tb testing.TB) func() {
+		p := buildBench(tb, name)
+		cfg := timing.DefaultConfig()
+		cfg.MaxInsts = 50_000
+		return func() {
+			if _, err := timing.Run(p, nil, cfg); err != nil {
+				tb.Fatal(err)
+			}
 		}
 	}
 }
 
-func BenchmarkSimBzip2(b *testing.B)  { benchSim(b, "bzip2") }
-func BenchmarkSimCrafty(b *testing.B) { benchSim(b, "crafty") }
-func BenchmarkSimGap(b *testing.B)    { benchSim(b, "gap") }
-func BenchmarkSimGcc(b *testing.B)    { benchSim(b, "gcc") }
-func BenchmarkSimMcf(b *testing.B)    { benchSim(b, "mcf") }
-func BenchmarkSimParser(b *testing.B) { benchSim(b, "parser") }
-func BenchmarkSimTwolf(b *testing.B)  { benchSim(b, "twolf") }
-func BenchmarkSimVortex(b *testing.B) { benchSim(b, "vortex") }
-func BenchmarkSimVprP(b *testing.B)   { benchSim(b, "vpr.p") }
-func BenchmarkSimVprR(b *testing.B)   { benchSim(b, "vpr.r") }
+func BenchmarkSimBzip2(b *testing.B)  { benchOp(b, simOp("bzip2")) }
+func BenchmarkSimCrafty(b *testing.B) { benchOp(b, simOp("crafty")) }
+func BenchmarkSimGap(b *testing.B)    { benchOp(b, simOp("gap")) }
+func BenchmarkSimGcc(b *testing.B)    { benchOp(b, simOp("gcc")) }
+func BenchmarkSimMcf(b *testing.B)    { benchOp(b, simOp("mcf")) }
+func BenchmarkSimParser(b *testing.B) { benchOp(b, simOp("parser")) }
+func BenchmarkSimTwolf(b *testing.B)  { benchOp(b, simOp("twolf")) }
+func BenchmarkSimVortex(b *testing.B) { benchOp(b, simOp("vortex")) }
+func BenchmarkSimVprP(b *testing.B)   { benchOp(b, simOp("vpr.p")) }
+func BenchmarkSimVprR(b *testing.B)   { benchOp(b, simOp("vpr.r")) }
 
-// BenchmarkSimVprPPreexec exercises the pre-execution paths of the hot loop
-// (launch, burst injection, p-thread memory traffic) that the base-mode
-// BenchmarkSim* benchmarks never reach.
-func BenchmarkSimVprPPreexec(b *testing.B) {
-	w, err := workload.ByName("vpr.p")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := w.Build(1)
+// vprPSelection builds vpr.p, selects p-threads from a profile of its first
+// 50k instructions, and returns them with the pre-execution timing
+// configuration of a 50k-instruction run.
+func vprPSelection(tb testing.TB) (*preexec.Program, []*preexec.PThread, timing.Config) {
+	tb.Helper()
+	p := buildBench(tb, "vpr.p")
 	forest, err := slice.ProfileWhole(p, slice.ProfileOptions{MaxInsts: 50_000})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	res := selector.SelectForest(forest, selector.Options{Params: advantage.DefaultParams(1.5), Merge: true})
 	cfg := timing.DefaultConfig()
 	cfg.MaxInsts = 50_000
 	cfg.Mode = timing.ModeNormal
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := timing.Run(p, res.PThreads, cfg); err != nil {
-			b.Fatal(err)
+	return p, res.PThreads, cfg
+}
+
+// preexecOp streams vpr.p with its selected p-threads: the pre-execution
+// paths of the hot loop (launch, burst injection, p-thread memory traffic)
+// that the base-mode simOps never reach.
+func preexecOp(tb testing.TB) func() {
+	p, pts, cfg := vprPSelection(tb)
+	return func() {
+		if _, err := timing.Run(p, pts, cfg); err != nil {
+			tb.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkRecordTraceVprP measures recording the base-run event trace that
-// the replay benchmarks consume — the one-time cost a sweep pays per base
-// group before every selection cell replays for almost free.
-func BenchmarkRecordTraceVprP(b *testing.B) {
-	w, err := workload.ByName("vpr.p")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := w.Build(1)
+// recordOp records vpr.p's base-run event trace — the one-time cost a sweep
+// pays per base group before every selection cell replays for almost free.
+func recordOp(tb testing.TB) func() {
+	p := buildBench(tb, "vpr.p")
 	cfg := timing.DefaultConfig()
 	cfg.MaxInsts = 50_000
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		if _, err := timing.RecordTrace(context.Background(), p, cfg); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkReplayVprP replays the same selection BenchmarkSimVprPPreexec
-// simulates in full, against a recorded trace — the two benchmarks bracket
-// the per-cell saving of replaying over streaming the front end (results
-// bit-identical).
-func BenchmarkReplayVprP(b *testing.B) {
-	w, err := workload.ByName("vpr.p")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := w.Build(1)
-	forest, err := slice.ProfileWhole(p, slice.ProfileOptions{MaxInsts: 50_000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	res := selector.SelectForest(forest, selector.Options{Params: advantage.DefaultParams(1.5), Merge: true})
-	cfg := timing.DefaultConfig()
-	cfg.MaxInsts = 50_000
-	cfg.Mode = timing.ModeNormal
+// replayOp replays the selection preexecOp streams against a recorded trace:
+// the two bracket the per-cell saving of replaying over streaming the front
+// end (results bit-identical).
+func replayOp(tb testing.TB) func() {
+	p, pts, cfg := vprPSelection(tb)
 	tr, err := timing.RecordTrace(context.Background(), p, cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := timing.Replay(context.Background(), tr, res.PThreads, cfg); err != nil {
-			b.Fatal(err)
+	return func() {
+		if _, err := timing.Replay(context.Background(), tr, pts, cfg); err != nil {
+			tb.Fatal(err)
 		}
 	}
 }
 
-// replayGrid is the selection-only sweep BenchmarkSweepReplayGrid runs: a
-// Figure-5-style optimization x merging grid where every cell shares one
-// base-run identity per benchmark, so each benchmark's trace is recorded
-// once and replayed for every selection.
-func replayGrid(b *testing.B) ([]preexec.SweepBench, []preexec.ConfigPoint) {
-	b.Helper()
+// replayGrid is the selection-only grid sweepOp runs: a Figure-5-style
+// optimization x merging grid where every cell shares one base-run identity
+// per benchmark, so each benchmark's trace is recorded once and replayed for
+// every selection.
+func replayGrid(tb testing.TB) ([]preexec.SweepBench, []preexec.ConfigPoint) {
+	tb.Helper()
 	benches, err := preexec.SweepBenches([]string{"crafty", "gcc", "vpr.p"}, 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var points []preexec.ConfigPoint
 	for _, name := range []string{"none", "merge", "opt", "opt+merge"} {
@@ -255,19 +247,68 @@ func replayGrid(b *testing.B) ([]preexec.SweepBench, []preexec.ConfigPoint) {
 	return benches, points
 }
 
-// BenchmarkSweepReplayGrid runs the selection-only grid through a memoized
-// sweep: one trace recording, one base replay and one profile per
-// benchmark, then one replay per distinct p-thread set. crafty selects
-// nothing, so its cells reuse the base run.
-func BenchmarkSweepReplayGrid(b *testing.B) {
-	benches, points := replayGrid(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := &preexec.Sweep{Workers: 2}
-		if _, err := s.Run(context.Background(), benches, points); err != nil {
-			b.Fatal(err)
+// sweepOp runs the replay grid on two workers. Memoized (cached), it records
+// one trace, replays one base run and profiles once per benchmark, then
+// replays once per distinct p-thread set; crafty selects nothing, so its
+// cells reuse the base run. Uncached, every cell runs each stage itself: the
+// pair records the stage cache's win.
+func sweepOp(cached bool) op {
+	return func(tb testing.TB) func() {
+		benches, points := replayGrid(tb)
+		return func() {
+			s := &preexec.Sweep{Workers: 2, NoCache: !cached}
+			if _, err := s.Run(context.Background(), benches, points); err != nil {
+				tb.Fatal(err)
+			}
 		}
+	}
+}
+
+func BenchmarkSimVprPPreexec(b *testing.B)  { benchOp(b, preexecOp) }
+func BenchmarkRecordTraceVprP(b *testing.B) { benchOp(b, recordOp) }
+func BenchmarkReplayVprP(b *testing.B)      { benchOp(b, replayOp) }
+func BenchmarkSweepReplayGrid(b *testing.B) { benchOp(b, sweepOp(true)) }
+func BenchmarkSweepUncached(b *testing.B)   { benchOp(b, sweepOp(false)) }
+
+// allocCeilings bounds each op's heap allocations per call. A ceiling is the
+// count measured when it was set, plus 30% and 32 allocations of headroom
+// for map growth and scheduling; an op whose count falls well below its
+// ceiling should have the ceiling lowered with it.
+var allocCeilings = []struct {
+	name    string
+	op      op
+	ceiling float64
+}{
+	{"SimBzip2", simOp("bzip2"), 591},
+	{"SimCrafty", simOp("crafty"), 102},
+	{"SimGap", simOp("gap"), 276},
+	{"SimGcc", simOp("gcc"), 591},
+	{"SimMcf", simOp("mcf"), 424},
+	{"SimParser", simOp("parser"), 424},
+	{"SimTwolf", simOp("twolf"), 255},
+	{"SimVortex", simOp("vortex"), 425},
+	{"SimVprP", simOp("vpr.p"), 255},
+	{"SimVprR", simOp("vpr.r"), 327},
+	{"SimVprPPreexec", preexecOp, 318},
+	{"RecordTraceVprP", recordOp, 224},
+	{"ReplayVprP", replayOp, 340},
+	{"SweepReplayGrid", sweepOp(true), 68490},
+	{"SweepUncached", sweepOp(false), 73814},
+}
+
+// TestAllocCeilings fails when an op allocates more per call than its
+// ceiling. testing.AllocsPerRun warms the op with one call and counts the
+// next.
+func TestAllocCeilings(t *testing.T) {
+	for _, c := range allocCeilings {
+		t.Run(c.name, func(t *testing.T) {
+			call := c.op(t)
+			got := testing.AllocsPerRun(1, call)
+			if got > c.ceiling {
+				t.Errorf("%.0f allocs/op, ceiling %.0f", got, c.ceiling)
+			}
+			t.Logf("%.0f allocs/op, ceiling %.0f", got, c.ceiling)
+		})
 	}
 }
 

@@ -534,21 +534,36 @@ func (s *stageMap[K, V]) getOrCompute(ctx context.Context, key K, compute func()
 		s.mu.Unlock()
 		s.runs.Add(1)
 
+		// The entry must land even if compute panics (an http.Handler
+		// recovers the panic and keeps serving, so a leaked entry would
+		// block every later lookup of key): treat a panicking compute as a
+		// failed flight — waiters retry — and let the panic propagate.
+		landed := false
+		defer func() {
+			if !landed {
+				s.fail(e)
+			}
+		}()
 		v, err := compute()
+		landed = true
 		if err != nil {
-			// Failures are not memoized: drop the entry so later requests
-			// recompute, then release the waiters that coalesced onto this
-			// flight. The failure is returned only to the caller whose
-			// compute it was.
-			s.mu.Lock()
-			s.drop(e)
-			s.mu.Unlock()
-			e.failed = true
-			close(e.done)
+			// Failures are not memoized. The failure is returned only to
+			// the caller whose compute it was.
+			s.fail(e)
 			return zero, err
 		}
 		e.val = v
 		close(e.done)
 		return v, nil
 	}
+}
+
+// fail drops e so later requests recompute, then releases the waiters that
+// coalesced onto its flight to retry.
+func (s *stageMap[K, V]) fail(e *stageEntry[K, V]) {
+	s.mu.Lock()
+	s.drop(e)
+	s.mu.Unlock()
+	e.failed = true
+	close(e.done)
 }

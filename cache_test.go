@@ -3,6 +3,7 @@ package preexec
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -248,5 +249,48 @@ func TestSweepWithCacheLimitBitIdentical(t *testing.T) {
 	}
 	if base, prof, trace := limited.Cache.Len(); base > 1 || prof > 1 || trace > 1 {
 		t.Errorf("limited cache holds %d/%d/%d entries, want <= 1 each", base, prof, trace)
+	}
+}
+
+// panicOnceSimulator is the reference timing backend, except that its first
+// RecordTrace panics.
+type panicOnceSimulator struct {
+	timingSimulator
+	panicked atomic.Bool
+}
+
+func (s *panicOnceSimulator) RecordTrace(ctx context.Context, p *Program, cfg TimingConfig) (*Trace, error) {
+	if !s.panicked.Swap(true) {
+		panic("injected RecordTrace panic")
+	}
+	return s.timingSimulator.RecordTrace(ctx, p, cfg)
+}
+
+// TestStageCacheComputePanicDoesNotWedgeKey pins a panicking stage as a
+// failed flight: the panic reaches the caller, and a later lookup of the
+// same trace and base-run keys — say the next request of a server whose
+// handler recovered the panic — computes afresh instead of blocking on an
+// entry that never lands.
+func TestStageCacheComputePanicDoesNotWedgeKey(t *testing.T) {
+	w, err := WorkloadByName("vpr.p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := w.Build(1)
+	machine := DefaultMachine()
+	machine.WarmInsts, machine.MeasureInsts = 10_000, 30_000
+	eng := New(WithMachine(machine), WithSimulator(&panicOnceSimulator{}), WithStageCache(NewStageCache()))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Simulate did not propagate the RecordTrace panic")
+			}
+		}()
+		_, _ = eng.Simulate(t.Context(), prog, nil, ModeBase)
+	}()
+	ctx, cancel := context.WithTimeout(t.Context(), 10*time.Second)
+	defer cancel()
+	if _, err := eng.Simulate(ctx, prog, nil, ModeBase); err != nil {
+		t.Fatalf("Simulate after a recovered panic: %v", err)
 	}
 }

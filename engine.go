@@ -26,13 +26,6 @@ type Profiler interface {
 	Profile(ctx context.Context, t *Trace, opts []ProfileOptions) ([][]ProfileRegion, error)
 }
 
-// Selector is the p-thread selection stage: it solves the profiled slice
-// trees for the p-thread set with maximal aggregate advantage. regioned
-// reports whether per-region selection was requested.
-type Selector interface {
-	Select(regions []ProfileRegion, opts SelectorOptions, regioned bool) SelectionResult
-}
-
 // Simulator is the detailed timing stage: it measures a program — with
 // optional p-threads — on the simulated machine, in two steps. RecordTrace
 // captures a run's front-end event stream (fetch order, effective
@@ -53,19 +46,11 @@ type Simulator interface {
 // The reference stage implementations.
 type (
 	sliceProfiler   struct{}
-	treeSelector    struct{}
 	timingSimulator struct{}
 )
 
 func (sliceProfiler) Profile(ctx context.Context, t *Trace, opts []ProfileOptions) ([][]ProfileRegion, error) {
 	return slice.ProfileShapes(ctx, t, opts)
-}
-
-func (treeSelector) Select(regions []ProfileRegion, opts SelectorOptions, regioned bool) SelectionResult {
-	if regioned {
-		return selector.SelectRegions(regions, opts)
-	}
-	return selector.SelectForest(regions[0].Forest, opts)
 }
 
 func (timingSimulator) RecordTrace(ctx context.Context, p *Program, cfg TimingConfig) (*Trace, error) {
@@ -103,8 +88,8 @@ type StageObserver interface {
 // cross-cutting behaviour (the serve package gates the expensive stages
 // through a server-wide worker pool) while keeping results bit-identical to
 // the defaults.
-func ReferenceStages() (Profiler, Selector, Simulator) {
-	return sliceProfiler{}, treeSelector{}, timingSimulator{}
+func ReferenceStages() (Profiler, Simulator) {
+	return sliceProfiler{}, timingSimulator{}
 }
 
 // Engine runs the pre-execution pipeline of the paper's tool flow (§4.1)
@@ -117,7 +102,6 @@ func ReferenceStages() (Profiler, Selector, Simulator) {
 type Engine struct {
 	cfg       Config
 	profiler  Profiler
-	selector  Selector
 	simulator Simulator
 	// cache, if non-nil, memoizes traces, base timing runs, and profiles
 	// across engines sharing it (see StageCache and Sweep).
@@ -139,17 +123,11 @@ func WithMachine(m MachineConfig) Option { return func(e *Engine) { e.cfg.Machin
 // WithSelection sets the selection configuration.
 func WithSelection(s SelectionConfig) Option { return func(e *Engine) { e.cfg.Selection = s } }
 
-// WithAblation sets the ablation switches.
-func WithAblation(a AblationConfig) Option { return func(e *Engine) { e.cfg.Ablation = a } }
-
 // WithConfig sets all three configuration groups at once.
 func WithConfig(c Config) Option { return func(e *Engine) { e.cfg = c } }
 
 // WithProfiler swaps the functional profiling backend.
 func WithProfiler(p Profiler) Option { return func(e *Engine) { e.profiler = p } }
-
-// WithSelector swaps the selection backend.
-func WithSelector(s Selector) Option { return func(e *Engine) { e.selector = s } }
 
 // WithSimulator swaps the timing-simulation backend.
 func WithSimulator(s Simulator) Option { return func(e *Engine) { e.simulator = s } }
@@ -178,7 +156,6 @@ func New(opts ...Option) *Engine {
 	e := &Engine{
 		cfg:       DefaultConfig(),
 		profiler:  sliceProfiler{},
-		selector:  treeSelector{},
 		simulator: timingSimulator{},
 	}
 	for _, o := range opts {
@@ -371,18 +348,18 @@ func (e *Engine) selectRegions(regions []ProfileRegion, baseIPC float64, cfg Con
 	if e.observer != nil {
 		defer e.observer.StageStart("select", "")()
 	}
-	return e.selector.Select(regions, cfg.selectorOptions(baseIPC), cfg.Selection.RegionInsts > 0), misses, nil
+	opts := cfg.selectorOptions(baseIPC)
+	if cfg.Selection.RegionInsts > 0 {
+		return selector.SelectRegions(regions, opts), misses, nil
+	}
+	return selector.SelectForest(regions[0].Forest, opts), misses, nil
 }
 
 // SelectForest applies the engine's selection parameters to an
 // already-profiled forest (the tselect flow: many p-thread sets from one
 // profile).
 func (e *Engine) SelectForest(f *Forest, baseIPC float64) SelectionResult {
-	return e.selector.Select(
-		[]ProfileRegion{{End: f.Insts, Forest: f}},
-		e.cfg.Normalized().selectorOptions(baseIPC),
-		false,
-	)
+	return selector.SelectForest(f, e.cfg.Normalized().selectorOptions(baseIPC))
 }
 
 // Simulate measures a program with the given p-threads under one of the

@@ -111,7 +111,7 @@ type countingProfiler struct {
 
 func (c *countingProfiler) Profile(ctx context.Context, t *preexec.Trace, opts []preexec.ProfileOptions) ([][]preexec.ProfileRegion, error) {
 	c.calls.Add(1)
-	inner, _, _ := preexec.ReferenceStages()
+	inner, _ := preexec.ReferenceStages()
 	return inner.Profile(ctx, t, opts)
 }
 
@@ -259,7 +259,7 @@ func (f failingRecorder) RecordTrace(context.Context, *preexec.Program, preexec.
 // before the profiler is ever called.
 func TestEvaluateBaseFailureCancelsProfile(t *testing.T) {
 	prog := buildBench(t, "vpr.p")
-	_, _, sim := preexec.ReferenceStages()
+	_, sim := preexec.ReferenceStages()
 	errBase, errProfile := errors.New("base backend down"), errors.New("profile backend down")
 	for _, tc := range []struct {
 		name       string

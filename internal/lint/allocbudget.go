@@ -16,17 +16,18 @@ import (
 	"preexec/internal/lint/analysis"
 )
 
-// AllocBudget turns the PR 2 zero-alloc property of the timing hot path into
+// AllocBudget turns the zero-alloc property of the timing hot path into
 // a CI-failing static gate: it drives the compiler's escape analysis
 // (`go build -gcflags='-m -m'`) over each budgeted package — the timing
 // backend and the front end that feeds it — and diffs the heap-escape
 // diagnostics attributed to the hot-path functions against the checked-in
 // budget (internal/lint/testdata/allocbudget.json). A new escape
 // in a hot function fails immediately — before any benchmark runs — instead
-// of surfacing later as allocs/op drift in benchsnap. Amortized allocations
-// the hot path legitimately performs (arena chunk growth, ring doubling) are
-// recorded in the budget; `preexeclint -update-allocbudget` regenerates the
-// recorded escapes after an intentional change.
+// of surfacing later as allocs/op drift in the micro-benchmarks'
+// TestAllocCeilings checks. Amortized allocations the hot path legitimately
+// performs (arena chunk growth, ring doubling) are recorded in the budget;
+// `preexeclint -update-allocbudget` regenerates the recorded escapes after
+// an intentional change.
 //
 // Attribution uses the package's ASTs: each diagnostic's (file, line) is
 // mapped to its innermost enclosing function declaration, so inlined

@@ -8,7 +8,8 @@
 //
 //   - Disabled instrumentation is free. Every metric and span method is a
 //     nil-receiver no-op, so an uninstrumented hot path pays one nil check
-//     and zero allocations (pinned by BenchmarkObsDisabledOverhead).
+//     and zero allocations (pinned by TestAllocCeilings, which measures the
+//     op BenchmarkObsDisabledOverhead times).
 //   - Nothing here reads the wall clock or the process-seeded random source
 //     directly. Timestamps come from an injected Clock (SystemClock is the
 //     one sanctioned time.Now call site, explicitly suppressed for the

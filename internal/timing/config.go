@@ -19,8 +19,9 @@
 // optimizations must preserve bit-for-bit identical Stats. The frozen
 // pre-optimization core in refsim_test.go and the equivalence tests in
 // equiv_test.go and synth_equiv_test.go enforce this; an intentional model
-// change updates that frozen copy in the same commit. BENCH_baseline.json at the repository root records the
-// micro-benchmark baseline that CI guards (cmd/benchsnap).
+// change updates that frozen copy in the same commit. The root package's
+// TestAllocCeilings bounds the allocations per run of the BenchmarkSim*
+// micro-benchmarks.
 package timing
 
 // Mode selects what the simulated p-threads are allowed to do. The

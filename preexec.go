@@ -16,13 +16,15 @@
 // and the Suite runner evaluates many workloads concurrently across a
 // bounded worker pool with deterministic result ordering.
 //
-// The pipeline stages — Profiler, Selector, Simulator — are interfaces, so
-// alternative backends can be swapped in with WithProfiler, WithSelector,
-// and WithSimulator; the defaults are the in-repo reference implementations
-// that reproduce the paper's results. Every timing run has one path: the
-// Simulator records the program's front-end trace once per machine
-// configuration, memoized in a StageCache, and replays it for the base run
-// and for every selection and diagnostic mode.
+// The two simulation stages — Profiler and Simulator — are interfaces, so
+// alternative backends can be swapped in with WithProfiler and
+// WithSimulator; the defaults are the in-repo reference implementations
+// that reproduce the paper's results. Selection always runs the slice-tree
+// selector. Every timing run has one path: the Simulator records the
+// program's front-end trace once per program and timing.TraceSpan (the run
+// length plus the machine's rounded fetch-ahead), memoized in a StageCache,
+// and replays it for the base run and for every selection, diagnostic mode
+// and machine point of that span; the Profiler reads the same trace.
 package preexec
 
 import (

@@ -199,7 +199,6 @@ func (f stageFanout) StageStart(stage, bench string) func() {
 func (s *Server) tracedEngine(trace, parent string) *preexec.Engine {
 	return preexec.New(
 		preexec.WithProfiler(s.profiler),
-		preexec.WithSelector(s.selector),
 		preexec.WithSimulator(s.simulator),
 		preexec.WithStageObserver(stageFanout{
 			a: s.obs,

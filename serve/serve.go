@@ -63,11 +63,10 @@ type Server struct {
 	cacheLimit int
 
 	// The stage backends shared by every request-built engine: the reference
-	// implementations with the expensive stages gated through the worker
-	// pool. Sharing one backend set keeps the StageCache contract (all
-	// engines on one cache must use the same backends).
+	// implementations gated through the worker pool. Sharing one backend set
+	// keeps the StageCache contract (all engines on one cache must use the
+	// same backends).
 	profiler  preexec.Profiler
-	selector  preexec.Selector
 	simulator preexec.Simulator
 	// base carries the shared backends into Sweep.Plan.
 	base *preexec.Engine
@@ -168,13 +167,11 @@ func New(opts ...Option) *Server {
 	}
 	s.gate = newGate(s.workers)
 	s.obs = newServerObs(s)
-	profiler, selector, simulator := preexec.ReferenceStages()
+	profiler, simulator := preexec.ReferenceStages()
 	s.profiler = gatedProfiler{g: s.gate, p: profiler}
-	s.selector = selector // selection is cheap and stays ungated
 	s.simulator = gatedSimulator{g: s.gate, s: simulator}
 	s.base = preexec.New(
 		preexec.WithProfiler(s.profiler),
-		preexec.WithSelector(s.selector),
 		preexec.WithSimulator(s.simulator),
 		preexec.WithStageObserver(s.obs),
 	)
@@ -267,7 +264,6 @@ func (s *Server) engine(cfg preexec.Config) *preexec.Engine {
 	return preexec.New(
 		preexec.WithConfig(cfg),
 		preexec.WithProfiler(s.profiler),
-		preexec.WithSelector(s.selector),
 		preexec.WithSimulator(s.simulator),
 		preexec.WithStageCache(s.cache),
 		preexec.WithStageObserver(s.obs),

@@ -134,20 +134,6 @@ type Suite struct {
 	Progress func(SuiteEvent)
 }
 
-func (s *Suite) workers(n int) int {
-	w := s.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Run evaluates every job and returns their reports in input order. The
 // first failure cancels the jobs still in flight and is returned as the
 // summary error after all workers drain; reports of jobs that completed
@@ -181,7 +167,7 @@ func (s *Suite) Run(ctx context.Context, jobs []Job) ([]Report, []error, error) 
 		mu   sync.Mutex // guards done and Progress calls
 		done int
 	)
-	err := ParallelEach(ctx, s.workers(len(jobs)), len(jobs), func(ctx context.Context, i int) error {
+	err := ParallelEach(ctx, s.Workers, len(jobs), func(ctx context.Context, i int) error {
 		job := jobs[i]
 		eng := job.Engine
 		if eng == nil {

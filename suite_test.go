@@ -96,12 +96,12 @@ type failingSimulator struct {
 type passthroughSimulator struct{}
 
 func (passthroughSimulator) RecordTrace(ctx context.Context, p *preexec.Program, cfg preexec.TimingConfig) (*preexec.Trace, error) {
-	_, _, sim := preexec.ReferenceStages()
+	_, sim := preexec.ReferenceStages()
 	return sim.RecordTrace(ctx, p, cfg)
 }
 
 func (passthroughSimulator) Replay(ctx context.Context, t *preexec.Trace, pts []*preexec.PThread, cfg preexec.TimingConfig) (preexec.Stats, error) {
-	_, _, sim := preexec.ReferenceStages()
+	_, sim := preexec.ReferenceStages()
 	return sim.Replay(ctx, t, pts, cfg)
 }
 

@@ -110,7 +110,7 @@ type SweepResult struct {
 // profiling pass. Cell reports are bit-for-bit identical to uncached
 // evaluation.
 type Sweep struct {
-	// Engine supplies the stage backends (profiler/selector/simulator) the
+	// Engine supplies the stage backends (profiler and simulator) the
 	// cells run on (nil = the reference implementations). Its configuration
 	// is ignored: each cell evaluates under its ConfigPoint's.
 	Engine *Engine
@@ -175,7 +175,6 @@ func (s *Sweep) Plan(benches []SweepBench, points []ConfigPoint, cache *StageCac
 			e := New(
 				WithConfig(cfg),
 				WithProfiler(base.profiler),
-				WithSelector(base.selector),
 				WithSimulator(base.simulator),
 				WithStageCache(cache),
 				WithStageObserver(base.observer),
