@@ -292,8 +292,8 @@ var allocCeilings = []struct {
 	{"SimVprPPreexec", preexecOp, 318},
 	{"RecordTraceVprP", recordOp, 224},
 	{"ReplayVprP", replayOp, 340},
-	{"SweepReplayGrid", sweepOp(true), 68490},
-	{"SweepUncached", sweepOp(false), 73814},
+	{"SweepReplayGrid", sweepOp(true), 8393},
+	{"SweepUncached", sweepOp(false), 16240},
 }
 
 // TestAllocCeilings fails when an op allocates more per call than its

@@ -125,6 +125,11 @@ type Score struct {
 // of path (path[0] = root load ... path[k] = trigger), using per-PC dynamic
 // trigger counts from dctrig. ok is false if the path cannot form a valid
 // candidate (k < 1 or body longer than MaxLen).
+//
+// The result depends only on the arguments, so a caller may score a path
+// once and reuse the score; the selector does so for every leaf and
+// iteration that reaches the same trigger node. A reused Score's Body is
+// then shared between candidates: callers must copy it before mutating it.
 func ScorePath(path []*slice.Node, dctrig map[int]int64, p Params) (Score, bool) {
 	k := len(path) - 1
 	if k < 1 || k > p.maxLen() {

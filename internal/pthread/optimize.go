@@ -34,21 +34,17 @@ func Optimize(body []BodyInst) []BodyInst {
 	return w
 }
 
-// uses returns, for each body index, the list of consumer indices (register
-// and memory dependences).
-func uses(body []BodyInst) [][]int {
-	u := make([][]int, len(body))
-	for i, bi := range body {
-		for _, d := range bi.Dep {
-			if d >= 0 {
-				u[d] = append(u[d], i)
-			}
-		}
-		if bi.MemDep >= 0 {
-			u[bi.MemDep] = append(u[bi.MemDep], i)
+// addConsumers adds delta to the consumer count n[d] of each body index d
+// that bi reads (register and memory dependences).
+func addConsumers(n []int, bi BodyInst, delta int) {
+	for _, d := range bi.Dep {
+		if d >= 0 {
+			n[d] += delta
 		}
 	}
-	return u
+	if bi.MemDep >= 0 {
+		n[bi.MemDep] += delta
+	}
 }
 
 // regWrittenBetween reports whether any instruction in (from, to) exclusive
@@ -92,15 +88,18 @@ func storeLoadElim(body []BodyInst) bool {
 // has a single consumer. The producer is turned into a NOP (removed by DCE).
 func constantFold(body []BodyInst) bool {
 	changed := false
+	consumers := make([]int, len(body))
+	for _, bi := range body {
+		addConsumers(consumers, bi, 1)
+	}
 	for {
-		u := uses(body)
 		folded := false
 		for j, bi := range body {
 			if bi.Inst.Op != isa.ADDI {
 				continue
 			}
 			p := bi.Dep[0]
-			if p < 0 || len(u[p]) != 1 {
+			if p < 0 || consumers[p] != 1 {
 				continue
 			}
 			prod := body[p]
@@ -126,7 +125,12 @@ func constantFold(body []BodyInst) bool {
 				folded = true
 			}
 			if folded {
-				break // recompute uses after each fold
+				// Move the counts from the old instructions to the new.
+				addConsumers(consumers, bi, -1)
+				addConsumers(consumers, prod, -1)
+				addConsumers(consumers, body[j], 1)
+				addConsumers(consumers, body[p], 1)
+				break
 			}
 		}
 		if !folded {

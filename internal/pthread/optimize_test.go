@@ -78,6 +78,40 @@ func TestConstantFoldRefusedWhenMultipleUses(t *testing.T) {
 	}
 }
 
+func TestConstantFoldCountsSecondOperandUse(t *testing.T) {
+	// The intermediate value's second consumer reads it as its second
+	// operand; it still counts, so the chain must not fold.
+	body := []BodyInst{
+		{Inst: isa.Inst{Op: isa.ADDI, Rd: 5, Rs1: 6, Imm: 16}, Dep: [2]int{DepLiveIn, DepLiveIn}, MemDep: DepLiveIn},
+		{Inst: isa.Inst{Op: isa.ADDI, Rd: 7, Rs1: 5, Imm: 16}, Dep: [2]int{0, DepLiveIn}, MemDep: DepLiveIn},
+		{Inst: isa.Inst{Op: isa.ADD, Rd: 8, Rs1: 7, Rs2: 5}, Dep: [2]int{1, 0}, MemDep: DepLiveIn},
+		{Inst: isa.Inst{Op: isa.LD, Rd: 9, Rs1: 8}, Dep: [2]int{2, DepLiveIn}, MemDep: DepLiveIn},
+	}
+	opt := Optimize(body)
+	seeds := map[isa.Reg]int64{6: 512}
+	if a, b := finalLoadAddr(body, seeds, mem.New()), finalLoadAddr(opt, seeds, mem.New()); a != b {
+		t.Errorf("prefetch address changed: %d vs %d\noptimized %v", a, b, opt)
+	}
+}
+
+func TestConstantFoldTracksConsumersAcrossFolds(t *testing.T) {
+	// Folding #1 into #2 makes #2 read #0, which #3 also reads: #0 has two
+	// consumers again and must not fold into #2.
+	body := []BodyInst{
+		{Inst: isa.Inst{Op: isa.ADDI, Rd: 5, Rs1: 6, Imm: 8}, Dep: [2]int{DepLiveIn, DepLiveIn}, MemDep: DepLiveIn},
+		{Inst: isa.Inst{Op: isa.ADDI, Rd: 7, Rs1: 5, Imm: 16}, Dep: [2]int{0, DepLiveIn}, MemDep: DepLiveIn},
+		{Inst: isa.Inst{Op: isa.ADDI, Rd: 8, Rs1: 7, Imm: 4}, Dep: [2]int{1, DepLiveIn}, MemDep: DepLiveIn},
+		{Inst: isa.Inst{Op: isa.ADDI, Rd: 9, Rs1: 5, Imm: 32}, Dep: [2]int{0, DepLiveIn}, MemDep: DepLiveIn},
+		{Inst: isa.Inst{Op: isa.ADD, Rd: 10, Rs1: 8, Rs2: 9}, Dep: [2]int{2, 3}, MemDep: DepLiveIn},
+		{Inst: isa.Inst{Op: isa.LD, Rd: 11, Rs1: 10}, Dep: [2]int{4, DepLiveIn}, MemDep: DepLiveIn},
+	}
+	opt := Optimize(body)
+	seeds := map[isa.Reg]int64{6: 512}
+	if a, b := finalLoadAddr(body, seeds, mem.New()), finalLoadAddr(opt, seeds, mem.New()); a != b {
+		t.Errorf("prefetch address changed: %d vs %d\noptimized %v", a, b, opt)
+	}
+}
+
 func TestStoreLoadPairElimination(t *testing.T) {
 	// st r2 -> [r1]; ld r3 <- [r1]; ld r4 <- [r3+8]: the inner load becomes
 	// a move of r2, the store and its address become dead.

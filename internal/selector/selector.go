@@ -102,6 +102,24 @@ func SelectTree(tree *slice.Tree, dctrig map[int]int64, opts Options) []*selecte
 		return nil
 	}
 
+	// A trigger node's root-to-node path is unique in the tree and ScorePath
+	// depends only on its arguments, so each node is scored once: leaves
+	// sharing a prefix, and every iteration, reuse the score.
+	type scored struct {
+		score advantage.Score
+		ok    bool
+	}
+	memo := make(map[*slice.Node]scored)
+	score := func(path []*slice.Node) scored {
+		n := path[len(path)-1]
+		sc, hit := memo[n]
+		if !hit {
+			sc.score, sc.ok = advantage.ScorePath(path, dctrig, opts.Params)
+			memo[n] = sc
+		}
+		return sc
+	}
+
 	// One selection slot per leaf; nil = leaf declines.
 	cur := make([]*selected, len(leaves))
 	// Reductions applied to a candidate trigger node: DCptcm of selected
@@ -123,16 +141,16 @@ func SelectTree(tree *slice.Tree, dctrig map[int]int64, opts Options) []*selecte
 		for li, leaf := range leaves {
 			var best *selected
 			for l := 2; l <= len(leaf); l++ {
-				sc, okc := advantage.ScorePath(leaf[:l], dctrig, opts.Params)
-				if !okc {
+				sc := score(leaf[:l])
+				if !sc.ok {
 					continue
 				}
-				adj := sc.ADVagg - float64(reduce[leaf[l-1]])*sc.LT
+				adj := sc.score.ADVagg - float64(reduce[leaf[l-1]])*sc.score.LT
 				if adj <= 0 {
 					continue
 				}
 				if best == nil || adj > best.adjusted {
-					best = &selected{path: leaf[:l:l], score: sc, adjusted: adj}
+					best = &selected{path: leaf[:l:l], score: sc.score, adjusted: adj}
 				}
 			}
 			if !sameSelection(cur[li], best) {
