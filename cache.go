@@ -3,9 +3,8 @@ package preexec
 import (
 	"context"
 	"slices"
-	"sync"
-	"sync/atomic"
 
+	"preexec/internal/memo"
 	"preexec/internal/pthread"
 	"preexec/internal/timing"
 )
@@ -50,24 +49,22 @@ import (
 // over one cached profile are safe and results stay bit-for-bit identical
 // to uncached runs (pinned by TestSweepSelectionGridCacheCounts).
 //
-// A StageCache is safe for concurrent use. Concurrent requests for the same
-// key are single-flighted: one computes, the rest wait for its result. A
-// failed computation (typically cancellation) is not memoized — the entry
-// is dropped and coalesced waiters retry with their own contexts, so one
-// sweep's cancellation cannot poison another sweep sharing the cache.
+// Each stage is a memo.Map, whose contract covers concurrency: concurrent
+// requests for one key are single-flighted, and a failed computation
+// (typically cancellation) is not memoized, so one sweep's cancellation
+// cannot poison another sweep sharing the cache.
 //
 // Keys do not include the stage backends: every engine sharing a cache
 // must use the same Profiler and Simulator (see WithStageCache). Program
 // identity is the *Program pointer — rebuilt programs never hit — and by
 // default entries live as long as the cache does, so scope a cache to the
-// sweeps that share its programs. For sweeps over generated corpora too
-// large to retain whole, bound the cache with WithStageCacheLimit: the
-// least-recently-used entries are evicted (and recomputed on re-request),
-// trading recomputation for memory while keeping results bit-identical.
+// sweeps that share its programs, or bound it with WithStageCacheLimit.
+// The zero StageCache is an empty, unlimited cache.
 type StageCache struct {
-	base    stageMap[baseKey, Stats]
-	profile stageMap[profileKey, []ProfileRegion]
-	trace   stageMap[traceKey, *Trace]
+	retain  memo.Retention
+	base    memo.Map[baseKey, Stats]
+	profile memo.Map[profileKey, []ProfileRegion]
+	trace   memo.Map[traceKey, *Trace]
 }
 
 // StageCacheOption customizes a StageCache at construction.
@@ -79,11 +76,7 @@ type StageCacheOption func(*StageCache)
 // requested again, so giant generated-corpus sweeps can cap the cache's
 // footprint without changing any result.
 func WithStageCacheLimit(n int) StageCacheOption {
-	return func(c *StageCache) {
-		c.base.limit = n
-		c.profile.limit = n
-		c.trace.limit = n
-	}
+	return func(c *StageCache) { c.retain = memo.LRU(n) }
 }
 
 // NewStageCache returns an empty stage cache ready for concurrent use.
@@ -92,6 +85,9 @@ func NewStageCache(opts ...StageCacheOption) *StageCache {
 	for _, o := range opts {
 		o(c)
 	}
+	c.base.SetRetention(c.retain)
+	c.profile.SetRetention(c.retain)
+	c.trace.SetRetention(c.retain)
 	return c
 }
 
@@ -136,20 +132,21 @@ type CacheStats struct {
 
 // Stats returns a snapshot of the cache's cumulative hit/run counters.
 func (c *StageCache) Stats() CacheStats {
+	b, p, t := c.base.Stats(), c.profile.Stats(), c.trace.Stats()
 	return CacheStats{
-		BaseRuns:    c.base.runs.Load(),
-		BaseHits:    c.base.hits.Load(),
-		ProfileRuns: c.profile.runs.Load(),
-		ProfileHits: c.profile.hits.Load(),
-		TraceRuns:   c.trace.runs.Load(),
-		TraceHits:   c.trace.hits.Load(),
-		Evictions:   c.base.evictions.Load() + c.profile.evictions.Load() + c.trace.evictions.Load(),
+		BaseRuns:    b.Runs,
+		BaseHits:    b.Hits,
+		ProfileRuns: p.Runs,
+		ProfileHits: p.Hits,
+		TraceRuns:   t.Runs,
+		TraceHits:   t.Hits,
+		Evictions:   b.Evictions + p.Evictions + t.Evictions,
 	}
 }
 
 // Len returns the entry counts currently held by the three stages.
 func (c *StageCache) Len() (baseEntries, profileEntries, traceEntries int) {
-	return c.base.len(), c.profile.len(), c.trace.len()
+	return c.base.Len(), c.profile.Len(), c.trace.Len()
 }
 
 // sub returns the counter deltas since an earlier snapshot.
@@ -164,114 +161,6 @@ func (s CacheStats) sub(prev CacheStats) CacheStats {
 		ReplayRuns:  s.ReplayRuns - prev.ReplayRuns,
 		ReplayHits:  s.ReplayHits - prev.ReplayHits,
 		Evictions:   s.Evictions - prev.Evictions,
-	}
-}
-
-// FlightGroup coalesces concurrent computations of the same key: while one
-// caller computes, every other caller asking for that key waits for — and
-// shares — its result. Unlike the stage maps inside StageCache it does NOT
-// memoize: the entry is dropped the moment the computation finishes, so a
-// later request computes afresh (and, for the evaluation service, lands on
-// the StageCache for the expensive stages). It is the request-level
-// single-flight layer of the serve package: N concurrent identical
-// /v1/evaluate requests run one full evaluation between them.
-//
-// Failed computations follow the StageCache contract: the failure (typically
-// the computing caller's own cancellation) is returned only to the caller
-// whose compute it was; coalesced waiters retry with their own contexts, so
-// one client's disconnect cannot fail another's identical request.
-//
-// The zero FlightGroup is ready for concurrent use.
-type FlightGroup[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*flight[V]
-
-	// flights counts computations actually started; shared counts calls
-	// served by coalescing onto another caller's flight.
-	flights atomic.Int64
-	shared  atomic.Int64
-	// waiting gauges callers currently blocked on another flight (tests and
-	// the /v1/stats in-flight accounting).
-	waiting atomic.Int64
-}
-
-type flight[V any] struct {
-	done chan struct{} // closed when val/ok are set
-	val  V
-	ok   bool // false: the flight failed, waiters retry
-}
-
-// Stats returns the group's cumulative counters: computations started and
-// calls served by coalescing.
-func (g *FlightGroup[K, V]) Stats() (flights, shared int64) {
-	return g.flights.Load(), g.shared.Load()
-}
-
-// Waiting gauges the callers currently blocked on another caller's flight.
-func (g *FlightGroup[K, V]) Waiting() int64 { return g.waiting.Load() }
-
-// Do returns compute(key)'s result, coalescing concurrent calls for the same
-// key onto a single computation. shared reports whether this call was served
-// by another caller's flight. Cancelling ctx abandons waiting (the flight
-// itself keeps running for its owner).
-func (g *FlightGroup[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) (v V, shared bool, err error) {
-	var zero V
-	for {
-		if err := ctx.Err(); err != nil {
-			return zero, false, err
-		}
-		g.mu.Lock()
-		if f, ok := g.m[key]; ok {
-			g.mu.Unlock()
-			g.waiting.Add(1)
-			select {
-			case <-f.done:
-				g.waiting.Add(-1)
-				if !f.ok {
-					// The flight failed; its entry is already gone. Retry
-					// (and compute, if nobody else has started).
-					continue
-				}
-				g.shared.Add(1)
-				return f.val, true, nil
-			case <-ctx.Done():
-				g.waiting.Add(-1)
-				return zero, false, ctx.Err()
-			}
-		}
-		if g.m == nil {
-			g.m = make(map[K]*flight[V])
-		}
-		f := &flight[V]{done: make(chan struct{})}
-		g.m[key] = f
-		g.mu.Unlock()
-		g.flights.Add(1)
-
-		// The flight must land even if compute panics (an http.Handler
-		// recovers the panic and keeps serving, so a leaked entry would
-		// wedge this key forever): treat a panicking compute as a failed
-		// flight — waiters retry — and let the panic propagate.
-		landed := false
-		defer func() {
-			if landed {
-				return
-			}
-			g.mu.Lock()
-			delete(g.m, key)
-			g.mu.Unlock()
-			close(f.done) // f.ok stays false: waiters retry
-		}()
-		v, err := compute()
-		landed = true
-		g.mu.Lock()
-		delete(g.m, key) // no memoization: success and failure both drop
-		g.mu.Unlock()
-		f.val, f.ok = v, err == nil
-		close(f.done)
-		if err != nil {
-			return zero, false, err
-		}
-		return v, false, nil
 	}
 }
 
@@ -317,16 +206,18 @@ type runKey struct {
 // A nil memo (an engine outside a sweep, or a sweep without a cache)
 // replays on every call and profiles each shape on its own.
 type planMemo struct {
-	replays stageMap[runKey, Stats]
+	replays *memo.Map[runKey, Stats]
 	shapes  map[profileKey][]ProfileOptions
-	passes  stageMap[profileKey, [][]ProfileRegion]
+	passes  *memo.Map[profileKey, [][]ProfileRegion]
 }
 
 // newPlanMemo returns an empty plan memo for a sweep over cache.
 func newPlanMemo(cache *StageCache) *planMemo {
-	m := &planMemo{shapes: make(map[profileKey][]ProfileOptions)}
-	m.passes.limit = cache.profile.limit
-	return m
+	return &planMemo{
+		replays: memo.New[runKey, Stats](memo.Unlimited),
+		shapes:  make(map[profileKey][]ProfileOptions),
+		passes:  memo.New[profileKey, [][]ProfileRegion](cache.retain),
+	}
 }
 
 // addShape adds a cell's profile — the profiled program and its normalized
@@ -351,7 +242,7 @@ func (m *planMemo) replayStats(ctx context.Context, p *Program, pts []*PThread, 
 	if m == nil {
 		return compute()
 	}
-	return m.replays.getOrCompute(ctx, runKey{prog: p, cfg: cfg, pts: pthread.TimingKey(pts)}, compute)
+	return m.replays.Do(ctx, runKey{prog: p, cfg: cfg, pts: pthread.TimingKey(pts)}, compute)
 }
 
 // profileShape returns the regions of p profiled under opts from a pass over
@@ -372,7 +263,7 @@ func (m *planMemo) profileShape(ctx context.Context, p *Program, opts ProfileOpt
 		}
 		return out[0], nil
 	}
-	out, err := m.passes.getOrCompute(ctx, g, func() ([][]ProfileRegion, error) { return pass(shapes) })
+	out, err := m.passes.Do(ctx, g, func() ([][]ProfileRegion, error) { return pass(shapes) })
 	if err != nil {
 		return nil, err
 	}
@@ -382,13 +273,13 @@ func (m *planMemo) profileShape(ctx context.Context, p *Program, opts ProfileOpt
 // baseStats returns the memoized base timing run for (p, cfg), computing it
 // on a miss. cfg must be a nil-p-thread ModeBase configuration.
 func (c *StageCache) baseStats(ctx context.Context, p *Program, cfg TimingConfig, compute func() (Stats, error)) (Stats, error) {
-	return c.base.getOrCompute(ctx, baseKey{prog: p, cfg: normalizeBaseTiming(cfg)}, compute)
+	return c.base.Do(ctx, baseKey{prog: p, cfg: normalizeBaseTiming(cfg)}, compute)
 }
 
 // regions returns the memoized profile for (p, opts), computing it on a
 // miss. Callers must treat the returned regions as immutable.
 func (c *StageCache) regions(ctx context.Context, p *Program, opts ProfileOptions, compute func() ([]ProfileRegion, error)) ([]ProfileRegion, error) {
-	return c.profile.getOrCompute(ctx, profileKey{prog: p, opts: opts}, compute)
+	return c.profile.Do(ctx, profileKey{prog: p, opts: opts}, compute)
 }
 
 // traceFor returns the memoized trace a run of p under cfg replays — and a
@@ -400,170 +291,5 @@ func (c *StageCache) regions(ctx context.Context, p *Program, opts ProfileOption
 // after recording and shared by pointer across concurrent readers.
 func (c *StageCache) traceFor(ctx context.Context, p *Program, cfg TimingConfig, compute func() (*Trace, error)) (*Trace, error) {
 	key := traceKey{prog: p, span: timing.TraceSpan(cfg), version: timing.TraceVersion}
-	return c.trace.getOrCompute(ctx, key, compute)
-}
-
-// stageMap is one memoized stage: a keyed set of single-flight entries,
-// optionally bounded by an LRU eviction policy (limit > 0). The LRU list is
-// intrusive — most-recently-used at head — and eviction only unmaps an
-// entry: a flight already handed out completes normally for the callers
-// holding it, so eviction can never change a result, only force a later
-// recomputation.
-type stageMap[K comparable, V any] struct {
-	mu         sync.Mutex
-	m          map[K]*stageEntry[K, V]
-	limit      int // max entries (0 = unlimited)
-	head, tail *stageEntry[K, V]
-	runs, hits atomic.Int64
-	evictions  atomic.Int64
-	// waiting gauges the callers currently blocked on another caller's
-	// flight (tests wait on it to cancel a flight under a waiter).
-	waiting atomic.Int64
-}
-
-type stageEntry[K comparable, V any] struct {
-	key    K
-	done   chan struct{} // closed when val/failed are set
-	val    V
-	failed bool
-
-	// LRU links, guarded by the stageMap mutex. linked distinguishes
-	// "unmapped by eviction" from "in the list" so failure cleanup and
-	// eviction stay idempotent.
-	prev, next *stageEntry[K, V]
-	linked     bool
-}
-
-// moveToFront marks e most recently used. Caller holds s.mu.
-func (s *stageMap[K, V]) moveToFront(e *stageEntry[K, V]) {
-	if !e.linked || s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
-}
-
-func (s *stageMap[K, V]) pushFront(e *stageEntry[K, V]) {
-	e.prev, e.next = nil, s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-	e.linked = true
-}
-
-func (s *stageMap[K, V]) unlink(e *stageEntry[K, V]) {
-	if !e.linked {
-		return
-	}
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-	e.linked = false
-}
-
-// drop removes e from the map and LRU list if still present. Caller holds
-// s.mu.
-func (s *stageMap[K, V]) drop(e *stageEntry[K, V]) {
-	if cur, ok := s.m[e.key]; ok && cur == e {
-		delete(s.m, e.key)
-	}
-	s.unlink(e)
-}
-
-func (s *stageMap[K, V]) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
-
-func (s *stageMap[K, V]) getOrCompute(ctx context.Context, key K, compute func() (V, error)) (V, error) {
-	var zero V
-	for {
-		if err := ctx.Err(); err != nil {
-			return zero, err
-		}
-		s.mu.Lock()
-		if e, ok := s.m[key]; ok {
-			s.moveToFront(e)
-			s.mu.Unlock()
-			s.waiting.Add(1)
-			select {
-			case <-e.done:
-				s.waiting.Add(-1)
-				if e.failed {
-					// The flight failed — typically its own caller's
-					// cancellation, which must not poison callers whose
-					// contexts are alive. The entry is already dropped;
-					// retry (and recompute if nobody else has).
-					continue
-				}
-				// Count hits only for waits that served a value, so
-				// hits+runs equals completed lookups even across failed,
-				// retried flights.
-				s.hits.Add(1)
-				return e.val, nil
-			case <-ctx.Done():
-				s.waiting.Add(-1)
-				return zero, ctx.Err()
-			}
-		}
-		if s.m == nil {
-			s.m = make(map[K]*stageEntry[K, V])
-		}
-		e := &stageEntry[K, V]{key: key, done: make(chan struct{})}
-		s.m[key] = e
-		s.pushFront(e)
-		if s.limit > 0 && len(s.m) > s.limit {
-			// Evict the least recently used entry (never the one just
-			// inserted: limit >= 1 implies at least two entries here).
-			s.drop(s.tail)
-			s.evictions.Add(1)
-		}
-		s.mu.Unlock()
-		s.runs.Add(1)
-
-		// The entry must land even if compute panics (an http.Handler
-		// recovers the panic and keeps serving, so a leaked entry would
-		// block every later lookup of key): treat a panicking compute as a
-		// failed flight — waiters retry — and let the panic propagate.
-		landed := false
-		defer func() {
-			if !landed {
-				s.fail(e)
-			}
-		}()
-		v, err := compute()
-		landed = true
-		if err != nil {
-			// Failures are not memoized. The failure is returned only to
-			// the caller whose compute it was.
-			s.fail(e)
-			return zero, err
-		}
-		e.val = v
-		close(e.done)
-		return v, nil
-	}
-}
-
-// fail drops e so later requests recompute, then releases the waiters that
-// coalesced onto its flight to retry.
-func (s *stageMap[K, V]) fail(e *stageEntry[K, V]) {
-	s.mu.Lock()
-	s.drop(e)
-	s.mu.Unlock()
-	e.failed = true
-	close(e.done)
+	return c.trace.Do(ctx, key, compute)
 }

@@ -78,7 +78,7 @@ func TestStageCacheUnlimitedByDefault(t *testing.T) {
 }
 
 // TestStageCacheComputeRunsUnlocked observes dynamically what the lockscope
-// analyzer asserts statically for getOrCompute: the stage mutex guards only
+// analyzer asserts statically for memo.Map.Do: the stage mutex guards only
 // map and LRU bookkeeping, never the compute itself, so a blocked
 // computation for one key cannot stall lookups of other keys.
 func TestStageCacheComputeRunsUnlocked(t *testing.T) {
@@ -292,5 +292,31 @@ func TestStageCacheComputePanicDoesNotWedgeKey(t *testing.T) {
 	defer cancel()
 	if _, err := eng.Simulate(ctx, prog, nil, ModeBase); err != nil {
 		t.Fatalf("Simulate after a recovered panic: %v", err)
+	}
+}
+
+// The zero StageCache is an empty, unlimited cache, as NewStageCache()
+// returns.
+func TestStageCacheZeroValueUsable(t *testing.T) {
+	ctx := context.Background()
+	var c StageCache
+	if st := c.Stats(); st != (CacheStats{}) {
+		t.Fatalf("fresh zero cache stats = %+v", st)
+	}
+	ps := fakeProgs(3)
+	computes := 0
+	for _, p := range append(ps, ps...) {
+		if _, err := c.regions(ctx, p, ProfileOptions{}, func() ([]ProfileRegion, error) {
+			computes++
+			return nil, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, prof, _ := c.Len(); prof != 3 || computes != 3 {
+		t.Fatalf("zero cache holds %d profiles after %d computes, want 3 and 3", prof, computes)
+	}
+	if st := c.Stats(); st.ProfileRuns != 3 || st.ProfileHits != 3 || st.Evictions != 0 {
+		t.Fatalf("stats = %+v, want 3 profile runs / 3 hits / no evictions", st)
 	}
 }

@@ -7,4 +7,4 @@ func TimingFor(cfg Config, mode Mode) TimingConfig { return cfg.Normalized().tim
 
 // ReplayWaiting gauges the cells blocked on another cell's replay in the
 // replay memo that j's engine shares with the jobs planned beside it.
-func ReplayWaiting(j Job) int64 { return j.Engine.plan.replays.waiting.Load() }
+func ReplayWaiting(j Job) int64 { return j.Engine.plan.replays.Stats().Waiting }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"preexec/internal/memo"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -19,43 +21,42 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestFlightGroupCoalesces pins the single-flight contract: callers that
-// arrive while a computation is in flight share its result without
-// computing, and — unlike the stage cache — nothing is memoized once the
-// flight lands.
+// TestFlightGroupCoalesces pins the single-flight contract of a memo that
+// retains nothing (the request-coalescing layer of the serve package):
+// callers that arrive while a computation is in flight share its result
+// without computing, and — unlike the stage cache — nothing is memoized
+// once the flight lands.
 func TestFlightGroupCoalesces(t *testing.T) {
 	ctx := context.Background()
-	var g FlightGroup[string, int]
+	g := memo.New[string, int](memo.None)
 	started := make(chan struct{})
 	release := make(chan struct{})
 
 	type outcome struct {
-		v      int
-		shared bool
-		err    error
+		v   int
+		err error
 	}
 	results := make(chan outcome, 4)
 	go func() {
-		v, shared, err := g.Do(ctx, "k", func() (int, error) {
+		v, err := g.Do(ctx, "k", func() (int, error) {
 			close(started)
 			<-release
 			return 42, nil
 		})
-		results <- outcome{v, shared, err}
+		results <- outcome{v, err}
 	}()
 	<-started
 	for i := 0; i < 3; i++ {
 		go func() {
-			v, shared, err := g.Do(ctx, "k", func() (int, error) {
+			v, err := g.Do(ctx, "k", func() (int, error) {
 				return 0, errors.New("a coalesced caller computed")
 			})
-			results <- outcome{v, shared, err}
+			results <- outcome{v, err}
 		}()
 	}
-	waitFor(t, "3 waiters to block", func() bool { return g.Waiting() == 3 })
+	waitFor(t, "3 waiters to block", func() bool { return g.Stats().Waiting == 3 })
 	close(release)
 
-	var sharedCount int
 	for i := 0; i < 4; i++ {
 		out := <-results
 		if out.err != nil {
@@ -64,24 +65,21 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		if out.v != 42 {
 			t.Fatalf("caller %d got %d, want 42", i, out.v)
 		}
-		if out.shared {
-			sharedCount++
-		}
 	}
-	if sharedCount != 3 {
-		t.Errorf("%d callers coalesced, want 3", sharedCount)
+	if st := g.Stats(); st.Runs != 1 || st.Hits != 3 {
+		t.Errorf("stats = %d runs / %d hits, want 1 / 3", st.Runs, st.Hits)
 	}
-	if flights, shared := g.Stats(); flights != 1 || shared != 3 {
-		t.Errorf("stats = %d flights / %d shared, want 1 / 3", flights, shared)
+	if n := g.Len(); n != 0 {
+		t.Errorf("%d entries held after the flight landed, want 0", n)
 	}
 
 	// No memoization: a request after the flight landed computes afresh.
-	v, shared, err := g.Do(ctx, "k", func() (int, error) { return 7, nil })
-	if err != nil || v != 7 || shared {
-		t.Fatalf("post-flight Do = (%d, %v, %v), want a fresh computation of 7", v, shared, err)
+	v, err := g.Do(ctx, "k", func() (int, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Fatalf("post-flight Do = (%d, %v), want a fresh computation of 7", v, err)
 	}
-	if flights, _ := g.Stats(); flights != 2 {
-		t.Errorf("flights = %d after second computation, want 2", flights)
+	if st := g.Stats(); st.Runs != 2 || st.Hits != 3 {
+		t.Errorf("stats = %d runs / %d hits after second computation, want 2 / 3", st.Runs, st.Hits)
 	}
 }
 
@@ -91,14 +89,14 @@ func TestFlightGroupCoalesces(t *testing.T) {
 // cannot fail another's identical request).
 func TestFlightGroupFailureNotShared(t *testing.T) {
 	ctx := context.Background()
-	var g FlightGroup[string, int]
+	g := memo.New[string, int](memo.None)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	boom := errors.New("boom")
 
 	ownerErr := make(chan error, 1)
 	go func() {
-		_, _, err := g.Do(ctx, "k", func() (int, error) {
+		_, err := g.Do(ctx, "k", func() (int, error) {
 			close(started)
 			<-release
 			return 0, boom
@@ -110,12 +108,12 @@ func TestFlightGroupFailureNotShared(t *testing.T) {
 	waiterDone := make(chan struct{})
 	go func() {
 		defer close(waiterDone)
-		v, _, err := g.Do(ctx, "k", func() (int, error) { return 99, nil })
+		v, err := g.Do(ctx, "k", func() (int, error) { return 99, nil })
 		if err != nil || v != 99 {
 			t.Errorf("waiter after failed flight: (%d, %v), want (99, nil)", v, err)
 		}
 	}()
-	waitFor(t, "the waiter to block", func() bool { return g.Waiting() == 1 })
+	waitFor(t, "the waiter to block", func() bool { return g.Stats().Waiting == 1 })
 	close(release)
 
 	if err := <-ownerErr; !errors.Is(err, boom) {
@@ -130,7 +128,7 @@ func TestFlightGroupFailureNotShared(t *testing.T) {
 // normally afterwards.
 func TestFlightGroupPanicUnwedgesKey(t *testing.T) {
 	ctx := context.Background()
-	var g FlightGroup[string, int]
+	g := memo.New[string, int](memo.None)
 	started := make(chan struct{})
 	release := make(chan struct{})
 
@@ -153,37 +151,40 @@ func TestFlightGroupPanicUnwedgesKey(t *testing.T) {
 	waiterDone := make(chan struct{})
 	go func() {
 		defer close(waiterDone)
-		v, _, err := g.Do(ctx, "k", func() (int, error) { return 99, nil })
+		v, err := g.Do(ctx, "k", func() (int, error) { return 99, nil })
 		if err != nil || v != 99 {
 			t.Errorf("waiter after panicked flight: (%d, %v), want (99, nil)", v, err)
 		}
 	}()
-	waitFor(t, "the waiter to block", func() bool { return g.Waiting() == 1 })
+	waitFor(t, "the waiter to block", func() bool { return g.Stats().Waiting == 1 })
 	close(release)
 	<-ownerDone
 	<-waiterDone
 
 	// The key is not wedged: a fresh request computes immediately.
-	v, shared, err := g.Do(ctx, "k", func() (int, error) { return 5, nil })
-	if err != nil || v != 5 || shared {
-		t.Fatalf("post-panic Do = (%d, %v, %v), want a fresh computation of 5", v, shared, err)
+	v, err := g.Do(ctx, "k", func() (int, error) { return 5, nil })
+	if err != nil || v != 5 {
+		t.Fatalf("post-panic Do = (%d, %v), want a fresh computation of 5", v, err)
+	}
+	if st := g.Stats(); st.Runs != 3 || st.Hits != 0 {
+		t.Errorf("stats = %d runs / %d hits, want 3 / 0: every call computed", st.Runs, st.Hits)
 	}
 }
 
 // TestFlightGroupComputeHoldsNoLock observes dynamically what the lockscope
-// analyzer asserts statically: Do holds the group mutex only around map
+// analyzer asserts statically: Do holds the memo mutex only around map
 // bookkeeping, never across compute. If compute ran under the lock, a Do for
 // a different key would block behind it.
 func TestFlightGroupComputeHoldsNoLock(t *testing.T) {
 	ctx := context.Background()
-	var g FlightGroup[string, int]
+	g := memo.New[string, int](memo.None)
 	started := make(chan struct{})
 	release := make(chan struct{})
 
 	ownerDone := make(chan struct{})
 	go func() {
 		defer close(ownerDone)
-		v, _, err := g.Do(ctx, "slow", func() (int, error) {
+		v, err := g.Do(ctx, "slow", func() (int, error) {
 			close(started)
 			<-release
 			return 1, nil
@@ -197,28 +198,31 @@ func TestFlightGroupComputeHoldsNoLock(t *testing.T) {
 	fastDone := make(chan struct{})
 	go func() {
 		defer close(fastDone)
-		v, shared, err := g.Do(ctx, "fast", func() (int, error) { return 2, nil })
-		if err != nil || v != 2 || shared {
-			t.Errorf("fast flight: (%d, %v, %v), want a fresh (2, nil)", v, shared, err)
+		v, err := g.Do(ctx, "fast", func() (int, error) { return 2, nil })
+		if err != nil || v != 2 {
+			t.Errorf("fast flight: (%d, %v), want (2, nil)", v, err)
 		}
 	}()
 	select {
 	case <-fastDone:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Do(fast) blocked behind Do(slow)'s compute: the group lock is held across compute")
+		t.Fatal("Do(fast) blocked behind Do(slow)'s compute: the memo lock is held across compute")
+	}
+	if hits := g.Stats().Hits; hits != 0 {
+		t.Errorf("hits = %d, want a fresh fast flight", hits)
 	}
 	close(release)
 	<-ownerDone
 }
 
 // TestFlightGroupPanicReleasesLock: the panic-cleanup path re-acquires the
-// group mutex to drop the entry; it must release it again even though the
+// memo mutex to drop the entry; it must release it again even though the
 // panic is still unwinding, keeping other keys serviceable and letting
 // waiters on the panicked key retry. This is the panic-safety half of the
 // blocking-while-locked bug class the lockscope analyzer encodes.
 func TestFlightGroupPanicReleasesLock(t *testing.T) {
 	ctx := context.Background()
-	var g FlightGroup[string, int]
+	g := memo.New[string, int](memo.None)
 	started := make(chan struct{})
 	release := make(chan struct{})
 
@@ -241,12 +245,12 @@ func TestFlightGroupPanicReleasesLock(t *testing.T) {
 	waiterDone := make(chan struct{})
 	go func() {
 		defer close(waiterDone)
-		v, _, err := g.Do(ctx, "k", func() (int, error) { return 99, nil })
+		v, err := g.Do(ctx, "k", func() (int, error) { return 99, nil })
 		if err != nil || v != 99 {
 			t.Errorf("waiter after panicked flight: (%d, %v), want (99, nil)", v, err)
 		}
 	}()
-	waitFor(t, "the waiter to block", func() bool { return g.Waiting() == 1 })
+	waitFor(t, "the waiter to block", func() bool { return g.Stats().Waiting == 1 })
 	close(release)
 	<-ownerDone
 
@@ -255,7 +259,7 @@ func TestFlightGroupPanicReleasesLock(t *testing.T) {
 	otherDone := make(chan struct{})
 	go func() {
 		defer close(otherDone)
-		v, _, err := g.Do(ctx, "other", func() (int, error) { return 3, nil })
+		v, err := g.Do(ctx, "other", func() (int, error) { return 3, nil })
 		if err != nil || v != 3 {
 			t.Errorf("other key after panic: (%d, %v), want (3, nil)", v, err)
 		}
@@ -263,7 +267,7 @@ func TestFlightGroupPanicReleasesLock(t *testing.T) {
 	select {
 	case <-otherDone:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Do(other) blocked after a panicked flight: cleanup leaked the group lock")
+		t.Fatal("Do(other) blocked after a panicked flight: cleanup leaked the memo lock")
 	}
 	<-waiterDone
 }
@@ -272,14 +276,14 @@ func TestFlightGroupPanicReleasesLock(t *testing.T) {
 // waiting with its own context error while the flight completes for its
 // owner.
 func TestFlightGroupWaiterCancellation(t *testing.T) {
-	var g FlightGroup[string, int]
+	g := memo.New[string, int](memo.None)
 	started := make(chan struct{})
 	release := make(chan struct{})
 
 	ownerDone := make(chan struct{})
 	go func() {
 		defer close(ownerDone)
-		v, _, err := g.Do(context.Background(), "k", func() (int, error) {
+		v, err := g.Do(context.Background(), "k", func() (int, error) {
 			close(started)
 			<-release
 			return 42, nil
@@ -294,18 +298,18 @@ func TestFlightGroupWaiterCancellation(t *testing.T) {
 	waiterDone := make(chan struct{})
 	go func() {
 		defer close(waiterDone)
-		_, _, err := g.Do(ctx, "k", func() (int, error) { return 0, errors.New("computed") })
+		_, err := g.Do(ctx, "k", func() (int, error) { return 0, errors.New("computed") })
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("cancelled waiter error = %v, want context.Canceled", err)
 		}
 	}()
-	waitFor(t, "the waiter to block", func() bool { return g.Waiting() == 1 })
+	waitFor(t, "the waiter to block", func() bool { return g.Stats().Waiting == 1 })
 	cancel()
 	<-waiterDone
 	close(release)
 	<-ownerDone
 
-	if _, shared := g.Stats(); shared != 0 {
-		t.Errorf("shared = %d after cancelled wait, want 0", shared)
+	if hits := g.Stats().Hits; hits != 0 {
+		t.Errorf("hits = %d after cancelled wait, want 0", hits)
 	}
 }

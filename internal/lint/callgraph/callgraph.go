@@ -12,7 +12,7 @@
 //   - Reference: a function or method value that escapes as data (passed as
 //     a callback, assigned to a field). The referent is assumed callable
 //     from the referencing function — sound for the repo's callback shapes
-//     (progress hooks, probe functions, FlightGroup computes) at the cost
+//     (progress hooks, probe functions, memo computes) at the cost
 //     of an edge for references that are never invoked.
 //
 // Function literals are attributed to their lexically enclosing declared

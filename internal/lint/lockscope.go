@@ -9,15 +9,15 @@ import (
 	"preexec/internal/lint/analysis"
 )
 
-// LockScope enforces the FlightGroup/StageCache discipline the PR 5 stress
-// tests hunt dynamically: while a sync.Mutex or sync.RWMutex acquired in the
-// current function is held, the function must not block — no channel
-// operations, no select, no time.Sleep, no WaitGroup.Wait, no
-// FlightGroup.Do-style calls, and no invocation of a function-typed value
+// LockScope enforces the single-flight discipline of internal/memo that the
+// serve stress tests hunt dynamically: while a sync.Mutex or sync.RWMutex
+// acquired in the current function is held, the function must not block —
+// no channel operations, no select, no time.Sleep, no WaitGroup.Wait, no
+// memo.Map.Do-style calls, and no invocation of a function-typed value
 // (callbacks can block arbitrarily or re-enter the lock). The analyzer walks
 // each function linearly, tracking the held-lock set per lexical path:
 // branches are explored with independent copies, so the unlock-then-block
-// pattern in FlightGroup.Do is recognized as safe. sync.Cond.Wait is exempt
+// pattern in memo.Map.Do is recognized as safe. sync.Cond.Wait is exempt
 // (it releases the lock by contract).
 var LockScope = &analysis.Analyzer{
 	Name: "lockscope",
@@ -164,7 +164,7 @@ func checkStmtShallow(pass *analysis.Pass, stmt ast.Stmt, held map[string]bool) 
 		// dynamic context and is scanned as a separate function literal.
 		return
 	case *ast.SelectStmt:
-		pass.Reportf(s.Pos(), "select while %s is held blocks all other holders; release the lock first (see FlightGroup.Do)", locks)
+		pass.Reportf(s.Pos(), "select while %s is held blocks all other holders; release the lock first (see memo.Map.Do)", locks)
 		return
 	case *ast.SendStmt:
 		pass.Reportf(s.Pos(), "channel send while %s is held; release the lock before communicating", locks)

@@ -1,7 +1,7 @@
 // Package lockscope seeds positive and negative cases for the lockscope
 // analyzer: channel operations, sleeps, waits, single-flight Do calls, and
 // function-value calls under a held mutex are flagged; the unlock-then-block
-// branch shape (FlightGroup.Do) and sync.Cond.Wait are not.
+// branch shape (memo.Map.Do) and sync.Cond.Wait are not.
 package lockscope
 
 import (
@@ -76,7 +76,7 @@ func (g *Group) CondWaitOK(c *sync.Cond) {
 	}
 }
 
-// DoStyle mirrors FlightGroup.Do: the blocking receive happens only on the
+// DoStyle mirrors memo.Map.Do: the blocking receive happens only on the
 // branch that released the lock first, and compute runs after the unlock.
 func (g *Group) DoStyle(key string, compute func()) {
 	g.mu.Lock()
@@ -114,6 +114,25 @@ func (g *Group) FlightUnlocked(ctx context.Context, f *Flight) error {
 	g.mu.Lock()
 	g.mu.Unlock()
 	return f.Do(ctx, "k") // lock released; not flagged
+}
+
+// Memo has memo.Map's generic receiver and Do signature.
+type Memo[K comparable, V any] struct{}
+
+func (m *Memo[K, V]) Do(ctx context.Context, key K, compute func() (V, error)) (V, error) {
+	return compute()
+}
+
+func (g *Group) MemoLocked(ctx context.Context, m *Memo[string, int]) (int, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return m.Do(ctx, "k", func() (int, error) { return 1, nil }) // want `Memo.Do while g.mu is held serializes`
+}
+
+func (g *Group) MemoUnlocked(ctx context.Context, m *Memo[string, int]) (int, error) {
+	g.mu.Lock()
+	g.mu.Unlock()
+	return m.Do(ctx, "k", func() (int, error) { return 1, nil }) // lock released; not flagged
 }
 
 type Reg struct {

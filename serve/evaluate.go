@@ -67,7 +67,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rep, _, err := s.flights.Do(ctx, evalKey(bench.Name, scale, cfg), func() (preexec.Report, error) {
+	rep, err := s.flights.Do(ctx, evalKey(bench.Name, scale, cfg), func() (preexec.Report, error) {
 		return s.engine(cfg).Evaluate(ctx, bench.Program)
 	})
 	if err != nil {

@@ -84,13 +84,13 @@ func newServerObs(s *Server) *serverObs {
 
 	r.CounterFunc("preexec_flights_started_total",
 		"Evaluations actually computed by the request-coalescing layer.",
-		func() int64 { started, _ := s.flights.Stats(); return started })
+		func() int64 { return s.flights.Stats().Runs })
 	r.CounterFunc("preexec_flights_coalesced_total",
 		"Requests served by another request's in-flight evaluation.",
-		func() int64 { _, coalesced := s.flights.Stats(); return coalesced })
+		func() int64 { return s.flights.Stats().Hits })
 	r.GaugeFunc("preexec_flights_waiting",
 		"Requests currently blocked on another request's flight.",
-		s.flights.Waiting)
+		func() int64 { return s.flights.Stats().Waiting })
 
 	r.GaugeFunc("preexec_gate_workers",
 		"Server-wide bound on concurrently running expensive stages.",
@@ -104,7 +104,7 @@ func newServerObs(s *Server) *serverObs {
 
 	r.GaugeFunc("preexec_programs_cached",
 		"Built (workload, scale) programs held for cross-request cache identity.",
-		func() int64 { return int64(s.cachedPrograms()) })
+		func() int64 { return int64(s.programs.Len()) })
 	r.GaugeFunc("preexec_workloads",
 		"Registry size: built-in workloads plus run-time registrations.",
 		func() int64 { return int64(len(preexec.WorkloadNames())) })

@@ -105,50 +105,11 @@ type progKey struct {
 // this with -cachelimit so the dead entries evict too.
 const programCacheLimit = 64
 
-// progEntry is one cached build; use orders LRU eviction.
-type progEntry struct {
-	bench preexec.SweepBench
-	use   int64
-}
-
-// lookupProgram returns the cached benchmark for key, refreshing its LRU
-// position.
-func (s *Server) lookupProgram(key progKey) (preexec.SweepBench, bool) {
-	s.progMu.Lock()
-	defer s.progMu.Unlock()
-	e, ok := s.programs[key]
-	if !ok {
-		return preexec.SweepBench{}, false
-	}
-	s.progTick++
-	e.use = s.progTick
-	return e.bench, true
-}
-
-// storeProgram inserts a built benchmark, evicting the least recently used
-// entry beyond the bound.
-func (s *Server) storeProgram(key progKey, b preexec.SweepBench) {
-	s.progMu.Lock()
-	defer s.progMu.Unlock()
-	s.progTick++
-	s.programs[key] = &progEntry{bench: b, use: s.progTick}
-	if len(s.programs) > programCacheLimit {
-		var oldest progKey
-		min := int64(1<<63 - 1)
-		for k, e := range s.programs {
-			if e.use < min {
-				min, oldest = e.use, k
-			}
-		}
-		delete(s.programs, oldest)
-	}
-}
-
 // bench resolves a workload name and returns its benchmark built at the
 // given scale, reusing a previous build when one exists. Pointer-stable
 // programs are what let the StageCache coalesce identical stage work across
 // requests — a rebuilt program would never hit. Builds are single-flighted
-// per key, run outside the cache lock inside a worker-gate slot (large
+// per key by the program memo, run inside a worker-gate slot (large
 // generated programs are real work, so they count against -workers), and
 // honour the requesting client's context; a cancelled builder's waiters
 // retry under their own contexts, like every other flight.
@@ -158,14 +119,7 @@ func (s *Server) bench(ctx context.Context, name string, scale int) (preexec.Swe
 		return preexec.SweepBench{}, err
 	}
 	key := progKey{name: strings.ToLower(w.Name), scale: scale}
-	if b, ok := s.lookupProgram(key); ok {
-		return b, nil
-	}
-	b, _, err := s.builds.Do(ctx, key, func() (preexec.SweepBench, error) {
-		// A racer may have stored the build between the miss and the flight.
-		if b, ok := s.lookupProgram(key); ok {
-			return b, nil
-		}
+	return s.programs.Do(ctx, key, func() (preexec.SweepBench, error) {
 		if err := s.gate.acquire(ctx); err != nil {
 			return preexec.SweepBench{}, err
 		}
@@ -174,12 +128,9 @@ func (s *Server) bench(ctx context.Context, name string, scale int) (preexec.Swe
 		// a Go func no HTTP request can set — an eager BuildTest would
 		// double both the build cost and the cache's memory for nothing.
 		stop := s.obs.StageStart("build", w.Name)
-		b := preexec.SweepBench{Name: w.Name, Program: w.Build(scale)}
-		stop()
-		s.storeProgram(key, b)
-		return b, nil
+		defer stop()
+		return preexec.SweepBench{Name: w.Name, Program: w.Build(scale)}, nil
 	})
-	return b, err
 }
 
 // benchesFor resolves a request's benchmark list (all registered workloads
@@ -198,12 +149,4 @@ func (s *Server) benchesFor(ctx context.Context, names []string, scale int) ([]p
 		benches[i] = b
 	}
 	return benches, nil
-}
-
-// cachedPrograms returns the number of built (workload, scale) programs held
-// for cross-request stage-cache identity.
-func (s *Server) cachedPrograms() int {
-	s.progMu.Lock()
-	defer s.progMu.Unlock()
-	return len(s.programs)
 }

@@ -17,10 +17,12 @@
 // The scheduling core layers three mechanisms over the library:
 //
 //   - Request coalescing: identical in-flight /v1/evaluate requests are
-//     single-flighted (preexec.FlightGroup) above the StageCache, so N
-//     concurrent clients asking for the same cell cost one full evaluation.
+//     single-flighted above the StageCache by a memo that retains nothing
+//     (internal/memo), so N concurrent clients asking for the same cell
+//     cost one full evaluation.
 //   - Stage memoization: all requests share one StageCache, and programs are
-//     built once per (workload, scale) and reused by pointer, so the cache's
+//     built once per (workload, scale) — single-flighted and retained by
+//     the same memo, LRU-bounded — and reused by pointer, so the cache's
 //     program-identity keys hit across requests. N sequential identical
 //     evaluations still perform exactly one base timing run and one profile.
 //   - Bounded compute: the expensive stages (timing simulation, functional
@@ -39,6 +41,7 @@ import (
 	"sync/atomic"
 
 	"preexec"
+	"preexec/internal/memo"
 	"preexec/internal/obs"
 )
 
@@ -71,8 +74,9 @@ type Server struct {
 	// base carries the shared backends into Sweep.Plan.
 	base *preexec.Engine
 
-	// flights coalesces identical in-flight evaluate requests.
-	flights preexec.FlightGroup[string, preexec.Report]
+	// flights coalesces identical in-flight evaluate requests; it retains
+	// nothing once a flight lands.
+	flights *memo.Map[string, preexec.Report]
 
 	// gate is the server-wide worker pool every expensive unit — timing
 	// runs, profiles, program builds — passes through.
@@ -87,12 +91,8 @@ type Server struct {
 	// process must honour the same invariant — re-binding a name via
 	// preexec.UnregisterWorkload + RegisterWorkload while a Server is live
 	// would serve the old program until LRU pressure evicts it; start a new
-	// Server (they are cheap) after re-binding instead. builds
-	// single-flights construction per key, outside the lock.
-	progMu   sync.Mutex
-	programs map[progKey]*progEntry
-	progTick int64
-	builds   preexec.FlightGroup[progKey, preexec.SweepBench]
+	// Server (they are cheap) after re-binding instead.
+	programs *memo.Map[progKey, preexec.SweepBench]
 
 	uploads atomic.Int64
 
@@ -150,7 +150,8 @@ func New(opts ...Option) *Server {
 	s := &Server{
 		workers:  runtime.GOMAXPROCS(0),
 		maxBody:  defaultMaxBody,
-		programs: make(map[progKey]*progEntry),
+		flights:  memo.New[string, preexec.Report](memo.None),
+		programs: memo.New[progKey, preexec.SweepBench](memo.LRU(programCacheLimit)),
 	}
 	for _, o := range opts {
 		o(s)

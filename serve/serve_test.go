@@ -173,6 +173,53 @@ func TestEvaluateCoalescesIdenticalRequests(t *testing.T) {
 	}
 }
 
+// TestEvaluateBuildsProgramOnce fires concurrent first requests for one
+// (workload, scale), each with its own configuration so no two coalesce
+// into one evaluation: they must still share one program build, observed
+// once in the build-stage histogram and held once in the program memo.
+func TestEvaluateBuildsProgramOnce(t *testing.T) {
+	ts := newTestServer(t, serve.WithWorkers(4))
+	const n = 6
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"workload": "gap", "config": {"machine": {"warm_insts": 2000, "measure_insts": %d}}}`, 8000+1000*i)
+			resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				raw, _ := io.ReadAll(resp.Body)
+				t.Errorf("request %d: status %d: %s", i, resp.StatusCode, raw)
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	if got := metricValue(t, metricsText(t, ts.URL), `preexec_stage_duration_seconds_count{stage="build"}`); got != 1 {
+		t.Errorf("%d concurrent first requests built the program %d times, want 1", n, got)
+	}
+	stats := serverStats(t, ts.URL)
+	var programs int
+	if err := json.Unmarshal(stats["programs_cached"], &programs); err != nil {
+		t.Fatal(err)
+	}
+	if programs != 1 {
+		t.Errorf("programs cached = %d, want 1", programs)
+	}
+	var flights struct{ Started, Coalesced int64 }
+	if err := json.Unmarshal(stats["flights"], &flights); err != nil {
+		t.Fatal(err)
+	}
+	if flights.Started != n || flights.Coalesced != 0 {
+		t.Errorf("flights = %+v, want %d distinct evaluations", flights, n)
+	}
+}
+
 // TestSingleWorkerEvaluateReadsOneTrace runs evaluations on a one-slot
 // worker pool, where a profile holding its slot while it waited for a
 // trace recording would deadlock. The default profile window reads the

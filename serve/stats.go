@@ -33,8 +33,8 @@ type statsResponse struct {
 		Coalesced int64 `json:"coalesced"`
 		Waiting   int64 `json:"waiting"`
 	} `json:"flights"`
-	// ProgramsCached counts the (workload, scale) programs built and held
-	// for cross-request cache identity.
+	// ProgramsCached counts the (workload, scale) programs held for
+	// cross-request cache identity, builds in flight included.
 	ProgramsCached int `json:"programs_cached"`
 	// Workloads is the registry size (builtins + run-time registrations).
 	Workloads int `json:"workloads"`
@@ -59,9 +59,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.CacheEntries.Base, resp.CacheEntries.Profile, resp.CacheEntries.Trace = s.cache.Len()
 	resp.Requests.InFlight = s.obs.requestsInFlight.Value()
 	resp.Requests.Completed = s.obs.requestsCompleted.Value()
-	resp.Flights.Started, resp.Flights.Coalesced = s.flights.Stats()
-	resp.Flights.Waiting = s.flights.Waiting()
-	resp.ProgramsCached = s.cachedPrograms()
+	flights := s.flights.Stats()
+	resp.Flights.Started, resp.Flights.Coalesced, resp.Flights.Waiting = flights.Runs, flights.Hits, flights.Waiting
+	resp.ProgramsCached = s.programs.Len()
 	resp.Workloads = len(preexec.WorkloadNames())
 	resp.Workers = s.workers
 	resp.Gate.Workers = s.workers

@@ -226,8 +226,8 @@ func (s *Sweep) Run(ctx context.Context, benches []SweepBench, points []ConfigPo
 	}
 	if cache != nil {
 		res.Cache = cache.Stats().sub(before)
-		replays := &jobs[0].Engine.plan.replays // shared by every cell of the plan
-		res.Cache.ReplayRuns, res.Cache.ReplayHits = replays.runs.Load(), replays.hits.Load()
+		replays := jobs[0].Engine.plan.replays.Stats() // shared by every cell of the plan
+		res.Cache.ReplayRuns, res.Cache.ReplayHits = replays.Runs, replays.Hits
 	}
 	return res, err
 }
