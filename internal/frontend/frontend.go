@@ -16,10 +16,15 @@
 // recording; a consumer of a run too long to retain steps a fresh FrontEnd
 // instead and reads the same records.
 //
-// Each record also carries its architectural effect (destination value, or
-// store value): p-thread launches read the architectural state at the
-// launch point, which a replay reconstructs by applying records to a replica
-// in fetch order.
+// A record holds only what changes from one execution of an instruction to
+// the next: its PC, producer and store links, the predictor's verdict, and
+// one data word (a memory access's effective address, or the value written
+// to a destination register). Everything fixed by the PC — class, latency,
+// destination register, static flags — is in the program's decode table
+// (Decode), which a Trace builds before anyone reads it. P-thread launches
+// read the architectural state at the launch point; a replay reconstructs
+// it by applying records to a replica in fetch order, taking a load's value
+// from the replica's memory and a store's from its data register.
 package frontend
 
 import (
@@ -32,40 +37,87 @@ import (
 	"preexec/internal/program"
 )
 
-// Rec flags.
+// Record flags, as Dec.Flags returns them. FMispredict and FBreak of a
+// conditional branch, and FMispredict of a JR, vary between executions and
+// are carried in the record's Word; the rest are fixed by the PC.
 const (
-	FStore      = 1 << iota // ST: Val is the stored value, EffAddr the address
-	FHasDest                // writes Rd (Rd may be the zero register)
+	FStore      = 1 << iota // ST: Word is the address, the value is in Rs2
+	FHasDest                // writes Rd (never the zero register)
 	FBrLookup               // conditional branch: counts a predictor lookup
 	FMispredict             // mispredicted branch or JR: becomes the fetch blocker
 	FBreak                  // taken control: fetch stops after this instruction
 	FHalt                   // HALT: fetch is done after this instruction
 )
 
-// NoDest marks an absent destination register in Rec.Rd.
+// NoDest marks an absent destination register in Dec.Rd.
 const NoDest = 0xff
 
-// Rec is one fetched instruction with everything its consumers need
-// precomputed: the renamer's producer links, the scheduler's class and
-// latency, the predictor's verdict, the architectural effect, and the
-// backward same-word store link.
+// Rec is one fetched instruction: the part of its execution that is not
+// fixed by its PC. Dec, the PC's decode-table entry, holds the rest.
+//
+// Word is the effective address of a load or store, the destination value
+// of any other instruction that writes a register (FHasDest), and the
+// dynamic flags (FMispredict, FBreak) of a conditional branch or JR; 0
+// otherwise. A load's value and a store's value are not recorded: a replay
+// reads them from its own replica (see package doc).
 //
 // Prod holds, per source operand as enumerated by isa.Inst.Sources, the
 // backward distance to its producer — the most recent earlier record
-// writing that register — and PrevStore the distance to the most recent
-// earlier store to the same word; 0 is no link (see LinkTo). The rename
-// table is maintained in program order, which is exactly fetch order, so
-// its whole evolution is a property of the stream and is computed here.
+// writing that register — and PrevStore, for a load or store, the distance
+// to the most recent earlier store to the same word; 0 is no link (see
+// LinkTo). The rename table is maintained in program order, which is
+// exactly fetch order, so its whole evolution is a property of the stream
+// and is computed here.
 type Rec struct {
-	EffAddr   int64
-	Val       int64 // Rd value (FHasDest) or stored value (FStore)
+	Word      int64
 	Prod      [2]int32
 	PrevStore int32
 	PC        int32
-	Rd        uint8 // destination register; NoDest = none
-	Class     uint8 // isa.Class
-	LatAdd    uint8 // non-memory completion latency (Mul: 3, else 1)
-	Flags     uint8
+}
+
+// Dec is one instruction's decode-table entry: everything a consumer of its
+// records needs that does not change between executions.
+type Dec struct {
+	Class  uint8 // isa.Class
+	LatAdd uint8 // non-memory completion latency (Mul: 3, else 1)
+	Rd     uint8 // destination register; NoDest = none
+	Rs2    uint8 // ST: the register holding the stored value
+	flags  uint8 // flags every execution has
+	dyn    uint8 // flags a record carries in Word
+}
+
+// Flags returns the flags of rec, a record of d's instruction: d's static
+// flags and the dynamic ones rec carries.
+func (d *Dec) Flags(rec *Rec) uint8 { return d.flags | uint8(rec.Word)&d.dyn }
+
+// Decode returns prog's decode table, indexed by PC.
+func Decode(prog *program.Program) []Dec {
+	dec := make([]Dec, len(prog.Insts))
+	for pc, in := range prog.Insts {
+		c := isa.ClassOf(in.Op)
+		d := Dec{Class: uint8(c), LatAdd: uint8(isa.Latency(in.Op)), Rd: NoDest}
+		if in.HasDest() {
+			d.Rd = uint8(in.Rd)
+			d.flags |= FHasDest
+		}
+		switch c {
+		case isa.ClassStore:
+			d.Rs2 = uint8(in.Rs2)
+			d.flags |= FStore
+		case isa.ClassBranch:
+			d.flags |= FBrLookup
+			d.dyn = FMispredict | FBreak
+		case isa.ClassJump:
+			d.flags |= FBreak
+			if in.Op == isa.JR {
+				d.dyn = FMispredict
+			}
+		case isa.ClassHalt:
+			d.flags |= FHalt
+		}
+		dec[pc] = d
+	}
+	return dec
 }
 
 // LinkTo encodes the backward link from record seq to the earlier record j
@@ -114,19 +166,12 @@ func (l *Linker) init() {
 	}
 }
 
-// Link fills rec with e's selection-independent fields — address, PC,
-// class, latency, destination and value, producer and store links — and
-// records e as the newest writer of its destination and of its word if it
-// stores. It leaves the predictor's flags and a store's value to the front
-// end.
+// Link fills rec with e's selection-independent fields — PC, Word
+// (address or destination value), producer and store links — and records e
+// as the newest writer of its destination and of its word if it stores. It
+// leaves the predictor's flags to the front end.
 func (l *Linker) Link(e *cpu.Exec, rec *Rec) {
-	*rec = Rec{
-		EffAddr: e.EffAddr,
-		PC:      int32(e.PC),
-		Rd:      NoDest,
-		Class:   uint8(isa.ClassOf(e.Inst.Op)),
-		LatAdd:  uint8(isa.Latency(e.Inst.Op)),
-	}
+	*rec = Rec{PC: int32(e.PC)}
 	srcs, ns := e.Inst.Sources()
 	for i := 0; i < ns; i++ {
 		if srcs[i] != isa.Zero {
@@ -134,23 +179,22 @@ func (l *Linker) Link(e *cpu.Exec, rec *Rec) {
 		}
 	}
 	if e.Inst.HasDest() {
-		rec.Rd = uint8(e.Inst.Rd)
-		rec.Flags |= FHasDest
-		rec.Val = e.RdVal
+		rec.Word = e.RdVal
 		l.regProd[e.Inst.Rd] = e.Seq
 	}
-	switch isa.Class(rec.Class) {
-	case isa.ClassLoad:
+	switch e.Inst.Op {
+	case isa.LD:
+		rec.Word = e.EffAddr
 		if j, ok := l.lastStore[e.EffAddr&^7]; ok {
 			rec.PrevStore = LinkTo(e.Seq, j)
 		}
-	case isa.ClassStore:
+	case isa.ST:
+		rec.Word = e.EffAddr
 		w := e.EffAddr &^ 7
 		if j, ok := l.lastStore[w]; ok {
 			rec.PrevStore = LinkTo(e.Seq, j)
 		}
 		l.lastStore[w] = e.Seq
-		rec.Flags |= FStore
 	}
 }
 
@@ -186,28 +230,20 @@ func (f *FrontEnd) Step(rec *Rec) error {
 		return err
 	}
 	f.links.Link(&e, rec)
-	switch isa.Class(rec.Class) {
-	case isa.ClassStore:
-		// ST reads no destination; Val carries the stored value so a
-		// replay can maintain its memory replica in fetch order.
-		rec.Val = f.Oracle.Regs[e.Inst.Rs2]
-	case isa.ClassBranch:
-		rec.Flags |= FBrLookup
+	// Only branches and JR carry flags; neither has an address or a
+	// destination value, so Word is free for them.
+	switch {
+	case e.Inst.IsBranch():
 		if _, correct := f.pred.PredictAndTrain(e.PC, e.Taken); !correct {
-			rec.Flags |= FMispredict
+			rec.Word = FMispredict
 		} else if e.Taken {
-			rec.Flags |= FBreak
+			rec.Word = FBreak
 		}
-	case isa.ClassJump:
-		if e.Inst.Op == isa.JR {
-			if f.pred.BTBLookup(e.PC) != e.NextPC {
-				rec.Flags |= FMispredict
-				f.pred.BTBInsert(e.PC, e.NextPC)
-			}
+	case e.Inst.Op == isa.JR:
+		if f.pred.BTBLookup(e.PC) != e.NextPC {
+			rec.Word = FMispredict
+			f.pred.BTBInsert(e.PC, e.NextPC)
 		}
-		rec.Flags |= FBreak
-	case isa.ClassHalt:
-		rec.Flags |= FHalt
 	}
 	return nil
 }
@@ -219,6 +255,7 @@ func (f *FrontEnd) Step(rec *Rec) error {
 type Trace struct {
 	prog    *program.Program
 	version string
+	dec     []Dec
 	recs    []Rec
 	// err is the oracle error that ended the recording before its span
 	// (running off the program's text), where a streamed run's fetch
@@ -232,6 +269,10 @@ func (t *Trace) Program() *program.Program { return t.prog }
 
 // Version returns the fingerprint the trace was recorded under.
 func (t *Trace) Version() string { return t.version }
+
+// Decode returns the decode table of the trace's program, indexed by PC.
+// Callers must not modify it.
+func (t *Trace) Decode() []Dec { return t.dec }
 
 // Records returns the number of recorded instructions.
 func (t *Trace) Records() int { return len(t.recs) }
@@ -249,7 +290,7 @@ func (t *Trace) Streamed() bool { return t.streamed }
 
 // Halted reports whether the recording ends with the program's HALT.
 func (t *Trace) Halted() bool {
-	return len(t.recs) > 0 && t.recs[len(t.recs)-1].Flags&FHalt != 0
+	return len(t.recs) > 0 && t.dec[t.recs[len(t.recs)-1].PC].flags&FHalt != 0
 }
 
 // ctxCheckMask gates how often Record polls ctx.Done(): every 4096
@@ -259,13 +300,15 @@ const ctxCheckMask = 1<<12 - 1
 // Record steps a fresh front end over prog for span records (fewer if the
 // program halts or runs off its text), tagging the trace with version, the
 // fingerprint of the code that reads it. A span of 0 records nothing and
-// returns a streamed trace.
+// returns a streamed trace. The decode table is built here, before any
+// reader shares the trace.
 func Record(ctx context.Context, prog *program.Program, span int64, version string) (*Trace, error) {
+	dec := Decode(prog)
 	if span <= 0 {
-		return &Trace{prog: prog, version: version, streamed: true}, nil
+		return &Trace{prog: prog, version: version, dec: dec, streamed: true}, nil
 	}
 	fe := New(prog)
-	t := &Trace{prog: prog, version: version, recs: make([]Rec, 0, span)}
+	t := &Trace{prog: prog, version: version, dec: dec, recs: make([]Rec, 0, span)}
 	done := ctx.Done()
 	for int64(len(t.recs)) < span && !fe.Oracle.Halted {
 		if done != nil && len(t.recs)&ctxCheckMask == 0 {

@@ -3,9 +3,11 @@ package frontend
 import (
 	"context"
 	"testing"
+	"unsafe"
 
 	"preexec/internal/cpu"
 	"preexec/internal/isa"
+	"preexec/internal/program"
 	"preexec/internal/workload"
 )
 
@@ -46,15 +48,17 @@ func TestLatestWriterWins(t *testing.T) {
 }
 
 func TestR0HasNoProducer(t *testing.T) {
-	recs := link(
-		exec(0, isa.Inst{Op: isa.LI, Rd: 0}, 0), // write to R0: discarded
-		exec(1, isa.Inst{Op: isa.ADDI, Rd: 1, Rs1: 0}, 0),
-	)
+	insts := []isa.Inst{
+		{Op: isa.LI, Rd: 0}, // write to R0: discarded
+		{Op: isa.ADDI, Rd: 1, Rs1: 0},
+	}
+	recs := link(exec(0, insts[0], 0), exec(1, insts[1], 0))
 	if recs[1].Prod[0] != 0 {
 		t.Errorf("R0 producer link = %d, want none", recs[1].Prod[0])
 	}
-	if recs[0].Flags&FHasDest != 0 || recs[0].Rd != NoDest {
-		t.Errorf("write to R0 recorded as a destination: %+v", recs[0])
+	d := Decode(&program.Program{Insts: insts})[recs[0].PC]
+	if d.Flags(&recs[0])&FHasDest != 0 || d.Rd != NoDest {
+		t.Errorf("write to R0 recorded as a destination: %+v, decoded %+v", recs[0], d)
 	}
 }
 
@@ -119,6 +123,9 @@ func TestRecordMatchesStreamedFrontEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if cap(tr.Recs()) != 20_000 {
+		t.Errorf("recording of span 20000 has capacity %d: it must hold its span and no more", cap(tr.Recs()))
+	}
 	if tr.Records() != 20_000 || tr.Err() != nil || tr.Halted() || tr.Streamed() || tr.Version() != "v" {
 		t.Fatalf("recording: %d records, err %v, halted %v, streamed %v, version %q",
 			tr.Records(), tr.Err(), tr.Halted(), tr.Streamed(), tr.Version())
@@ -139,5 +146,67 @@ func TestRecordMatchesStreamedFrontEnd(t *testing.T) {
 	}
 	if !st.Streamed() || st.Records() != 0 || st.Program() != p {
 		t.Errorf("span 0: streamed %v with %d records", st.Streamed(), st.Records())
+	}
+}
+
+// TestRecLayout pins the record at 24 bytes: traces are most of a sweep's
+// retained memory, so a field added to Rec costs every cached program.
+// Whatever is fixed by the PC belongs in Dec.
+func TestRecLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Rec{}); n != 24 {
+		t.Errorf("Rec is %d bytes, want 24", n)
+	}
+}
+
+// TestDecodeFlags pins Dec.Flags to the front end's verdicts: static flags
+// from the decode table, a branch's and a JR's dynamic flags from the
+// record, and nothing read from the Word of an instruction whose Word is an
+// address or a value.
+func TestDecodeFlags(t *testing.T) {
+	p := program.NewBuilder("flags").
+		Li(1, int64(FMispredict|FBreak|FHalt)). // a value whose bits look like flags
+		Li(2, 0x40).
+		St(1, 2, 0).
+		Ld(3, 2, 0).
+		Beq(0, 0, "over"). // always taken
+		Nop().
+		Label("over").
+		Jal(31, "fn").
+		Halt().
+		Label("fn").
+		Jr(31).
+		MustBuild()
+	tr, err := Record(context.Background(), p, 100, "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := tr.Decode()
+	var got []uint8
+	for i := range tr.Recs() {
+		rec := &tr.Recs()[i]
+		got = append(got, dec[rec.PC].Flags(rec))
+	}
+	// The first taken BEQ and the first JR mispredict: the predictor and the
+	// BTB start cold.
+	want := []uint8{
+		FHasDest, FHasDest, FStore, FHasDest,
+		FBrLookup | FMispredict,
+		FHasDest | FBreak,
+		FBreak | FMispredict,
+		FHalt,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("record %d (pc %d): flags %06b, want %06b", i, tr.Recs()[i].PC, got[i], want[i])
+		}
+	}
+	if !tr.Halted() {
+		t.Error("recording that ends at HALT does not report Halted")
+	}
+	if d := dec[2]; d.Rs2 != 1 || d.Rd != NoDest {
+		t.Errorf("store decoded as %+v, want data register 1 and no destination", d)
 	}
 }

@@ -242,7 +242,8 @@ func TestBackwardSteadyStateAllocs(t *testing.T) {
 	win := &slice.Window{Recs: tr.Recs(), Mask: -1, Scope: 1024, Text: p.Insts}
 	// The first load after 20k instructions, sliced with a full window.
 	miss := int64(20_000)
-	for isa.Class(win.Recs[miss].Class) != isa.ClassLoad {
+	dec := tr.Decode()
+	for isa.Class(dec[win.Recs[miss].PC].Class) != isa.ClassLoad {
 		miss++
 	}
 	sl := &slice.Slicer{MaxLen: 32}

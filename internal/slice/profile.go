@@ -163,6 +163,7 @@ func profile(ctx context.Context, p *program.Program, t *frontend.Trace, shapes 
 		wide.MaxLen = max(wide.MaxLen, s.MaxSlice)
 	}
 	src := records{w: w, t: t}
+	var dec []frontend.Dec // the decode table, indexed by a record's PC
 	if t == nil || t.Streamed() {
 		// The ring holds every record a slice can reach: the widest
 		// scope's worth up to the miss.
@@ -171,8 +172,10 @@ func profile(ctx context.Context, p *program.Program, t *frontend.Trace, shapes 
 			n <<= 1
 		}
 		src.fe = frontend.New(p)
+		dec = frontend.Decode(p)
 		w.Recs, w.Mask = make([]frontend.Rec, n), n-1
 	} else {
+		dec = t.Decode()
 		w.Recs, w.Mask = t.Recs(), -1
 	}
 	h := cache.DefaultHierarchy()
@@ -193,10 +196,11 @@ func profile(ctx context.Context, p *program.Program, t *frontend.Trace, shapes 
 			return nil, fmt.Errorf("profile %s (warm-up): %w", p.Name, err)
 		}
 		n++
-		if c := isa.Class(rec.Class); c == isa.ClassLoad || c == isa.ClassStore {
-			h.Access(rec.EffAddr, c == isa.ClassStore)
+		d := &dec[rec.PC]
+		if c := isa.Class(d.Class); c == isa.ClassLoad || c == isa.ClassStore {
+			h.Access(rec.Word, c == isa.ClassStore)
 		}
-		halted = rec.Flags&frontend.FHalt != 0
+		halted = isa.Class(d.Class) == isa.ClassHalt
 	}
 
 	regions := make([][]Region, len(shapes))
@@ -252,12 +256,13 @@ func profile(ctx context.Context, p *program.Program, t *frontend.Trace, shapes 
 		n++
 		regionMeasured++
 		trig[rec.PC]++
-		switch isa.Class(rec.Class) {
+		d := &dec[rec.PC]
+		switch isa.Class(d.Class) {
 		case isa.ClassStore:
-			h.Access(rec.EffAddr, true)
+			h.Access(rec.Word, true)
 		case isa.ClassLoad:
 			loads++
-			if h.Access(rec.EffAddr, false) == cache.MissL2 {
+			if h.Access(rec.Word, false) == cache.MissL2 {
 				misses++
 				sl := wide.Backward(w, seq)
 				for i, f := range forests {
@@ -269,7 +274,7 @@ func profile(ctx context.Context, p *program.Program, t *frontend.Trace, shapes 
 				}
 			}
 		}
-		halted = rec.Flags&frontend.FHalt != 0
+		halted = isa.Class(d.Class) == isa.ClassHalt
 		if opts.RegionInsts > 0 && n-regionStart >= opts.RegionInsts {
 			closeRegion(n)
 		}

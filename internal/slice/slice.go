@@ -54,9 +54,11 @@ type Window struct {
 // -1 for none.
 func (w *Window) producers(seq int64) [3]int64 {
 	r := &w.Recs[seq&w.Mask]
+	// LinkBack of a load's store link, spelled out: the method stays
+	// within the inlining budget, and most records have no link to test.
 	mem := int64(-1)
-	if isa.Class(r.Class) == isa.ClassLoad {
-		mem = frontend.LinkBack(seq, r.PrevStore)
+	if r.PrevStore != 0 && w.Text[r.PC].Op == isa.LD {
+		mem = seq - int64(r.PrevStore)
 	}
 	return [3]int64{frontend.LinkBack(seq, r.Prod[0]), frontend.LinkBack(seq, r.Prod[1]), mem}
 }

@@ -323,13 +323,20 @@ type replaySim struct {
 	// replaying (exactly one is set). rec(seq) is the record of sequence
 	// number seq: recs is a ring beside the slot ring when streaming
 	// (recMask = slotMask) and the recorded trace itself when replaying
-	// (recMask all ones). pos is the next sequence number to fetch. arch is
-	// the architectural state at the fetch frontier that p-thread launches
+	// (recMask all ones); dec is the program's decode table, indexed by a
+	// record's PC. pos is the next sequence number to fetch. arch is the
+	// architectural state at the fetch frontier that p-thread launches
 	// read: the oracle itself when streaming, a replica the records'
-	// effects are applied to when replaying.
+	// effects are applied to when replaying, and nil when replaying a run
+	// in which no launch reads it. read marks the replica's registers whose
+	// value anything reads — a p-thread body's live-ins and every store's
+	// data register — so a replay reads a load's value from the replica's
+	// memory only into those.
 	fe        *frontend.FrontEnd
 	trace     *Trace
 	arch      *cpu.State
+	dec       []frontend.Dec
+	read      [isa.NumRegs]bool
 	recs      []frontend.Rec
 	recMask   int64
 	pos       int64
@@ -429,14 +436,6 @@ func newReplay(prog *program.Program, t *Trace, pts []*pthread.PThread, cfg Conf
 		blocker:         none,
 		ctxs:            make([]rctx, cfg.PtContexts),
 	}
-	if t == nil {
-		r.fe = frontend.New(prog)
-		r.arch = r.fe.Oracle
-		r.recs, r.recMask = make([]frontend.Rec, sz), r.slotMask
-	} else {
-		r.arch = frontend.NewReplica(prog)
-		r.recs, r.recMask = t.Recs(), -1
-	}
 	for i := range r.wheel {
 		r.wheel[i] = none
 	}
@@ -460,13 +459,43 @@ func newReplay(prog *program.Program, t *Trace, pts []*pthread.PThread, cfg Conf
 				class:  make([]uint8, len(insts)),
 				latAdd: make([]uint8, len(insts)),
 			}
+			var written [isa.PtRegs]bool
 			for i, in := range insts {
 				meta.class[i] = uint8(isa.ClassOf(in.Op))
 				meta.latAdd[i] = uint8(isa.Latency(in.Op))
+				srcs, ns := in.Sources()
+				for _, src := range srcs[:ns] {
+					if src < isa.NumRegs && !written[src] {
+						r.read[src] = true
+					}
+				}
+				if in.HasDest() && in.Rd < isa.PtRegs {
+					written[in.Rd] = true
+				}
 			}
 			r.ptMeta[pt] = meta
 		}
 		r.launchRegs = make([]int64, isa.PtRegs)
+	}
+	if t == nil {
+		r.fe = frontend.New(prog)
+		r.arch = r.fe.Oracle
+		r.dec = frontend.Decode(prog)
+		r.recs, r.recMask = make([]frontend.Rec, sz), r.slotMask
+	} else {
+		// Only a launch that executes its body reads the architectural
+		// state: with no trigger, or under ModeOverheadSequence, the
+		// replay needs no replica and applies no record's effect.
+		r.dec = t.Decode()
+		if r.trig != nil && cfg.Mode != ModeOverheadSequence {
+			r.arch = frontend.NewReplica(prog)
+			for _, d := range r.dec {
+				if isa.Class(d.Class) == isa.ClassStore {
+					r.read[d.Rs2] = true
+				}
+			}
+		}
+		r.recs, r.recMask = t.Recs(), -1
 	}
 	return r
 }
@@ -679,68 +708,83 @@ func (r *replaySim) fetch() bool {
 		return work // front-end buffer full
 	}
 	for n := 0; n < r.cfg.Width; n++ {
-		rec := r.next()
+		rec, d := r.next()
 		if rec == nil {
 			r.fetchDone = true
 			return true
 		}
 		id := int32(r.pos & r.slotMask)
+		flags := d.Flags(rec)
 		// Reset in place: a composite literal of this size is built on the
 		// stack and block-copied, a measurable cost once per instruction.
 		u := &r.slots[id]
 		*u = rslot{}
-		u.availC, u.effAddr, u.seq = r.cycle+r.frontEndDepth, rec.EffAddr, r.pos
+		// Word is the effective address of a load or store; the other
+		// classes never read effAddr.
+		u.availC, u.effAddr, u.seq = r.cycle+r.frontEndDepth, rec.Word, r.pos
 		u.prod = [3]int64{none, none, none}
 		u.waiterHead, u.nextWaiter = none, none
-		u.class, u.latAdd, u.isStore = rec.Class, rec.LatAdd, rec.Flags&frontend.FStore != 0
+		u.class, u.latAdd, u.isStore = d.Class, d.LatAdd, flags&frontend.FStore != 0
 		r.fetchQ.push(id)
 		r.pos++
 		work = true
-		if rec.Flags&frontend.FBrLookup != 0 {
+		if flags&frontend.FBrLookup != 0 {
 			r.stats.BrLookups++
 		}
-		if rec.Flags&frontend.FMispredict != 0 {
+		if flags&frontend.FMispredict != 0 {
 			r.stats.BrMispred++
 			r.blocker = id
 			return true
 		}
-		if rec.Flags&frontend.FHalt != 0 {
+		if flags&frontend.FHalt != 0 {
 			r.fetchDone = true
 			return true
 		}
-		if rec.Flags&frontend.FBreak != 0 {
+		if flags&frontend.FBreak != 0 {
 			return true
 		}
 	}
 	return work
 }
 
-// next returns the front-end record at r.pos, or nil at the end of the
-// stream. Streaming steps the oracle, which leaves its registers and memory
+// next returns the front-end record at r.pos and its decode-table entry,
+// or nils at the end of the stream. Streaming steps the oracle, which leaves its registers and memory
 // at the new fetch frontier; replaying applies the recorded record's
-// architectural effect to the replica. The stream ends where the oracle
-// errors out, which a recording marks as truncation; a recording ending
-// anywhere else was too short for this run, which fails the replay rather
-// than letting it diverge.
-func (r *replaySim) next() *frontend.Rec {
+// architectural effect to the replica, if there is one. The replica is the
+// oracle's state at this point of fetch order, so a load's value is the
+// replica's memory word and a store's value its data register; a load into
+// a register nothing reads leaves it stale. The stream ends where the
+// oracle errors out, which a recording marks as truncation; a recording
+// ending anywhere else was too short for this run, which fails the replay
+// rather than letting it diverge.
+func (r *replaySim) next() (*frontend.Rec, *frontend.Dec) {
 	if r.fe != nil {
 		rec := r.rec(r.pos)
 		if r.fe.Step(rec) != nil {
-			return nil
+			return nil, nil
 		}
-		return rec
+		return rec, &r.dec[rec.PC]
 	}
 	if r.pos >= int64(len(r.recs)) {
 		r.exhausted = r.trace.Err() == nil
-		return nil
+		return nil, nil
 	}
 	rec := r.rec(r.pos)
-	if rec.Flags&frontend.FHasDest != 0 {
-		r.arch.Regs[rec.Rd] = rec.Val
-	} else if rec.Flags&frontend.FStore != 0 {
-		r.arch.Mem.Write(rec.EffAddr, rec.Val)
+	d := &r.dec[rec.PC]
+	if a := r.arch; a != nil {
+		switch {
+		case isa.Class(d.Class) == isa.ClassStore:
+			a.Mem.Write(rec.Word, a.Regs[d.Rs2])
+		case d.Rd == frontend.NoDest:
+		case isa.Class(d.Class) == isa.ClassLoad:
+			if r.read[d.Rd] {
+				a.Regs[d.Rd] = a.Mem.Read(rec.Word)
+			}
+		default:
+			a.Regs[d.Rd] = rec.Word
+		}
 	}
-	return rec
+	return rec, d
 }
 
 // rec returns the front-end record of main-thread instruction seq, which
