@@ -247,19 +247,28 @@ func replayGrid(tb testing.TB) ([]preexec.SweepBench, []preexec.ConfigPoint) {
 	return benches, points
 }
 
-// sweepOp runs the replay grid on two workers. Memoized (cached), it records
-// one trace, replays one base run and profiles once per benchmark, then
-// replays once per distinct p-thread set; crafty selects nothing, so its
-// cells reuse the base run. Uncached, every cell runs each stage itself: the
-// pair records the stage cache's win.
-func sweepOp(cached bool) op {
-	return func(tb testing.TB) func() {
-		benches, points := replayGrid(tb)
-		return func() {
-			s := &preexec.Sweep{Workers: 2, NoCache: !cached}
-			if _, err := s.Run(context.Background(), benches, points); err != nil {
-				tb.Fatal(err)
-			}
+// sweepOp runs the replay grid on two workers through a memoized Sweep: it
+// records one trace, replays one base run and profiles once per benchmark,
+// then replays once per distinct p-thread set; crafty selects nothing, so
+// its cells reuse the base run.
+func sweepOp(tb testing.TB) func() {
+	benches, points := replayGrid(tb)
+	return func() {
+		s := &preexec.Sweep{Workers: 2}
+		if _, err := s.Run(context.Background(), benches, points); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// uncachedOp evaluates the same grid on two workers with each cell on its
+// own engine, so every cell runs each stage itself: the pair records the
+// stage cache's win.
+func uncachedOp(tb testing.TB) func() {
+	benches, points := replayGrid(tb)
+	return func() {
+		if _, err := preexec.SweepEachCellAlone(context.Background(), benches, points, 2); err != nil {
+			tb.Fatal(err)
 		}
 	}
 }
@@ -267,8 +276,8 @@ func sweepOp(cached bool) op {
 func BenchmarkSimVprPPreexec(b *testing.B)  { benchOp(b, preexecOp) }
 func BenchmarkRecordTraceVprP(b *testing.B) { benchOp(b, recordOp) }
 func BenchmarkReplayVprP(b *testing.B)      { benchOp(b, replayOp) }
-func BenchmarkSweepReplayGrid(b *testing.B) { benchOp(b, sweepOp(true)) }
-func BenchmarkSweepUncached(b *testing.B)   { benchOp(b, sweepOp(false)) }
+func BenchmarkSweepReplayGrid(b *testing.B) { benchOp(b, sweepOp) }
+func BenchmarkSweepUncached(b *testing.B)   { benchOp(b, uncachedOp) }
 
 // allocCeilings bounds each op's heap allocations per call. A ceiling is the
 // count measured when it was set, plus 30% and 32 allocations of headroom
@@ -292,8 +301,8 @@ var allocCeilings = []struct {
 	{"SimVprPPreexec", preexecOp, 318},
 	{"RecordTraceVprP", recordOp, 224},
 	{"ReplayVprP", replayOp, 340},
-	{"SweepReplayGrid", sweepOp(true), 8393},
-	{"SweepUncached", sweepOp(false), 16240},
+	{"SweepReplayGrid", sweepOp, 7627},
+	{"SweepUncached", uncachedOp, 13198},
 }
 
 // TestAllocCeilings fails when an op allocates more per call than its

@@ -203,8 +203,8 @@ type runKey struct {
 //     the others are served from that pass. It holds as many passes as
 //     the stage cache holds profiles (WithStageCacheLimit).
 //
-// A nil memo (an engine outside a sweep, or a sweep without a cache)
-// replays on every call and profiles each shape on its own.
+// A nil memo (an engine outside a sweep) replays on every call and
+// profiles each shape on its own.
 type planMemo struct {
 	replays *memo.Map[runKey, Stats]
 	shapes  map[profileKey][]ProfileOptions

@@ -213,7 +213,8 @@ func TestStageCacheEvictionOfInflightEntry(t *testing.T) {
 // TestSweepWithCacheLimitBitIdentical pins the LRU contract end to end: a
 // sweep over a cache bounded to a single entry per stage — evicting on
 // every benchmark switch, and on every slice shape served from a shared
-// profiling pass — produces cells bit-identical to an uncached sweep.
+// profiling pass — produces cells bit-identical to evaluating each cell
+// alone.
 func TestSweepWithCacheLimitBitIdentical(t *testing.T) {
 	benches, err := SweepBenches([]string{"crafty", "gap"}, 1)
 	if err != nil {
@@ -232,8 +233,7 @@ func TestSweepWithCacheLimitBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := &Sweep{NoCache: true, Workers: 1}
-	resPlain, err := plain.Run(context.Background(), benches, points)
+	resPlain, err := SweepEachCellAlone(context.Background(), benches, points, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestSweepWithCacheLimitBitIdentical(t *testing.T) {
 		a, b := resLim.Cells[i], resPlain.Cells[i]
 		if a.Report.Base != b.Report.Base || a.Report.Pre != b.Report.Pre ||
 			a.Report.BaseMisses != b.Report.BaseMisses {
-			t.Errorf("cell %s/%s differs between limited cache and no cache", a.Bench, a.Point)
+			t.Errorf("cell %s/%s differs between the limited cache and the cell alone", a.Bench, a.Point)
 		}
 	}
 	if base, prof, trace := limited.Cache.Len(); base > 1 || prof > 1 || trace > 1 {

@@ -37,18 +37,13 @@ func main() {
 		workers  = flag.Int("workers", 0, "concurrent evaluations (0 = all cores)")
 		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 		progress = flag.Bool("progress", false, "stream per-cell completion to stderr")
-		cacheArg = flag.String("cache", "on", "stage memoization for the figure sweeps: on or off")
 	)
 	flag.Parse()
-	if *cacheArg != "on" && *cacheArg != "off" {
-		fmt.Fprintf(os.Stderr, "texp: -cache=%q, want on or off\n", *cacheArg)
-		os.Exit(2)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := experiments.Options{Scale: *scale, Warm: *warm, Measure: *measure, Workers: *workers, NoCache: *cacheArg == "off"}
+	opts := experiments.Options{Scale: *scale, Warm: *warm, Measure: *measure, Workers: *workers}
 	if *bench != "" {
 		opts.Benchmarks = strings.Split(*bench, ",")
 	}

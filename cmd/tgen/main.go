@@ -9,7 +9,7 @@
 //	     [-degree list] [-compute list] [-scatter list]
 //	     [-spec grid.json] [file.prx ...]
 //	     [-o dir | -sweep] [-warm N] [-measure N] [-workers N]
-//	     [-json|-csv] [-cache on|off] [-cachelimit N] [-progress]
+//	     [-json|-csv] [-cachelimit N] [-progress]
 //
 // The grid is the cross product of every comma-separated axis flag over
 // every family; knobs irrelevant to a family are ignored, and the expansion
@@ -73,7 +73,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "sweep: concurrent cell evaluations (0 = all cores)")
 		jsonOut    = flag.Bool("json", false, "sweep: emit the full result as JSON")
 		csvOut     = flag.Bool("csv", false, "sweep: emit per-cell rows as CSV")
-		cacheArg   = flag.String("cache", "on", "sweep: stage memoization, on or off")
 		cacheLimit = flag.Int("cachelimit", 0, "sweep: LRU entry bound per cache stage (0 = unlimited)")
 		progress   = flag.Bool("progress", false, "sweep: stream per-cell completion to stderr")
 	)
@@ -83,14 +82,6 @@ func main() {
 	}
 	if *outDir != "" && *sweep {
 		fatal(errors.New("-o and -sweep are mutually exclusive (emit the corpus, then sweep it in a second run)"))
-	}
-	noCache := false
-	switch *cacheArg {
-	case "on":
-	case "off":
-		noCache = true
-	default:
-		fatal(fmt.Errorf("-cache=%q, want on or off", *cacheArg))
 	}
 
 	specs, err := expandGrid(axisValues{
@@ -184,7 +175,7 @@ func main() {
 		}
 		cfg := preexec.DefaultConfig()
 		cfg.Machine.WarmInsts, cfg.Machine.MeasureInsts = *warm, *measure
-		sw := &preexec.Sweep{Workers: *workers, NoCache: noCache}
+		sw := &preexec.Sweep{Workers: *workers}
 		if *cacheLimit > 0 {
 			sw.Cache = preexec.NewStageCache(preexec.WithStageCacheLimit(*cacheLimit))
 		}
@@ -204,11 +195,9 @@ func main() {
 			if emitErr := emit(res, *jsonOut, *csvOut); emitErr != nil && err == nil {
 				err = emitErr
 			}
-			if !noCache {
-				fmt.Fprintf(os.Stderr, "tgen: cache: %d base runs (+%d shared), %d profiles (+%d shared), %d evicted for %d cells\n",
-					res.Cache.BaseRuns, res.Cache.BaseHits, res.Cache.ProfileRuns, res.Cache.ProfileHits,
-					res.Cache.Evictions, len(res.Cells))
-			}
+			fmt.Fprintf(os.Stderr, "tgen: cache: %d base runs (+%d shared), %d profiles (+%d shared), %d evicted for %d cells\n",
+				res.Cache.BaseRuns, res.Cache.BaseHits, res.Cache.ProfileRuns, res.Cache.ProfileHits,
+				res.Cache.Evictions, len(res.Cells))
 		}
 		if err != nil {
 			if res != nil {

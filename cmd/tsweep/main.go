@@ -10,8 +10,7 @@
 //	       [-scope list] [-maxlen list] [-opt list] [-merge list]
 //	       [-region list] [-memlat list] [-selmemlat list]
 //	       [-width list] [-selwidth list]
-//	       [-workers N] [-json|-csv] [-cache on|off]
-//	       [-progress] [-trace file.ndjson]
+//	       [-workers N] [-json|-csv] [-progress] [-trace file.ndjson]
 //
 // Each grid flag takes a comma-separated value list; the grid is the cross
 // product of every flag given (an empty grid evaluates the single "base"
@@ -24,10 +23,9 @@
 // Every cell's timing runs replay one recorded trace per benchmark and run
 // length: memory latencies and widths up to 16 share it. Cells whose
 // selections yield the same p-threads share one replay, and a cell that
-// selects nothing reuses its base run. -cache=off
-// disables stage memoization across cells (every cell records, profiles
-// and replays for itself); results are bit-for-bit identical either way.
-// The cache's run/hit counters are reported on stderr.
+// selects nothing reuses its base run; results are bit-for-bit identical
+// to evaluating each cell alone. The cache's run/hit counters are reported
+// on stderr.
 //
 // -trace records the sweep's stage executions as spans — one "sweep" root
 // plus one "stage:<name>" span per trace recording, base run, profile,
@@ -101,7 +99,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "concurrent cell evaluations (0 = all cores)")
 		jsonOut  = flag.Bool("json", false, "emit the full sweep result as JSON")
 		csvOut   = flag.Bool("csv", false, "emit per-cell rows as CSV")
-		cacheArg = flag.String("cache", "on", "stage memoization: on or off")
 		progress = flag.Bool("progress", false, "stream per-cell completion to stderr")
 		traceOut = flag.String("trace", "", "write stage spans as NDJSON to this file")
 
@@ -118,15 +115,6 @@ func main() {
 	flag.Parse()
 	if *jsonOut && *csvOut {
 		fmt.Fprintln(os.Stderr, "tsweep: -json and -csv are mutually exclusive")
-		os.Exit(2)
-	}
-	noCache := false
-	switch *cacheArg {
-	case "on":
-	case "off":
-		noCache = true
-	default:
-		fmt.Fprintf(os.Stderr, "tsweep: -cache=%q, want on or off\n", *cacheArg)
 		os.Exit(2)
 	}
 
@@ -166,7 +154,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	sweep := &preexec.Sweep{Workers: *workers, NoCache: noCache}
+	sweep := &preexec.Sweep{Workers: *workers}
 	var engineOpts []preexec.Option
 	var (
 		tracer  *obs.Tracer
@@ -208,11 +196,9 @@ func main() {
 		if emitErr := emit(res, *jsonOut, *csvOut); emitErr != nil && err == nil {
 			err = emitErr
 		}
-		if !noCache {
-			fmt.Fprintf(os.Stderr, "tsweep: cache: %d base runs (+%d shared), %d profiles (+%d shared), %d traces (+%d shared), %d replays (+%d shared) for %d cells\n",
-				res.Cache.BaseRuns, res.Cache.BaseHits, res.Cache.ProfileRuns, res.Cache.ProfileHits,
-				res.Cache.TraceRuns, res.Cache.TraceHits, res.Cache.ReplayRuns, res.Cache.ReplayHits, len(res.Cells))
-		}
+		fmt.Fprintf(os.Stderr, "tsweep: cache: %d base runs (+%d shared), %d profiles (+%d shared), %d traces (+%d shared), %d replays (+%d shared) for %d cells\n",
+			res.Cache.BaseRuns, res.Cache.BaseHits, res.Cache.ProfileRuns, res.Cache.ProfileHits,
+			res.Cache.TraceRuns, res.Cache.TraceHits, res.Cache.ReplayRuns, res.Cache.ReplayHits, len(res.Cells))
 	}
 	if err != nil {
 		if res != nil {

@@ -135,7 +135,8 @@ func WithSimulator(s Simulator) Option { return func(e *Engine) { e.simulator = 
 // WithStageCache attaches a shared stage cache: traces, base timing runs
 // and profiles are memoized in it, so engines sharing one cache — a sweep's
 // cells — perform each per-benchmark stage once. Results are bit-for-bit
-// identical to uncached evaluation; see StageCache for the key structure.
+// identical to evaluation without a shared cache; see StageCache for the
+// key structure.
 //
 // The cache keys on program and configuration, not on the stage backends:
 // every engine sharing a cache must use the same Profiler and Simulator
@@ -281,7 +282,7 @@ func (e *Engine) Evaluate(ctx context.Context, p *Program) (Report, error) {
 	if pr.err != nil {
 		return Report{}, fmt.Errorf("preexec: selection: %w", pr.err)
 	}
-	sel, _, err := e.selectRegions(pr.regions, base.IPC, cfg)
+	sel, err := e.selectRegions(pr.regions, base.IPC, cfg)
 	if err != nil {
 		return Report{}, fmt.Errorf("preexec: selection: %w", err)
 	}
@@ -316,43 +317,20 @@ func (e *Engine) Profile(ctx context.Context, p *Program) ([]ProfileRegion, erro
 	return e.profile(ctx, e.stages(), p, e.cfg.Normalized())
 }
 
-// Select runs only the selection half of the pipeline: profile (on
-// Selection.ProfileOn or the program itself) and slice-tree selection.
-// baseIPC is the unassisted main-thread IPC fed to the advantage model; it
-// returns the selection and the profile's observed L2 miss count.
-func (e *Engine) Select(ctx context.Context, p *Program, baseIPC float64) (SelectionResult, int64, error) {
-	return e.selectOn(ctx, e.stages(), p, baseIPC, e.cfg.Normalized())
-}
-
-// selectOn is Select under the normalized configuration cfg, profiling
-// through the stage cache c.
-func (e *Engine) selectOn(ctx context.Context, c *StageCache, p *Program, baseIPC float64, cfg Config) (SelectionResult, int64, error) {
-	regions, err := e.profile(ctx, c, cfg.profiledProgram(p), cfg)
-	if err != nil {
-		return SelectionResult{}, 0, err
-	}
-	return e.selectRegions(regions, baseIPC, cfg)
-}
-
 // selectRegions runs the selection stage over profiled regions under the
-// normalized configuration cfg, returning the selection and the profile's
-// L2 miss count.
-func (e *Engine) selectRegions(regions []ProfileRegion, baseIPC float64, cfg Config) (SelectionResult, int64, error) {
+// normalized configuration cfg.
+func (e *Engine) selectRegions(regions []ProfileRegion, baseIPC float64, cfg Config) (SelectionResult, error) {
 	if len(regions) == 0 {
-		return SelectionResult{}, 0, errors.New("preexec: profile returned no regions")
-	}
-	var misses int64
-	for _, r := range regions {
-		misses += r.Forest.L2Misses
+		return SelectionResult{}, errors.New("preexec: profile returned no regions")
 	}
 	if e.observer != nil {
 		defer e.observer.StageStart("select", "")()
 	}
 	opts := cfg.selectorOptions(baseIPC)
 	if cfg.Selection.RegionInsts > 0 {
-		return selector.SelectRegions(regions, opts), misses, nil
+		return selector.SelectRegions(regions, opts), nil
 	}
-	return selector.SelectForest(regions[0].Forest, opts), misses, nil
+	return selector.SelectForest(regions[0].Forest, opts), nil
 }
 
 // SelectForest applies the engine's selection parameters to an

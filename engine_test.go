@@ -133,12 +133,12 @@ func TestWithProfilerPluggable(t *testing.T) {
 
 // TestEngineProfileAndSelectForest exercises the split tsim/tselect flow on
 // the public API: profile once, select from the forest, and check the
-// result matches the fused Select path.
+// result matches the selection Evaluate makes from the same profile.
 func TestEngineProfileAndSelectForest(t *testing.T) {
 	prog := buildBench(t, "vpr.p")
 	eng := preexec.New(preexec.WithMachine(testMachine()))
 
-	base, err := eng.Simulate(t.Context(), prog, nil, preexec.ModeBase)
+	rep, err := eng.Evaluate(t.Context(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,20 +149,12 @@ func TestEngineProfileAndSelectForest(t *testing.T) {
 	if len(regions) != 1 {
 		t.Fatalf("regions = %d, want 1", len(regions))
 	}
-	fromForest := eng.SelectForest(regions[0].Forest, base.IPC)
-
-	fused, misses, err := eng.Select(t.Context(), prog, base.IPC)
-	if err != nil {
-		t.Fatal(err)
+	fromForest := eng.SelectForest(regions[0].Forest, rep.Base.IPC)
+	if !reflect.DeepEqual(fromForest.Pred, rep.Pred) {
+		t.Errorf("forest and Evaluate selection diverge:\n%+v\n%+v", fromForest.Pred, rep.Pred)
 	}
-	if misses != regions[0].Forest.L2Misses {
-		t.Errorf("miss counts diverge: %d vs %d", misses, regions[0].Forest.L2Misses)
-	}
-	if !reflect.DeepEqual(fromForest.Pred, fused.Pred) {
-		t.Errorf("forest and fused selection diverge:\n%+v\n%+v", fromForest.Pred, fused.Pred)
-	}
-	if len(fromForest.PThreads) != len(fused.PThreads) {
-		t.Errorf("p-thread counts diverge: %d vs %d", len(fromForest.PThreads), len(fused.PThreads))
+	if !reflect.DeepEqual(fromForest.PThreads, rep.PThreads) {
+		t.Errorf("p-threads diverge: %d from the forest vs %d from Evaluate", len(fromForest.PThreads), len(rep.PThreads))
 	}
 }
 
@@ -201,9 +193,6 @@ func TestEmptyProfileFails(t *testing.T) {
 	_, err := eng.Evaluate(t.Context(), prog)
 	if err == nil || !strings.Contains(err.Error(), "preexec: profile returned no regions") {
 		t.Fatalf("err = %v, want the empty-profile error", err)
-	}
-	if _, _, err := eng.Select(t.Context(), prog, 1); err == nil {
-		t.Error("Select over an empty profile succeeded")
 	}
 }
 

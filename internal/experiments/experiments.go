@@ -23,7 +23,6 @@ import (
 
 	"preexec"
 	"preexec/internal/stats"
-	"preexec/internal/timing"
 	"preexec/internal/workload"
 )
 
@@ -39,9 +38,6 @@ type Options struct {
 	Workers int
 	// Progress, if non-nil, streams per-cell completion events.
 	Progress func(preexec.SuiteEvent)
-	// NoCache disables stage memoization in the figure sweeps: every cell
-	// recomputes its own base run and profile (texp -cache=off).
-	NoCache bool
 }
 
 func (o Options) fill() Options {
@@ -162,7 +158,9 @@ type Table1Row struct {
 	PerfectIPC float64 `json:"perfect_ipc"` // IPC with a (near-)perfect L2
 }
 
-// Table1 regenerates the benchmark characterization.
+// Table1 regenerates the benchmark characterization. Each benchmark's two
+// base runs — the base machine and a (near-)perfect L2 — run on engines
+// sharing one stage cache, so both replay one recorded trace.
 func Table1(ctx context.Context, opts Options) ([]Table1Row, error) {
 	opts = opts.fill()
 	ws, err := opts.workloads()
@@ -175,16 +173,14 @@ func Table1(ctx context.Context, opts Options) ([]Table1Row, error) {
 		defer func() { progress.emit(i, ws[i].Name, retErr) }()
 		w := ws[i]
 		p := w.Build(opts.Scale)
-		cfg := timing.DefaultConfig()
-		cfg.WarmInsts = opts.Warm
-		cfg.MaxInsts = opts.Measure
-		base, err := timing.RunContext(ctx, p, nil, cfg)
+		cfg := opts.config()
+		cache := preexec.NewStageCache()
+		base, err := preexec.New(preexec.WithConfig(cfg), preexec.WithStageCache(cache)).Simulate(ctx, p, nil, preexec.ModeBase)
 		if err != nil {
 			return fmt.Errorf("table1 %s: %w", w.Name, err)
 		}
-		perfectCfg := cfg
-		perfectCfg.MemLat = 1 // an L2 miss costs (almost) nothing
-		perfect, err := timing.RunContext(ctx, p, nil, perfectCfg)
+		cfg.Machine.MemLat = 1 // an L2 miss costs (almost) nothing
+		perfect, err := preexec.New(preexec.WithConfig(cfg), preexec.WithStageCache(cache)).Simulate(ctx, p, nil, preexec.ModeBase)
 		if err != nil {
 			return fmt.Errorf("table1 %s (perfect): %w", w.Name, err)
 		}

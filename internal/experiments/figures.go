@@ -39,7 +39,7 @@ func (o Options) evalConfigs(
 			},
 		}
 	}
-	sweep := &preexec.Sweep{Workers: o.Workers, Progress: o.Progress, NoCache: o.NoCache}
+	sweep := &preexec.Sweep{Workers: o.Workers, Progress: o.Progress}
 	res, err := sweep.Run(ctx, benches, points)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)

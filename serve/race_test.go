@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -26,8 +27,10 @@ import (
 // list.
 func TestSharedCacheStress(t *testing.T) {
 	const limit = 2
-	cache := preexec.NewStageCache(preexec.WithStageCacheLimit(limit))
-	ts := newTestServer(t, serve.WithStageCache(cache), serve.WithWorkers(4))
+	srv := serve.New(serve.WithCacheLimit(limit), serve.WithWorkers(4))
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	cache := srv.Cache()
 
 	// Two machine variants so the HTTP side alone produces four distinct
 	// base keys (2 workloads x 2 memory latencies) against a 2-entry bound.

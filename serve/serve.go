@@ -122,13 +122,8 @@ func WithWorkers(n int) Option { return func(s *Server) { s.workers = n } }
 
 // WithCacheLimit bounds the server's StageCache to n entries per stage via
 // the LRU policy of preexec.WithStageCacheLimit (<= 0 = unlimited, the
-// default). Ignored when WithStageCache supplies the cache.
+// default).
 func WithCacheLimit(n int) Option { return func(s *Server) { s.cacheLimit = n } }
-
-// WithStageCache shares an externally-owned stage cache instead of building
-// one — for embedding the server next to library sweeps that should reuse
-// the same memoized stages, and for tests asserting cache behaviour.
-func WithStageCache(c *preexec.StageCache) Option { return func(s *Server) { s.cache = c } }
 
 // WithBackends turns the server into a sweep coordinator over the given
 // backend preexecd addresses (host:port or full base URLs): /v1/sweep cells
@@ -159,13 +154,7 @@ func New(opts ...Option) *Server {
 	if s.workers <= 0 {
 		s.workers = runtime.GOMAXPROCS(0)
 	}
-	if s.cache == nil {
-		if s.cacheLimit > 0 {
-			s.cache = preexec.NewStageCache(preexec.WithStageCacheLimit(s.cacheLimit))
-		} else {
-			s.cache = preexec.NewStageCache()
-		}
-	}
+	s.cache = preexec.NewStageCache(preexec.WithStageCacheLimit(s.cacheLimit))
 	s.gate = newGate(s.workers)
 	s.obs = newServerObs(s)
 	profiler, simulator := preexec.ReferenceStages()

@@ -92,10 +92,10 @@ type SweepResult struct {
 	// counters around the run, so a shared Sweep.Cache reports per-run
 	// numbers (attribution is approximate if other sweeps hit the same
 	// cache concurrently), plus the run's own replay memo counters
-	// (ReplayRuns/ReplayHits, exact). Zero when the cache is disabled. For a
-	// selection-only grid over N previously-unseen benchmarks, BaseRuns
-	// and ProfileRuns are exactly N; a scope x length grid of S shapes
-	// counts N*S ProfileRuns though it profiles in N passes.
+	// (ReplayRuns/ReplayHits, exact). For a selection-only grid over N
+	// previously-unseen benchmarks, BaseRuns and ProfileRuns are exactly N;
+	// a scope x length grid of S shapes counts N*S ProfileRuns though it
+	// profiles in N passes.
 	Cache CacheStats `json:"cache"`
 }
 
@@ -107,8 +107,8 @@ type SweepResult struct {
 // trace and timing configuration replay once, a cell that selects nothing
 // reuses its base run, and cells that profile one program under different
 // slicing scopes and maximum p-thread lengths (Figure 4) share one
-// profiling pass. Cell reports are bit-for-bit identical to uncached
-// evaluation.
+// profiling pass. Cell reports are bit-for-bit identical to evaluating
+// each cell alone.
 type Sweep struct {
 	// Engine supplies the stage backends (profiler and simulator) the
 	// cells run on (nil = the reference implementations). Its configuration
@@ -119,15 +119,10 @@ type Sweep struct {
 	// Progress, if non-nil, is called once per completed cell with
 	// Name = "<bench>/<point>".
 	Progress func(SuiteEvent)
-	// NoCache disables stage memoization: every cell recomputes its own
-	// base run, profile and pre-execution replay (the -cache=off escape
-	// hatch of cmd/tsweep).
-	NoCache bool
 	// Cache, if non-nil, is used (and shared) instead of a fresh per-Run
 	// cache — for sweeps issued in several Run calls over the same
 	// *Program values (entries are keyed by program pointer and retained
-	// for the cache's lifetime; rebuilt programs never hit). Ignored when
-	// NoCache is set.
+	// for the cache's lifetime; rebuilt programs never hit).
 	Cache *StageCache
 }
 
@@ -135,9 +130,9 @@ type Sweep struct {
 // benchmark-major order: every benchmark must have a program and every
 // point a name, rejected with the offending index up front rather than
 // failing per-job at run time. The returned jobs carry per-cell engines
-// that share the given stage cache (nil = uncached) and, with a cache, one
-// memo of the plan's own: cells whose selections yield the same p-threads
-// on the same trace share one timing run, and the cells' profiles are
+// that share the given stage cache (nil = a fresh one) and one memo of the
+// plan's own: cells whose selections yield the same p-threads on the same
+// trace share one timing run, and the cells' profiles are
 // grouped by profiled program and every option but the slice shape, so
 // the first profile miss of a group profiles all its shapes in one pass.
 func (s *Sweep) Plan(benches []SweepBench, points []ConfigPoint, cache *StageCache) ([]Job, error) {
@@ -161,10 +156,10 @@ func (s *Sweep) Plan(benches []SweepBench, points []ConfigPoint, cache *StageCac
 	if base == nil {
 		base = New()
 	}
-	var plan *planMemo
-	if cache != nil {
-		plan = newPlanMemo(cache)
+	if cache == nil {
+		cache = NewStageCache()
 	}
+	plan := newPlanMemo(cache)
 	jobs := make([]Job, 0, len(benches)*len(points))
 	for _, b := range benches {
 		for _, pt := range points {
@@ -179,11 +174,9 @@ func (s *Sweep) Plan(benches []SweepBench, points []ConfigPoint, cache *StageCac
 				WithStageCache(cache),
 				WithStageObserver(base.observer),
 			)
-			if plan != nil {
-				norm := e.cfg.Normalized()
-				plan.addShape(norm.profiledProgram(b.Program), norm.profileOptions())
-				e.plan = plan
-			}
+			norm := e.cfg.Normalized()
+			plan.addShape(norm.profiledProgram(b.Program), norm.profileOptions())
+			e.plan = plan
 			jobs = append(jobs, Job{Name: b.label() + "/" + pt.Name, Program: b.Program, Engine: e})
 		}
 	}
@@ -196,19 +189,14 @@ func (s *Sweep) Plan(benches []SweepBench, points []ConfigPoint, cache *StageCac
 // (completed cells keep their reports, unstarted cells carry ErrJobNotRun).
 func (s *Sweep) Run(ctx context.Context, benches []SweepBench, points []ConfigPoint) (*SweepResult, error) {
 	cache := s.Cache
-	if s.NoCache {
-		cache = nil
-	} else if cache == nil {
+	if cache == nil {
 		cache = NewStageCache()
 	}
 	jobs, err := s.Plan(benches, points, cache)
 	if err != nil {
 		return nil, err
 	}
-	var before CacheStats
-	if cache != nil {
-		before = cache.Stats()
-	}
+	before := cache.Stats()
 	suite := &Suite{Workers: s.Workers, Progress: s.Progress}
 	reports, errs, err := suite.Run(ctx, jobs)
 
@@ -224,11 +212,9 @@ func (s *Sweep) Run(ctx context.Context, benches []SweepBench, points []ConfigPo
 		}
 		res.Cells[i] = cell
 	}
-	if cache != nil {
-		res.Cache = cache.Stats().sub(before)
-		replays := jobs[0].Engine.plan.replays.Stats() // shared by every cell of the plan
-		res.Cache.ReplayRuns, res.Cache.ReplayHits = replays.Runs, replays.Hits
-	}
+	res.Cache = cache.Stats().sub(before)
+	replays := jobs[0].Engine.plan.replays.Stats() // shared by every cell of the plan
+	res.Cache.ReplayRuns, res.Cache.ReplayHits = replays.Runs, replays.Hits
 	return res, err
 }
 

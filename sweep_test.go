@@ -48,17 +48,29 @@ func runSweep(t *testing.T, s *preexec.Sweep, benches []preexec.SweepBench, poin
 	return res
 }
 
+// runEachCellAlone evaluates the grid as an independent reference: each
+// cell on its own engine built from its configuration alone, with no shared
+// stage cache or plan memo.
+func runEachCellAlone(t *testing.T, benches []preexec.SweepBench, points []preexec.ConfigPoint) *preexec.SweepResult {
+	t.Helper()
+	res, err := preexec.SweepEachCellAlone(t.Context(), benches, points, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // assertCellsEqual checks two sweep results are bit-for-bit identical,
 // cell by cell.
-func assertCellsEqual(t *testing.T, cached, uncached *preexec.SweepResult) {
+func assertCellsEqual(t *testing.T, cached, alone *preexec.SweepResult) {
 	t.Helper()
 	for i := range cached.Cells {
-		c, u := cached.Cells[i], uncached.Cells[i]
+		c, u := cached.Cells[i], alone.Cells[i]
 		if c.Bench != u.Bench || c.Point != u.Point {
 			t.Fatalf("cell %d label mismatch: %s/%s vs %s/%s", i, c.Bench, c.Point, u.Bench, u.Point)
 		}
 		if !reflect.DeepEqual(c.Report, u.Report) {
-			t.Errorf("%s/%s: cached report diverges from uncached", c.Bench, c.Point)
+			t.Errorf("%s/%s: cached report diverges from the cell evaluated alone", c.Bench, c.Point)
 		}
 	}
 }
@@ -68,7 +80,7 @@ func assertCellsEqual(t *testing.T, cached, uncached *preexec.SweepResult) {
 // feed neither the profile nor the base run) over the full ten-benchmark
 // suite performs exactly ten profile runs and ten base timing runs — one
 // per benchmark, shared by all four points — and every cell's report is
-// bit-for-bit identical to the uncached path. The eight cells of crafty and
+// bit-for-bit identical to evaluating each cell alone. The eight cells of crafty and
 // mcf select nothing, so their pre-execution runs are base hits; of the
 // other 32 cells, 26 distinct p-thread sets are replayed (one trace hit
 // each) and 6 share another cell's replay. Each benchmark's profile reads
@@ -84,7 +96,7 @@ func TestSweepSelectionGridCacheCounts(t *testing.T) {
 	points := selectionPoints(10_000, 30_000)
 
 	cached := runSweep(t, &preexec.Sweep{}, benches, points)
-	uncached := runSweep(t, &preexec.Sweep{NoCache: true}, benches, points)
+	alone := runEachCellAlone(t, benches, points)
 
 	want := preexec.CacheStats{
 		BaseRuns: 10, BaseHits: 38,
@@ -95,10 +107,7 @@ func TestSweepSelectionGridCacheCounts(t *testing.T) {
 	if cached.Cache != want {
 		t.Errorf("cache stats = %+v, want %+v", cached.Cache, want)
 	}
-	if uncached.Cache != (preexec.CacheStats{}) {
-		t.Errorf("uncached sweep reports cache activity: %+v", uncached.Cache)
-	}
-	assertCellsEqual(t, cached, uncached)
+	assertCellsEqual(t, cached, alone)
 	for _, cell := range cached.Cells {
 		if cell.Err != nil {
 			t.Errorf("%s/%s: %v", cell.Bench, cell.Point, cell.Err)
@@ -112,7 +121,8 @@ func TestSweepSelectionGridCacheCounts(t *testing.T) {
 // TestSweepMixedGridKeySeparation pins the cache key structure: points
 // that change profile inputs (scope) or the machine (memory latency) get
 // their own stage runs, while selection (merge) and ablation (RS throttle)
-// knobs share — and all of it stays bit-identical to uncached evaluation.
+// knobs share — and all of it stays bit-identical to evaluating each cell
+// alone.
 func TestSweepMixedGridKeySeparation(t *testing.T) {
 	benches, err := preexec.SweepBenches([]string{"vpr.p", "crafty"}, 1)
 	if err != nil {
@@ -133,8 +143,8 @@ func TestSweepMixedGridKeySeparation(t *testing.T) {
 	}
 
 	cached := runSweep(t, &preexec.Sweep{}, benches, points)
-	uncached := runSweep(t, &preexec.Sweep{NoCache: true}, benches, points)
-	assertCellsEqual(t, cached, uncached)
+	alone := runEachCellAlone(t, benches, points)
+	assertCellsEqual(t, cached, alone)
 
 	// Per benchmark: base/nomerge/scope512/nothrottle share one base run
 	// (scope and the p-thread-only throttle don't feed it), ml140 needs its
@@ -161,7 +171,7 @@ func TestSweepMixedGridKeySeparation(t *testing.T) {
 // TestSweepMachineGridSharesTraces pins the trace key: a memory latency x
 // width grid changes every base run but no trace's span, so each program
 // records one trace that all four machine points replay, and the bytes
-// still equal an uncached sweep's.
+// still equal those of each cell evaluated alone.
 func TestSweepMachineGridSharesTraces(t *testing.T) {
 	benches, err := preexec.SweepBenches([]string{"vpr.p", "gcc"}, 1)
 	if err != nil {
@@ -176,17 +186,17 @@ func TestSweepMachineGridSharesTraces(t *testing.T) {
 		}
 	}
 	cached := runSweep(t, &preexec.Sweep{}, benches, points)
-	uncached := runSweep(t, &preexec.Sweep{NoCache: true}, benches, points)
+	alone := runEachCellAlone(t, benches, points)
 	got, err := json.Marshal(cached.Cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(uncached.Cells)
+	want, err := json.Marshal(alone.Cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
-		t.Error("trace-sharing sweep's cells differ from the uncached sweep's bytes")
+		t.Error("trace-sharing sweep's cells differ from the bytes of each cell evaluated alone")
 	}
 	// Every cell is its own base run, and the profile ignores the machine.
 	// Both programs select p-threads at every point, and each point times
@@ -201,6 +211,48 @@ func TestSweepMachineGridSharesTraces(t *testing.T) {
 	}
 	if cached.Cache != wantStats {
 		t.Errorf("cache stats = %+v, want %+v", cached.Cache, wantStats)
+	}
+}
+
+// TestSweepRegionGridBitIdentical covers per-region selection (Figure 6)
+// in a sweep: a region granularity x optimization grid gives each
+// granularity a profile of its own, and the cells still equal those of
+// each cell evaluated alone, byte for byte.
+func TestSweepRegionGridBitIdentical(t *testing.T) {
+	benches, err := preexec.SweepBenches([]string{"vpr.p", "gcc"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var points []preexec.ConfigPoint
+	for _, region := range []int64{0, 5_000} {
+		for _, opt := range []bool{true, false} {
+			cfg := sweepConfig(10_000, 30_000)
+			cfg.Selection.RegionInsts, cfg.Selection.Optimize = region, opt
+			points = append(points, preexec.ConfigPoint{Name: fmt.Sprintf("region%d/opt%v", region, opt), Config: cfg})
+		}
+	}
+	cached := runSweep(t, &preexec.Sweep{Workers: 2}, benches, points)
+	alone := runEachCellAlone(t, benches, points)
+	got, err := json.Marshal(cached.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(alone.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Error("region-grid sweep's cells differ from the bytes of each cell evaluated alone")
+	}
+	// Per benchmark, each granularity profiles once for both optimization
+	// settings, and all four cells share one base run.
+	if cached.Cache.ProfileRuns != 2*int64(len(benches)) || cached.Cache.BaseRuns != int64(len(benches)) {
+		t.Errorf("cache stats = %+v, want %d profile runs and %d base runs", cached.Cache, 2*len(benches), len(benches))
+	}
+	for _, cell := range cached.Cells {
+		if cell.Err != nil || cell.Report.Base.Retired == 0 {
+			t.Errorf("%s/%s: err %v, retired %d", cell.Bench, cell.Point, cell.Err, cell.Report.Base.Retired)
+		}
 	}
 }
 
@@ -225,7 +277,8 @@ func (c *profileCounter) StageStart(stage, bench string) func() {
 // plus two points that profile the alternate input. Each program's shapes
 // are profiled by one pass (the observer sees one "profile" stage per
 // profiled program), yet the cache still counts every shape as its own
-// profile run, and the cells equal an uncached sweep's byte for byte.
+// profile run, and the cells equal those of each cell evaluated alone,
+// byte for byte.
 func TestSweepSliceGridOnePassPerProgram(t *testing.T) {
 	benches, err := preexec.SweepBenches([]string{"vpr.p", "crafty", "mcf"}, 1)
 	if err != nil {
@@ -251,17 +304,17 @@ func TestSweepSliceGridOnePassPerProgram(t *testing.T) {
 	}
 	obs := &profileCounter{passes: make(map[string]int)}
 	cached := runSweep(t, &preexec.Sweep{Engine: preexec.New(preexec.WithStageObserver(obs)), Workers: 2}, benches, points)
-	uncached := runSweep(t, &preexec.Sweep{NoCache: true, Workers: 2}, benches, points)
+	alone := runEachCellAlone(t, benches, points)
 	got, err := json.Marshal(cached.Cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(uncached.Cells)
+	want, err := json.Marshal(alone.Cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
-		t.Error("slice-grid sweep's cells differ from the uncached sweep's bytes")
+		t.Error("slice-grid sweep's cells differ from the bytes of each cell evaluated alone")
 	}
 	for _, cell := range cached.Cells {
 		if cell.Err != nil {
@@ -678,7 +731,8 @@ func TestSweepProgressEvents(t *testing.T) {
 // TestSweepReplayMemoSharesRepeatedSelections pins the sweep's replay memo:
 // cells whose selections yield the same p-threads on the same trace and
 // timing configuration share one replay, an empty selection is served by
-// the base run, and the memoized sweep's bytes equal an uncached sweep's.
+// the base run, and the memoized sweep's bytes equal those of each cell
+// evaluated alone.
 func TestSweepReplayMemoSharesRepeatedSelections(t *testing.T) {
 	benches, err := preexec.SweepBenches([]string{"vpr.p", "gcc", "mcf"}, 1)
 	if err != nil {
@@ -698,17 +752,17 @@ func TestSweepReplayMemoSharesRepeatedSelections(t *testing.T) {
 		mk("nothrottle", func(cfg *preexec.Config) { cfg.Ablation.NoRSThrottle = true }),
 	}
 	cached := runSweep(t, &preexec.Sweep{}, benches, points)
-	uncached := runSweep(t, &preexec.Sweep{NoCache: true}, benches, points)
+	alone := runEachCellAlone(t, benches, points)
 	got, err := json.Marshal(cached.Cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(uncached.Cells)
+	want, err := json.Marshal(alone.Cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
-		t.Error("memoized sweep's cells differ from the uncached sweep's bytes")
+		t.Error("memoized sweep's cells differ from the bytes of each cell evaluated alone")
 	}
 	// vpr.p and gcc each: base and again select the same p-threads, and so
 	// do the two selector memory latencies; nothrottle times the base
