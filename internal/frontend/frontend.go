@@ -1,7 +1,7 @@
 // Package frontend is the repository's one functional execution of a
 // program: the oracle interpreter, the branch predictor fetch consults, and
-// the rename and same-word store tables, stepped together into one record
-// per dynamic instruction. Both consumers read those records and never
+// the same-word store table, stepped together into one record per dynamic
+// instruction. Both consumers read those records and never
 // execute the program themselves: the timing backend (internal/timing)
 // schedules them, and the slice-tree profiler (internal/slice) runs them
 // through the cache model and slices every L2 miss along their producer
@@ -17,14 +17,19 @@
 // instead and reads the same records.
 //
 // A record holds only what changes from one execution of an instruction to
-// the next: its PC, producer and store links, the predictor's verdict, and
-// one data word (a memory access's effective address, or the value written
-// to a destination register). Everything fixed by the PC — class, latency,
-// destination register, static flags — is in the program's decode table
-// (Decode), which a Trace builds before anyone reads it. P-thread launches
-// read the architectural state at the launch point; a replay reconstructs
-// it by applying records to a replica in fetch order, taking a load's value
-// from the replica's memory and a store's from its data register.
+// the next: its PC, its store link, the predictor's verdict, and one data
+// word (a memory access's effective address, or the value written to a
+// destination register). Everything fixed by the PC — class, latency,
+// source and destination registers, static flags — is in the program's
+// decode table (Decode), which a Trace builds before anyone reads it.
+// Register producer links follow from the PC stream and the decode table
+// alone, so a record does not carry them: each consumer runs a Renamer
+// over the records in program order and derives them as it goes.
+//
+// P-thread launches read the architectural state at the launch point; a
+// replay reconstructs it by applying records to a replica in fetch order,
+// taking a load's value from the replica's memory and a store's from its
+// data register.
 package frontend
 
 import (
@@ -61,16 +66,15 @@ const NoDest = 0xff
 // otherwise. A load's value and a store's value are not recorded: a replay
 // reads them from its own replica (see package doc).
 //
-// Prod holds, per source operand as enumerated by isa.Inst.Sources, the
-// backward distance to its producer — the most recent earlier record
-// writing that register — and PrevStore, for a load or store, the distance
-// to the most recent earlier store to the same word; 0 is no link (see
-// LinkTo). The rename table is maintained in program order, which is
-// exactly fetch order, so its whole evolution is a property of the stream
-// and is computed here.
+// PrevStore, for a load or store, is the backward distance to the most
+// recent earlier store to the same word; 0 is no link (see LinkTo). The
+// store table is maintained in program order, which is exactly fetch order,
+// so its whole evolution is a property of the stream and is computed here.
+// Register producers are not stored, because a Renamer derives them from
+// the PC stream alone; the store link is, because rebuilding it would cost
+// every consumer a per-word map.
 type Rec struct {
 	Word      int64
-	Prod      [2]int32
 	PrevStore int32
 	PC        int32
 }
@@ -82,8 +86,11 @@ type Dec struct {
 	LatAdd uint8 // non-memory completion latency (Mul: 3, else 1)
 	Rd     uint8 // destination register; NoDest = none
 	Rs2    uint8 // ST: the register holding the stored value
-	flags  uint8 // flags every execution has
-	dyn    uint8 // flags a record carries in Word
+	// Src holds the source registers as enumerated by isa.Inst.Sources;
+	// NoDest marks an absent source or R0, which no instruction produces.
+	Src   [2]uint8
+	flags uint8 // flags every execution has
+	dyn   uint8 // flags a record carries in Word
 }
 
 // Flags returns the flags of rec, a record of d's instruction: d's static
@@ -95,7 +102,13 @@ func Decode(prog *program.Program) []Dec {
 	dec := make([]Dec, len(prog.Insts))
 	for pc, in := range prog.Insts {
 		c := isa.ClassOf(in.Op)
-		d := Dec{Class: uint8(c), LatAdd: uint8(isa.Latency(in.Op)), Rd: NoDest}
+		d := Dec{Class: uint8(c), LatAdd: uint8(isa.Latency(in.Op)), Rd: NoDest, Src: [2]uint8{NoDest, NoDest}}
+		srcs, ns := in.Sources()
+		for i, r := range srcs[:ns] {
+			if r != isa.Zero {
+				d.Src[i] = uint8(r)
+			}
+		}
 		if in.HasDest() {
 			d.Rd = uint8(in.Rd)
 			d.flags |= FHasDest
@@ -120,13 +133,13 @@ func Decode(prog *program.Program) []Dec {
 	return dec
 }
 
-// LinkTo encodes the backward link from record seq to the earlier record j
-// (-1 for none) as the distance seq-j, 0 meaning no link. Consumers follow
-// links only a bounded distance back — the timing backend within its
-// in-flight window of a few hundred records, the profiler within its
-// slicing scope — so a target farther back than an int32 distance is never
-// followed and dropping that link is exact. Sequence numbers themselves
-// never narrow.
+// LinkTo encodes the backward store link from record seq to the earlier
+// record j (-1 for none) as the distance seq-j, 0 meaning no link.
+// Consumers follow store links only a bounded distance back — the timing
+// backend within its in-flight window of a few hundred records, the
+// profiler within its slicing scope — so a target farther back than an
+// int32 distance is never followed and dropping that link is exact.
+// Sequence numbers themselves never narrow.
 func LinkTo(seq, j int64) int32 {
 	if j < 0 || seq-j > math.MaxInt32 {
 		return 0
@@ -143,44 +156,53 @@ func LinkBack(seq int64, d int32) int64 {
 	return seq - int64(d)
 }
 
-// Linker maintains the rename table (the most recent writer of each
-// register) and the per-word last-store table over sequence numbers, and
-// links each executed instruction's record to its producers and to the
-// previous store to its word. The zero Linker is not usable; see NewLinker.
+// Renamer is a rename table over sequence numbers: the most recent writer
+// of each register. Run over a record stream in program order, it yields
+// each record's register producers — the links a record does not store.
+// The zero Renamer has seen no writer; Reset returns it to that state.
+type Renamer struct {
+	// last[r] is 1 + the sequence number of register r's most recent
+	// writer, 0 for none. It spans every uint8 so that Link indexes it
+	// without bounds checks; last[NoDest] stays 0, so an absent source
+	// reads no producer and an absent destination writes nothing visible.
+	last [256]int64
+}
+
+// Reset forgets every writer.
+func (r *Renamer) Reset() { *r = Renamer{} }
+
+// Link returns the sequence numbers of the register producers of record
+// seq, whose decode-table entry is d — per source operand as enumerated by
+// isa.Inst.Sources, -1 for none — and enters the record as the newest
+// writer of its destination. Records must be linked in sequence order,
+// each once.
+func (r *Renamer) Link(seq int64, d *Dec) [2]int64 {
+	p := [2]int64{r.last[d.Src[0]] - 1, r.last[d.Src[1]] - 1}
+	r.last[d.Rd] = seq + 1
+	r.last[NoDest] = 0
+	return p
+}
+
+// Linker maintains the per-word last-store table over sequence numbers and
+// links each executed instruction's record to the previous store to its
+// word. The zero Linker is not usable; see NewLinker.
 type Linker struct {
-	regProd   [isa.NumRegs]int64 // most recent writer of each register; -1 none
-	lastStore map[int64]int64    // word address -> most recent store to it
+	lastStore map[int64]int64 // word address -> most recent store to it
 }
 
-// NewLinker returns a Linker with no producers yet.
+// NewLinker returns a Linker with no stores yet.
 func NewLinker() *Linker {
-	l := &Linker{}
-	l.init()
-	return l
-}
-
-func (l *Linker) init() {
-	l.lastStore = make(map[int64]int64)
-	for i := range l.regProd {
-		l.regProd[i] = -1
-	}
+	return &Linker{lastStore: make(map[int64]int64)}
 }
 
 // Link fills rec with e's selection-independent fields — PC, Word
-// (address or destination value), producer and store links — and records e
-// as the newest writer of its destination and of its word if it stores. It
-// leaves the predictor's flags to the front end.
+// (address or destination value) and store link — and records e as the
+// newest store to its word if it stores. It leaves the predictor's flags to
+// the front end.
 func (l *Linker) Link(e *cpu.Exec, rec *Rec) {
 	*rec = Rec{PC: int32(e.PC)}
-	srcs, ns := e.Inst.Sources()
-	for i := 0; i < ns; i++ {
-		if srcs[i] != isa.Zero {
-			rec.Prod[i] = LinkTo(e.Seq, l.regProd[srcs[i]])
-		}
-	}
 	if e.Inst.HasDest() {
 		rec.Word = e.RdVal
-		l.regProd[e.Inst.Rd] = e.Seq
 	}
 	switch e.Inst.Op {
 	case isa.LD:
@@ -208,12 +230,11 @@ type FrontEnd struct {
 
 // New returns a front end at prog's entry.
 func New(prog *program.Program) *FrontEnd {
-	f := &FrontEnd{
+	return &FrontEnd{
 		Oracle: cpu.New(prog),
 		pred:   branch.New(branch.DefaultConfig()),
+		links:  Linker{lastStore: make(map[int64]int64)},
 	}
-	f.links.init()
-	return f
 }
 
 // NewReplica returns prog's initial architectural state, which a consumer

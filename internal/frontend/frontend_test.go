@@ -21,28 +21,40 @@ func link(execs ...cpu.Exec) []Rec {
 	return recs
 }
 
+// rename runs a Renamer over one execution of each of insts, in order, and
+// returns each one's register producers.
+func rename(insts ...isa.Inst) [][2]int64 {
+	dec := Decode(&program.Program{Insts: insts})
+	var r Renamer
+	prods := make([][2]int64, len(insts))
+	for seq := range insts {
+		prods[seq] = r.Link(int64(seq), &dec[seq])
+	}
+	return prods
+}
+
 func exec(seq int64, in isa.Inst, addr int64) cpu.Exec {
 	return cpu.Exec{Seq: seq, PC: int(seq), Inst: in, EffAddr: addr}
 }
 
 func TestRegisterProducers(t *testing.T) {
-	recs := link(
-		exec(0, isa.Inst{Op: isa.LI, Rd: 1}, 0),
-		exec(1, isa.Inst{Op: isa.LI, Rd: 2}, 0),
-		exec(2, isa.Inst{Op: isa.ADD, Rd: 3, Rs1: 1, Rs2: 2}, 0),
+	prods := rename(
+		isa.Inst{Op: isa.LI, Rd: 1},
+		isa.Inst{Op: isa.LI, Rd: 2},
+		isa.Inst{Op: isa.ADD, Rd: 3, Rs1: 1, Rs2: 2},
 	)
-	if p0, p1 := LinkBack(2, recs[2].Prod[0]), LinkBack(2, recs[2].Prod[1]); p0 != 0 || p1 != 1 {
-		t.Errorf("producers = [%d %d], want [0 1]", p0, p1)
+	if p := prods[2]; p != [2]int64{0, 1} {
+		t.Errorf("producers = %v, want [0 1]", p)
 	}
 }
 
 func TestLatestWriterWins(t *testing.T) {
-	recs := link(
-		exec(0, isa.Inst{Op: isa.LI, Rd: 1}, 0),
-		exec(1, isa.Inst{Op: isa.LI, Rd: 1}, 0),
-		exec(2, isa.Inst{Op: isa.MOV, Rd: 2, Rs1: 1}, 0),
+	prods := rename(
+		isa.Inst{Op: isa.LI, Rd: 1},
+		isa.Inst{Op: isa.LI, Rd: 1},
+		isa.Inst{Op: isa.MOV, Rd: 2, Rs1: 1},
 	)
-	if p := LinkBack(2, recs[2].Prod[0]); p != 1 {
+	if p := prods[2][0]; p != 1 {
 		t.Errorf("producer = %d, want 1 (latest writer)", p)
 	}
 }
@@ -52,10 +64,10 @@ func TestR0HasNoProducer(t *testing.T) {
 		{Op: isa.LI, Rd: 0}, // write to R0: discarded
 		{Op: isa.ADDI, Rd: 1, Rs1: 0},
 	}
-	recs := link(exec(0, insts[0], 0), exec(1, insts[1], 0))
-	if recs[1].Prod[0] != 0 {
-		t.Errorf("R0 producer link = %d, want none", recs[1].Prod[0])
+	if p := rename(insts...)[1]; p != [2]int64{-1, -1} {
+		t.Errorf("R0 producers = %v, want none", p)
 	}
+	recs := link(exec(0, insts[0], 0), exec(1, insts[1], 0))
 	d := Decode(&program.Program{Insts: insts})[recs[0].PC]
 	if d.Flags(&recs[0])&FHasDest != 0 || d.Rd != NoDest {
 		t.Errorf("write to R0 recorded as a destination: %+v, decoded %+v", recs[0], d)
@@ -63,11 +75,11 @@ func TestR0HasNoProducer(t *testing.T) {
 }
 
 func TestNoSelfDependence(t *testing.T) {
-	recs := link(
-		exec(0, isa.Inst{Op: isa.LI, Rd: 1}, 0),
-		exec(1, isa.Inst{Op: isa.ADDI, Rd: 1, Rs1: 1, Imm: 1}, 0),
+	prods := rename(
+		isa.Inst{Op: isa.LI, Rd: 1},
+		isa.Inst{Op: isa.ADDI, Rd: 1, Rs1: 1, Imm: 1},
 	)
-	if p := LinkBack(1, recs[1].Prod[0]); p != 0 {
+	if p := prods[1][0]; p != 0 {
 		t.Errorf("producer = %d, want 0 (previous writer, not self)", p)
 	}
 }
@@ -96,17 +108,30 @@ func TestMemoryDependence(t *testing.T) {
 }
 
 func TestProducerOutsideScopeStillReported(t *testing.T) {
-	// The linker reports the true producer however far back it is; a
+	// The renamer reports the true producer however far back it is; a
 	// consumer with a bounded window (the slicer's scope, the backend's
 	// in-flight window) treats farther producers as live-ins.
-	execs := []cpu.Exec{exec(0, isa.Inst{Op: isa.LI, Rd: 1}, 0)}
-	for seq := int64(1); seq < 3000; seq++ {
-		execs = append(execs, exec(seq, isa.Inst{Op: isa.NOP}, 0))
+	insts := []isa.Inst{{Op: isa.LI, Rd: 1}}
+	for seq := 1; seq < 3000; seq++ {
+		insts = append(insts, isa.Inst{Op: isa.NOP})
 	}
-	execs = append(execs, exec(3000, isa.Inst{Op: isa.MOV, Rd: 2, Rs1: 1}, 0))
-	recs := link(execs...)
-	if p := LinkBack(3000, recs[3000].Prod[0]); p != 0 {
+	insts = append(insts, isa.Inst{Op: isa.MOV, Rd: 2, Rs1: 1})
+	if p := rename(insts...)[3000][0]; p != 0 {
 		t.Errorf("producer = %d, want 0", p)
+	}
+}
+
+// TestRenamerReset pins Reset to a table with no writers.
+func TestRenamerReset(t *testing.T) {
+	dec := Decode(&program.Program{Insts: []isa.Inst{
+		{Op: isa.LI, Rd: 1},
+		{Op: isa.MOV, Rd: 2, Rs1: 1},
+	}})
+	var r Renamer
+	r.Link(0, &dec[0])
+	r.Reset()
+	if p := r.Link(1, &dec[1]); p != [2]int64{-1, -1} {
+		t.Errorf("producers after Reset = %v, want none", p)
 	}
 }
 
@@ -149,12 +174,13 @@ func TestRecordMatchesStreamedFrontEnd(t *testing.T) {
 	}
 }
 
-// TestRecLayout pins the record at 24 bytes: traces are most of a sweep's
+// TestRecLayout pins the record at 16 bytes: traces are most of a sweep's
 // retained memory, so a field added to Rec costs every cached program.
-// Whatever is fixed by the PC belongs in Dec.
+// Whatever is fixed by the PC belongs in Dec, and whatever follows from the
+// PC stream (register producers) in the consumers' Renamer.
 func TestRecLayout(t *testing.T) {
-	if n := unsafe.Sizeof(Rec{}); n != 24 {
-		t.Errorf("Rec is %d bytes, want 24", n)
+	if n := unsafe.Sizeof(Rec{}); n != 16 {
+		t.Errorf("Rec is %d bytes, want 16", n)
 	}
 }
 
@@ -206,7 +232,10 @@ func TestDecodeFlags(t *testing.T) {
 	if !tr.Halted() {
 		t.Error("recording that ends at HALT does not report Halted")
 	}
-	if d := dec[2]; d.Rs2 != 1 || d.Rd != NoDest {
-		t.Errorf("store decoded as %+v, want data register 1 and no destination", d)
+	if d := dec[2]; d.Rs2 != 1 || d.Rd != NoDest || d.Src != [2]uint8{2, 1} {
+		t.Errorf("store decoded as %+v, want base and data registers 2 and 1 and no destination", d)
+	}
+	if d := dec[4]; d.Src != [2]uint8{NoDest, NoDest} {
+		t.Errorf("beq r0, r0 decoded as %+v, want no sources", d)
 	}
 }

@@ -246,6 +246,9 @@ func TestBackwardSteadyStateAllocs(t *testing.T) {
 	for isa.Class(dec[win.Recs[miss].PC].Class) != isa.ClassLoad {
 		miss++
 	}
+	for seq := int64(0); seq <= miss; seq++ {
+		win.Rename(seq, &dec[win.Recs[seq].PC])
+	}
 	sl := &slice.Slicer{MaxLen: 32}
 	if n := len(sl.Backward(win, miss)); n < 2 {
 		t.Fatalf("slice of %d instructions: want a load with producers", n)

@@ -4,6 +4,7 @@ import (
 	"preexec/internal/cpu"
 	"preexec/internal/frontend"
 	"preexec/internal/isa"
+	"preexec/internal/program"
 )
 
 // LinkedWindow links execs, which must carry consecutive sequence numbers
@@ -20,16 +21,28 @@ func LinkedWindow(scope int, execs []cpu.Exec) *Window {
 	if len(execs) > 0 {
 		w.First = execs[0].Seq
 	}
-	l := frontend.NewLinker()
+	linkInto(w, execs)
+	return w
+}
+
+// linkInto links execs, which must carry consecutive sequence numbers and
+// one instruction per PC, into w's records and renames them in order, as
+// the profiler's forward scan does.
+func linkInto(w *Window, execs []cpu.Exec) {
 	for i := range execs {
 		e := &execs[i]
 		for e.PC >= len(w.Text) {
 			w.Text = append(w.Text, isa.Inst{})
 		}
 		w.Text[e.PC] = e.Inst
-		l.Link(e, &w.Recs[e.Seq&w.Mask])
 	}
-	return w
+	dec := frontend.Decode(&program.Program{Insts: w.Text})
+	l := frontend.NewLinker()
+	for i := range execs {
+		e := &execs[i]
+		l.Link(e, &w.Recs[e.Seq&w.Mask])
+		w.Rename(e.Seq, &dec[e.PC])
+	}
 }
 
 // Cut is the per-shape cut ProfileShapes applies to a wide slice.

@@ -180,7 +180,9 @@ func profile(ctx context.Context, p *program.Program, t *frontend.Trace, shapes 
 	}
 	h := cache.DefaultHierarchy()
 
-	// Warm-up: train the caches without recording anything.
+	// Warm-up: train the caches without recording anything. Its records
+	// go through the rename table too, so every producer the window holds
+	// is the true most recent writer; one in warm-up is a live-in.
 	var n int64 // instructions executed, the next record's sequence number
 	halted := false
 	for n < opts.WarmInsts && !halted {
@@ -195,8 +197,9 @@ func profile(ctx context.Context, p *program.Program, t *frontend.Trace, shapes 
 		if err != nil {
 			return nil, fmt.Errorf("profile %s (warm-up): %w", p.Name, err)
 		}
-		n++
 		d := &dec[rec.PC]
+		w.Rename(n, d)
+		n++
 		if c := isa.Class(d.Class); c == isa.ClassLoad || c == isa.ClassStore {
 			h.Access(rec.Word, c == isa.ClassStore)
 		}
@@ -257,6 +260,7 @@ func profile(ctx context.Context, p *program.Program, t *frontend.Trace, shapes 
 		regionMeasured++
 		trig[rec.PC]++
 		d := &dec[rec.PC]
+		w.Rename(seq, d)
 		switch isa.Class(d.Class) {
 		case isa.ClassStore:
 			h.Access(rec.Word, true)

@@ -171,11 +171,7 @@ func TestWindowEviction(t *testing.T) {
 		{Seq: 5, PC: 5, Inst: isa.Inst{Op: isa.LD, Rd: 4, Rs1: 3}, EffAddr: 0x40},
 	}
 	w := &Window{Recs: make([]frontend.Rec, 4), Mask: 3, Scope: 4}
-	l := frontend.NewLinker()
-	for i := range execs {
-		w.Text = append(w.Text, execs[i].Inst)
-		l.Link(&execs[i], &w.Recs[execs[i].Seq&w.Mask])
-	}
+	linkInto(w, execs)
 	sl := (&Slicer{MaxLen: 32}).Backward(w, 5)
 	if len(sl) != 2 || sl[1].PC != 2 {
 		t.Fatalf("slice = %+v, want the load and its in-scope producer", sl)

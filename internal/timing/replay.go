@@ -374,6 +374,11 @@ type replaySim struct {
 
 	launchRegs []int64
 	bodyExec   cpu.BodyExec
+
+	// ren is the main thread's rename table, which rename runs in program
+	// order. It comes last so that its 2 KB table does not separate the
+	// fields the hot loop reads together.
+	ren frontend.Renamer
 }
 
 // Replay scores the p-thread selection pts under cfg against the recorded
@@ -862,12 +867,12 @@ func (r *replaySim) rename() bool {
 		budget--
 		work = true
 		rec := r.rec(u.seq)
-		// The record's producer links point at the most recent earlier
-		// writer of each source; an in-flight link is the producer a live
-		// rename table would hold, a retired one a dependency the table
-		// would already have cleared.
-		for i := 0; i < 2; i++ {
-			if j := frontend.LinkBack(u.seq, rec.Prod[i]); r.inFlight(j) {
+		// The rename table, run in program order, names the most recent
+		// earlier writer of each source; an in-flight writer is the
+		// producer, a retired one a dependency a live table would already
+		// have cleared.
+		for i, j := range r.ren.Link(u.seq, &r.dec[rec.PC]) {
+			if r.inFlight(j) {
 				u.prod[i] = mainRef(j)
 			}
 		}

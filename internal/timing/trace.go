@@ -20,7 +20,7 @@ import (
 // semantics invalidates recorded traces cleanly: bump the version whenever
 // the front end (internal/frontend), the backend (replay.go), memsys.go, or
 // the predictor change behaviour.
-const TraceVersion = "rt2-2026-10"
+const TraceVersion = "rt3-2026-10"
 
 // Trace is a recorded base-run event stream: the complete front-end input of
 // any timing simulation of its program whose TraceSpan the recording covers
@@ -30,9 +30,9 @@ const TraceVersion = "rt2-2026-10"
 type Trace = frontend.Trace
 
 // maxTraceInsts bounds recorded runs: beyond this the trace's memory
-// footprint (24 bytes/record) is unreasonable for a long-lived stage cache,
+// footprint (16 bytes/record) is unreasonable for a long-lived stage cache,
 // so RecordTrace returns a streamed trace instead. 4M instructions caps a
-// trace near 100MB and comfortably covers the evaluation windows the suite
+// trace near 64MB and comfortably covers the evaluation windows the suite
 // and the service sweep (tens of thousands to ~1M instructions).
 const maxTraceInsts = int64(4) << 20
 
