@@ -54,11 +54,10 @@ import (
 // (typically cancellation) is not memoized, so one sweep's cancellation
 // cannot poison another sweep sharing the cache.
 //
-// Keys do not include the stage backends: every engine sharing a cache
-// must use the same Profiler and Simulator (see WithStageCache). Program
-// identity is the *Program pointer — rebuilt programs never hit — and by
-// default entries live as long as the cache does, so scope a cache to the
-// sweeps that share its programs, or bound it with WithStageCacheLimit.
+// Program identity is the *Program pointer — rebuilt programs never hit —
+// and by default entries live as long as the cache does, so scope a cache
+// to the sweeps that share its programs, or bound it with
+// WithStageCacheLimit.
 // The zero StageCache is an empty, unlimited cache.
 type StageCache struct {
 	retain  memo.Retention

@@ -252,18 +252,17 @@ func TestSweepWithCacheLimitBitIdentical(t *testing.T) {
 	}
 }
 
-// panicOnceSimulator is the reference timing backend, except that its first
-// RecordTrace panics.
-type panicOnceSimulator struct {
-	timingSimulator
+// panicOnceGate admits every stage, except that it panics on its first
+// "trace" admission, inside the trace recording's memo flight.
+type panicOnceGate struct {
 	panicked atomic.Bool
 }
 
-func (s *panicOnceSimulator) RecordTrace(ctx context.Context, p *Program, cfg TimingConfig) (*Trace, error) {
-	if !s.panicked.Swap(true) {
-		panic("injected RecordTrace panic")
+func (g *panicOnceGate) Admit(_ context.Context, stage, _ string) (func(), error) {
+	if stage == "trace" && !g.panicked.Swap(true) {
+		panic("injected trace admission panic")
 	}
-	return s.timingSimulator.RecordTrace(ctx, p, cfg)
+	return func() {}, nil
 }
 
 // TestStageCacheComputePanicDoesNotWedgeKey pins a panicking stage as a
@@ -279,11 +278,11 @@ func TestStageCacheComputePanicDoesNotWedgeKey(t *testing.T) {
 	prog := w.Build(1)
 	machine := DefaultMachine()
 	machine.WarmInsts, machine.MeasureInsts = 10_000, 30_000
-	eng := New(WithMachine(machine), WithSimulator(&panicOnceSimulator{}), WithStageCache(NewStageCache()))
+	eng := New(WithMachine(machine), WithStageGate(&panicOnceGate{}), WithStageCache(NewStageCache()))
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("Simulate did not propagate the RecordTrace panic")
+				t.Fatal("Simulate did not propagate the trace admission panic")
 			}
 		}()
 		_, _ = eng.Simulate(t.Context(), prog, nil, ModeBase)

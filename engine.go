@@ -2,64 +2,12 @@ package preexec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"preexec/internal/selector"
 	"preexec/internal/slice"
 	"preexec/internal/timing"
 )
-
-// Profiler is the functional profiling stage: it runs a program's recorded
-// front-end stream through the cache model and builds slice trees for every
-// dynamic L2 load miss. It reads the trace — the same recording the timing
-// runs replay, so a program executes once however many stages consume it —
-// and never executes the program itself. One call is one pass over the
-// trace for a list of slice shapes — options that differ only in Scope and
-// MaxSlice — and returns one region list per entry of opts, each exactly
-// what a pass over that entry alone returns. It returns an error if the
-// options differ in any other field. The engine passes one shape per cell,
-// or, within a Sweep, every shape its cells profile the program with (the
-// Figure 4 scope × length axes), and a trace that covers the profile's
-// warm-up and window (or a streamed trace, for runs too long to record).
-type Profiler interface {
-	Profile(ctx context.Context, t *Trace, opts []ProfileOptions) ([][]ProfileRegion, error)
-}
-
-// Simulator is the detailed timing stage: it measures a program — with
-// optional p-threads — on the simulated machine, in two steps. RecordTrace
-// captures a run's front-end event stream (fetch order, effective
-// addresses, predictor verdicts — all selection-independent), and Replay
-// times a p-thread set against it. Every engine timing run, the base run
-// included, replays the trace memoized for its program and
-// timing.TraceSpan, so one recording serves every selection, mode and
-// machine of that span: RecordTrace must read cfg only through its span.
-// The reference simulator
-// returns a trace without records for a run too long to retain, which
-// Replay serves by streaming the front end: its Stats equal
-// timing.RunContext's at any run length.
-type Simulator interface {
-	RecordTrace(ctx context.Context, p *Program, cfg TimingConfig) (*Trace, error)
-	Replay(ctx context.Context, t *Trace, pts []*PThread, cfg TimingConfig) (Stats, error)
-}
-
-// The reference stage implementations.
-type (
-	sliceProfiler   struct{}
-	timingSimulator struct{}
-)
-
-func (sliceProfiler) Profile(ctx context.Context, t *Trace, opts []ProfileOptions) ([][]ProfileRegion, error) {
-	return slice.ProfileShapes(ctx, t, opts)
-}
-
-func (timingSimulator) RecordTrace(ctx context.Context, p *Program, cfg TimingConfig) (*Trace, error) {
-	return timing.RecordTrace(ctx, p, cfg)
-}
-
-func (timingSimulator) Replay(ctx context.Context, t *Trace, pts []*PThread, cfg TimingConfig) (Stats, error) {
-	return timing.Replay(ctx, t, pts, cfg)
-}
 
 // StageObserver receives a callback around every pipeline stage execution:
 // StageStart is called when a stage begins and the func it returns when the
@@ -74,7 +22,8 @@ func (timingSimulator) Replay(ctx context.Context, t *Trace, pts []*PThread, cfg
 // recording), so StageStart may be called from several goroutines and
 // observed stage times of one evaluation may overlap. Only real executions
 // are observed — stage-cache, replay-memo and profile-pass hits never
-// reach the observer, so observed latencies are true stage costs.
+// reach the observer — and a stage is observed only once its StageGate
+// admitted it, so observed latencies are true stage costs.
 //
 // Observers exist for instrumentation (the serve package feeds stage
 // latency histograms and span traces from this hook) and must not influence
@@ -83,26 +32,32 @@ type StageObserver interface {
 	StageStart(stage, bench string) func()
 }
 
-// ReferenceStages returns the built-in reference stage backends — the ones
-// New installs by default. They exist for callers that wrap stages with
-// cross-cutting behaviour (the serve package gates the expensive stages
-// through a server-wide worker pool) while keeping results bit-identical to
-// the defaults.
-func ReferenceStages() (Profiler, Simulator) {
-	return sliceProfiler{}, timingSimulator{}
+// StageGate admits the expensive stage executions — "trace", "base",
+// "replay" and "profile", named as for StageObserver — before they run.
+// Admit blocks until the stage may start and returns the release func the
+// engine calls when it ends, or an error, which fails the stage without
+// running it. Selection is never admitted, and neither is a stage-cache,
+// replay-memo or profile-pass hit, nor a caller coalesced onto another
+// caller's flight: Admit is called from inside the memoized computation,
+// once the stage's trace is resolved, so no admitted stage waits for a
+// recording. Calls may come from several goroutines at once.
+//
+// Gates exist to bound or account for stage work (the serve package admits
+// stages through its server-wide worker pool) and cannot change results:
+// a stage either runs as it would without the gate or fails.
+type StageGate interface {
+	Admit(ctx context.Context, stage, bench string) (release func(), err error)
 }
 
-// Engine runs the pre-execution pipeline of the paper's tool flow (§4.1)
-// over its stage backends: a base timing run, a functional profile, the
-// aggregate-advantage selection, and the pre-execution timing run. Every
-// call goes through a StageCache — the shared one attached with
-// WithStageCache, or else a fresh one scoped to the call — so the timing
-// runs of one evaluation replay a single recorded trace. Build one with
-// New; the zero Engine is not usable.
+// Engine runs the pre-execution pipeline of the paper's tool flow (§4.1):
+// a base timing run, a functional profile, the aggregate-advantage
+// selection, and the pre-execution timing run. Every call goes through a
+// StageCache — the shared one attached with WithStageCache, or else a
+// fresh one scoped to the call — so the timing runs of one evaluation
+// replay a single recorded trace. Build one with New; the zero Engine is
+// not usable.
 type Engine struct {
-	cfg       Config
-	profiler  Profiler
-	simulator Simulator
+	cfg Config
 	// cache, if non-nil, memoizes traces, base timing runs, and profiles
 	// across engines sharing it (see StageCache and Sweep).
 	cache *StageCache
@@ -112,6 +67,8 @@ type Engine struct {
 	plan *planMemo
 	// observer, if non-nil, is called around every stage execution.
 	observer StageObserver
+	// gate, if non-nil, admits every expensive stage execution.
+	gate StageGate
 }
 
 // Option customizes an Engine.
@@ -126,22 +83,11 @@ func WithSelection(s SelectionConfig) Option { return func(e *Engine) { e.cfg.Se
 // WithConfig sets all three configuration groups at once.
 func WithConfig(c Config) Option { return func(e *Engine) { e.cfg = c } }
 
-// WithProfiler swaps the functional profiling backend.
-func WithProfiler(p Profiler) Option { return func(e *Engine) { e.profiler = p } }
-
-// WithSimulator swaps the timing-simulation backend.
-func WithSimulator(s Simulator) Option { return func(e *Engine) { e.simulator = s } }
-
 // WithStageCache attaches a shared stage cache: traces, base timing runs
 // and profiles are memoized in it, so engines sharing one cache — a sweep's
 // cells — perform each per-benchmark stage once. Results are bit-for-bit
 // identical to evaluation without a shared cache; see StageCache for the
 // key structure.
-//
-// The cache keys on program and configuration, not on the stage backends:
-// every engine sharing a cache must use the same Profiler and Simulator
-// backends (as Sweep-built engines do), or cells will silently serve each
-// other's backend results.
 func WithStageCache(c *StageCache) Option { return func(e *Engine) { e.cache = c } }
 
 // WithStageObserver installs an observer called around every stage
@@ -150,15 +96,16 @@ func WithStageCache(c *StageCache) Option { return func(e *Engine) { e.cache = c
 // observer, so one observer sees a whole sweep's stage work.
 func WithStageObserver(o StageObserver) Option { return func(e *Engine) { e.observer = o } }
 
-// New builds an Engine over the paper's base configuration (DefaultConfig)
-// and the reference stage implementations, then applies the options in
-// order.
+// WithStageGate installs a gate that admits every expensive stage
+// execution (nil = none, the default — the hot path then pays one nil check
+// and nothing else). Sweep-built cell engines inherit their base engine's
+// gate, as they do its observer.
+func WithStageGate(g StageGate) Option { return func(e *Engine) { e.gate = g } }
+
+// New builds an Engine over the paper's base configuration (DefaultConfig),
+// then applies the options in order.
 func New(opts ...Option) *Engine {
-	e := &Engine{
-		cfg:       DefaultConfig(),
-		profiler:  sliceProfiler{},
-		simulator: timingSimulator{},
-	}
+	e := &Engine{cfg: DefaultConfig()}
 	for _, o := range opts {
 		o(e)
 	}
@@ -179,7 +126,7 @@ func (e *Engine) stages() *StageCache {
 
 // run performs one timing run under cfg by replaying the trace memoized in
 // c. A run in which no p-thread can launch — an empty selection, or
-// ModeBase — is the base run: the backend reads the mode and the throttle
+// ModeBase — is the base run: the simulator reads the mode and the throttle
 // only when injecting p-threads, so it is served by the memoized base run.
 // Any other run replays its p-threads against the trace through the
 // replay memo of the engine's sweep plan.
@@ -195,40 +142,67 @@ func (e *Engine) run(ctx context.Context, c *StageCache, p *Program, pts []*PThr
 	})
 }
 
-// replay replays pts against the trace memoized in c for (p, cfg),
-// observed as stage.
+// start begins one execution of an expensive stage: the gate admits it
+// first, then its observation starts, so an observed stage already holds
+// its admission. The returned func ends both, observation first.
+func (e *Engine) start(ctx context.Context, stage, bench string) (end func(), err error) {
+	end = noop
+	if e.gate != nil {
+		if end, err = e.gate.Admit(ctx, stage, bench); err != nil {
+			return nil, err
+		}
+	}
+	if e.observer != nil {
+		observed := e.observer.StageStart(stage, bench)
+		if e.gate == nil {
+			return observed, nil
+		}
+		release := end
+		end = func() { observed(); release() }
+	}
+	return end, nil
+}
+
+func noop() {}
+
+// replay replays pts against the trace memoized in c for (p, cfg), run as
+// stage.
 func (e *Engine) replay(ctx context.Context, c *StageCache, p *Program, pts []*PThread, cfg TimingConfig, stage string) (Stats, error) {
 	t, err := e.trace(ctx, c, p, cfg)
 	if err != nil {
 		return Stats{}, err
 	}
-	if e.observer != nil {
-		defer e.observer.StageStart(stage, p.Name)()
+	end, err := e.start(ctx, stage, p.Name)
+	if err != nil {
+		return Stats{}, err
 	}
-	return e.simulator.Replay(ctx, t, pts, cfg)
+	defer end()
+	return timing.Replay(ctx, t, pts, cfg)
 }
 
-// trace fetches — or records, observed as the "trace" stage — the trace
+// trace fetches — or records, run as the "trace" stage — the trace
 // memoized in c for a run of p under cfg. Recording finishes before the
 // stage that reads the trace starts, so observed stages never nest, and a
-// stage waiting on another caller's recording holds no backend resources.
+// stage waiting on another caller's recording holds no admission.
 func (e *Engine) trace(ctx context.Context, c *StageCache, p *Program, cfg TimingConfig) (*Trace, error) {
 	return c.traceFor(ctx, p, cfg, func() (*Trace, error) {
-		if e.observer != nil {
-			defer e.observer.StageStart("trace", p.Name)()
+		end, err := e.start(ctx, "trace", p.Name)
+		if err != nil {
+			return nil, err
 		}
-		return e.simulator.RecordTrace(ctx, p, cfg)
+		defer end()
+		return timing.RecordTrace(ctx, p, cfg)
 	})
 }
 
-// profile runs the profiling backend on p through the stage cache c, under
-// the normalized configuration cfg. A miss is served by one pass over every
-// slice shape of the profile's group — the shapes the engine's sweep plan
-// profiles p with, or the configuration's alone — and within a sweep that
-// pass is single-flighted and shared by the group's other shapes. The pass
-// reads the trace memoized in c for cfg.profileTiming, by default the base
-// run's. The stage observer wraps the pass, not the lookups, so only real
-// profiling passes are timed.
+// profile profiles p through the stage cache c, under the normalized
+// configuration cfg. A miss is served by one pass over every slice shape
+// of the profile's group — the shapes the engine's sweep plan profiles p
+// with, or the configuration's alone — and within a sweep that pass is
+// single-flighted and shared by the group's other shapes. The pass reads
+// the trace memoized in c for cfg.profileTiming, by default the base run's.
+// The pass, not the lookups, is admitted and observed as the "profile"
+// stage, so only real profiling passes take a gate slot or are timed.
 func (e *Engine) profile(ctx context.Context, c *StageCache, p *Program, cfg Config) ([]ProfileRegion, error) {
 	opts := cfg.profileOptions()
 	return c.regions(ctx, p, opts, func() ([]ProfileRegion, error) {
@@ -237,14 +211,12 @@ func (e *Engine) profile(ctx context.Context, c *StageCache, p *Program, cfg Con
 			if err != nil {
 				return nil, err
 			}
-			if e.observer != nil {
-				defer e.observer.StageStart("profile", p.Name)()
+			end, err := e.start(ctx, "profile", p.Name)
+			if err != nil {
+				return nil, err
 			}
-			out, err := e.profiler.Profile(ctx, t, shapes)
-			if err == nil && len(out) != len(shapes) {
-				err = fmt.Errorf("preexec: profiler returned %d region lists for %d slice shapes", len(out), len(shapes))
-			}
-			return out, err
+			defer end()
+			return slice.ProfileShapes(ctx, t, shapes)
 		})
 	})
 }
@@ -282,10 +254,7 @@ func (e *Engine) Evaluate(ctx context.Context, p *Program) (Report, error) {
 	if pr.err != nil {
 		return Report{}, fmt.Errorf("preexec: selection: %w", pr.err)
 	}
-	sel, err := e.selectRegions(pr.regions, base.IPC, cfg)
-	if err != nil {
-		return Report{}, fmt.Errorf("preexec: selection: %w", err)
-	}
+	sel := e.selectRegions(pr.regions, base.IPC, cfg)
 	pre, err := e.run(ctx, c, p, sel.PThreads, cfg.timing(ModeNormal))
 	if err != nil {
 		return Report{}, fmt.Errorf("preexec: pre-execution run: %w", err)
@@ -317,20 +286,18 @@ func (e *Engine) Profile(ctx context.Context, p *Program) ([]ProfileRegion, erro
 	return e.profile(ctx, e.stages(), p, e.cfg.Normalized())
 }
 
-// selectRegions runs the selection stage over profiled regions under the
+// selectRegions runs the selection stage over profiled regions — a profile
+// has at least one, even of a run that halts before its window — under the
 // normalized configuration cfg.
-func (e *Engine) selectRegions(regions []ProfileRegion, baseIPC float64, cfg Config) (SelectionResult, error) {
-	if len(regions) == 0 {
-		return SelectionResult{}, errors.New("preexec: profile returned no regions")
-	}
+func (e *Engine) selectRegions(regions []ProfileRegion, baseIPC float64, cfg Config) SelectionResult {
 	if e.observer != nil {
 		defer e.observer.StageStart("select", "")()
 	}
 	opts := cfg.selectorOptions(baseIPC)
 	if cfg.Selection.RegionInsts > 0 {
-		return selector.SelectRegions(regions, opts), nil
+		return selector.SelectRegions(regions, opts)
 	}
-	return selector.SelectForest(regions[0].Forest, opts), nil
+	return selector.SelectForest(regions[0].Forest, opts)
 }
 
 // SelectForest applies the engine's selection parameters to an

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"preexec"
+	"preexec/synth"
 )
 
 // testMachine returns the base machine with test-sized windows.
@@ -103,31 +105,57 @@ func TestEvaluateDeadline(t *testing.T) {
 	}
 }
 
-// countingProfiler wraps the reference profiling stage to prove WithProfiler
-// swaps the backend in.
-type countingProfiler struct {
-	calls atomic.Int64
+// countingGate admits every stage and counts its admissions per stage.
+type countingGate struct {
+	mu sync.Mutex
+	n  map[string]int
 }
 
-func (c *countingProfiler) Profile(ctx context.Context, t *preexec.Trace, opts []preexec.ProfileOptions) ([][]preexec.ProfileRegion, error) {
-	c.calls.Add(1)
-	inner, _ := preexec.ReferenceStages()
-	return inner.Profile(ctx, t, opts)
+func (g *countingGate) Admit(_ context.Context, stage, _ string) (func(), error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.n == nil {
+		g.n = make(map[string]int)
+	}
+	g.n[stage]++
+	return func() {}, nil
 }
 
+// admits returns how many times the gate admitted stage.
+func (g *countingGate) admits(stage string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.n[stage]
+}
+
+// TestWithProfilerPluggable pins where the engine admits stages through its
+// gate: a cold Evaluate admits its trace recording, base run, profiling
+// pass and pre-execution replay once each and selection never, and the
+// gate leaves the report unchanged.
 func TestWithProfilerPluggable(t *testing.T) {
 	prog := buildBench(t, "vpr.p")
-	cp := &countingProfiler{}
-	eng := preexec.New(preexec.WithMachine(testMachine()), preexec.WithProfiler(cp))
-	rep, err := eng.Evaluate(t.Context(), prog)
+	gate := &countingGate{}
+	rep, err := preexec.New(preexec.WithMachine(testMachine()), preexec.WithStageGate(gate)).Evaluate(t.Context(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := cp.calls.Load(); n != 1 {
-		t.Errorf("custom profiler called %d times, want 1", n)
+	for _, stage := range []string{"trace", "base", "profile", "replay"} {
+		if n := gate.admits(stage); n != 1 {
+			t.Errorf("%s admitted %d times, want 1", stage, n)
+		}
+	}
+	if n := gate.admits("select"); n != 0 {
+		t.Errorf("select admitted %d times, want 0", n)
 	}
 	if len(rep.PThreads) == 0 {
-		t.Error("evaluation through the custom profiler selected nothing")
+		t.Error("evaluation selected nothing, so no replay was admitted")
+	}
+	want, err := preexec.New(preexec.WithMachine(testMachine())).Evaluate(t.Context(), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, want) {
+		t.Error("the gated evaluation's report differs from the ungated one")
 	}
 }
 
@@ -178,77 +206,83 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// emptyProfiler returns no regions for every shape, and no error.
-type emptyProfiler struct{}
-
-func (emptyProfiler) Profile(_ context.Context, _ *preexec.Trace, opts []preexec.ProfileOptions) ([][]preexec.ProfileRegion, error) {
-	return make([][]preexec.ProfileRegion, len(opts)), nil
-}
-
-// TestEmptyProfileFails checks that a profiler returning no regions fails
-// the evaluation with an error instead of crashing the selector.
+// TestEmptyProfileFails pins the profiler's at-least-one-region contract,
+// which selection relies on instead of failing on an empty profile: a
+// program that halts during warm-up, before the profile window opens,
+// still profiles to one empty region — with region splitting on, too —
+// and evaluates to an empty selection whose pre-execution run is its base
+// run.
 func TestEmptyProfileFails(t *testing.T) {
-	prog := buildBench(t, "vpr.p")
-	eng := preexec.New(preexec.WithMachine(testMachine()), preexec.WithProfiler(emptyProfiler{}))
-	_, err := eng.Evaluate(t.Context(), prog)
-	if err == nil || !strings.Contains(err.Error(), "preexec: profile returned no regions") {
-		t.Fatalf("err = %v, want the empty-profile error", err)
+	prog, err := synth.Assemble([]byte(".name early\nli r1, 1\nhalt\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, regionInsts := range []int64{0, 1_000} {
+		cfg := preexec.DefaultConfig()
+		cfg.Machine = testMachine()
+		cfg.Selection.RegionInsts = regionInsts
+		eng := preexec.New(preexec.WithConfig(cfg))
+		regions, err := eng.Profile(t.Context(), prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(regions) != 1 || regions[0].Forest.Insts != 0 || len(regions[0].Forest.Trees) != 0 {
+			t.Fatalf("region insts %d: %d regions, want one empty region", regionInsts, len(regions))
+		}
+		rep, err := eng.Evaluate(t.Context(), prog)
+		if err != nil {
+			t.Fatalf("region insts %d: %v", regionInsts, err)
+		}
+		if len(rep.PThreads) != 0 || rep.Pre != rep.Base {
+			t.Errorf("region insts %d: %d p-threads, pre %+v, base %+v; want an empty selection run as the base run",
+				regionInsts, len(rep.PThreads), rep.Pre, rep.Base)
+		}
 	}
 }
 
-// stallProfiler is a profiling backend for the overlap tests: it signals
-// started, fails at once with err if set, and otherwise blocks until its
-// context ends. done is closed when Profile returns.
-type stallProfiler struct {
-	err           error
+// stallGate injects the overlap tests' faults at admission. Its "profile"
+// admission signals started, fails at once with profileErr if set, and
+// otherwise blocks until its context ends; done is closed when it returns.
+// Its "base" admission fails with baseErr once baseWait is closed (nil
+// baseErr admits), and its "trace" admission fails with traceErr if set.
+type stallGate struct {
+	profileErr    error
 	started, done chan struct{}
 	sawCancel     atomic.Bool
+
+	baseWait          <-chan struct{}
+	baseErr, traceErr error
 }
 
-func (s *stallProfiler) Profile(ctx context.Context, _ *preexec.Trace, _ []preexec.ProfileOptions) ([][]preexec.ProfileRegion, error) {
-	defer close(s.done)
-	close(s.started)
-	if s.err != nil {
-		return nil, s.err
+func (g *stallGate) Admit(ctx context.Context, stage, _ string) (func(), error) {
+	switch {
+	case stage == "profile":
+		defer close(g.done)
+		close(g.started)
+		if g.profileErr != nil {
+			return nil, g.profileErr
+		}
+		<-ctx.Done()
+		g.sawCancel.Store(true)
+		return nil, ctx.Err()
+	case stage == "base" && g.baseErr != nil:
+		<-g.baseWait
+		return nil, g.baseErr
+	case stage == "trace" && g.traceErr != nil:
+		return nil, g.traceErr
 	}
-	<-ctx.Done()
-	s.sawCancel.Store(true)
-	return nil, ctx.Err()
-}
-
-// failingReplayer fails every replay with err once wait is closed; trace
-// recordings pass through.
-type failingReplayer struct {
-	preexec.Simulator
-	wait <-chan struct{}
-	err  error
-}
-
-func (f failingReplayer) Replay(context.Context, *preexec.Trace, []*preexec.PThread, preexec.TimingConfig) (preexec.Stats, error) {
-	<-f.wait
-	return preexec.Stats{}, f.err
-}
-
-// failingRecorder fails every trace recording with err.
-type failingRecorder struct {
-	preexec.Simulator
-	err error
-}
-
-func (f failingRecorder) RecordTrace(context.Context, *preexec.Program, preexec.TimingConfig) (*preexec.Trace, error) {
-	return nil, f.err
+	return func() {}, nil
 }
 
 // TestEvaluateBaseFailureCancelsProfile pins the overlap of the profile with
 // the base run: a failing base run returns its own error — also when the
 // profile failed first — cancels a profile still running, and Evaluate
 // returns only after the profile has. The base run and the profile read one
-// trace, so the base run fails in its replay, after the recording both
-// waited for; a failed recording fails the evaluation as a base-run error
-// before the profiler is ever called.
+// trace, so the base run fails at its replay's admission, after the
+// recording both waited for; a failed recording fails the evaluation as a
+// base-run error before the profile is ever admitted.
 func TestEvaluateBaseFailureCancelsProfile(t *testing.T) {
 	prog := buildBench(t, "vpr.p")
-	_, sim := preexec.ReferenceStages()
 	errBase, errProfile := errors.New("base backend down"), errors.New("profile backend down")
 	for _, tc := range []struct {
 		name       string
@@ -260,22 +294,18 @@ func TestEvaluateBaseFailureCancelsProfile(t *testing.T) {
 		{"recording failed", nil, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			prof := &stallProfiler{err: tc.profileErr, started: make(chan struct{}), done: make(chan struct{})}
-			// The base run fails only once the profile is under way (or, if
-			// it fails, over).
-			wait := prof.started
-			if tc.profileErr != nil {
-				wait = prof.done
-			}
-			var failing preexec.Simulator = failingReplayer{Simulator: sim, wait: wait, err: errBase}
+			gate := &stallGate{profileErr: tc.profileErr, started: make(chan struct{}), done: make(chan struct{})}
 			if tc.recordErr {
-				failing = failingRecorder{Simulator: sim, err: errBase}
+				gate.traceErr = errBase
+			} else {
+				// The base run fails only once the profile is under way
+				// (or, if it fails, over).
+				gate.baseErr, gate.baseWait = errBase, gate.started
+				if tc.profileErr != nil {
+					gate.baseWait = gate.done
+				}
 			}
-			eng := preexec.New(
-				preexec.WithMachine(testMachine()),
-				preexec.WithProfiler(prof),
-				preexec.WithSimulator(failing),
-			)
+			eng := preexec.New(preexec.WithMachine(testMachine()), preexec.WithStageGate(gate))
 			_, err := eng.Evaluate(t.Context(), prog)
 			if !errors.Is(err, errBase) || errors.Is(err, errProfile) {
 				t.Fatalf("err = %v, want the base run's error", err)
@@ -285,18 +315,18 @@ func TestEvaluateBaseFailureCancelsProfile(t *testing.T) {
 			}
 			if tc.recordErr {
 				select {
-				case <-prof.started:
-					t.Fatal("the profiler ran without a trace")
+				case <-gate.started:
+					t.Fatal("the profile was admitted without a trace")
 				default:
 				}
 				return
 			}
 			select {
-			case <-prof.done:
+			case <-gate.done:
 			default:
 				t.Fatal("Evaluate returned while its profile was still running")
 			}
-			if tc.profileErr == nil && !prof.sawCancel.Load() {
+			if tc.profileErr == nil && !gate.sawCancel.Load() {
 				t.Error("the failed base run did not cancel the profile")
 			}
 		})
@@ -308,8 +338,8 @@ func TestEvaluateBaseFailureCancelsProfile(t *testing.T) {
 // a selection error.
 func TestEvaluateProfileFailureIsSelectionError(t *testing.T) {
 	errProfile := errors.New("profile backend down")
-	prof := &stallProfiler{err: errProfile, started: make(chan struct{}), done: make(chan struct{})}
-	eng := preexec.New(preexec.WithMachine(testMachine()), preexec.WithProfiler(prof))
+	gate := &stallGate{profileErr: errProfile, started: make(chan struct{}), done: make(chan struct{})}
+	eng := preexec.New(preexec.WithMachine(testMachine()), preexec.WithStageGate(gate))
 	_, err := eng.Evaluate(t.Context(), buildBench(t, "vpr.p"))
 	if !errors.Is(err, errProfile) || !strings.Contains(err.Error(), "preexec: selection") {
 		t.Fatalf("err = %v, want the profile's error as a selection error", err)

@@ -34,7 +34,8 @@ func TestConfigZero(t *testing.T) {
 // TestDetFlow runs the whole-program determinism analyzer over a fixture
 // closure: sinks report only when reachable from a //lint:detroot-marked
 // root, diagnostics carry the discovery chain, and reachability follows a
-// function value handed across the package boundary (Reference edge).
+// function value handed across the package boundary (Reference edge) and
+// an interface method call to its implementation (Devirtualized edge).
 func TestDetFlow(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), lint.DetFlow, "detflow")
 }

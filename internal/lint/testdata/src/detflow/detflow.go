@@ -1,7 +1,7 @@
 // Package detflow exercises the whole-program determinism analyzer: sinks
 // are only reported when transitively reachable from a root, the diagnostic
 // carries the discovery chain, and reachability follows function values
-// handed across package boundaries.
+// handed across package boundaries and interface method calls.
 package detflow
 
 import (
@@ -21,6 +21,7 @@ func Root(keys map[string]int) []string {
 	out = append(out, sortedCollect(keys)...)
 	detflowdep.Run(emit)
 	_ = seeded()
+	_ = stampVia(wallClock{})
 	return out
 }
 
@@ -53,6 +54,24 @@ func sortedCollect(keys map[string]int) []string {
 // detflowdep.Run, so only the Reference edge keeps it reachable.
 func emit() {
 	_ = rand.Int() // want `global math/rand.Int reached from deterministic root via detflow.Root -> detflow.emit -> global math/rand.Int`
+}
+
+// stamper is the interface stampVia calls through.
+type stamper interface {
+	Stamp() int64
+}
+
+// wallClock's Stamp is never called or referenced directly: only the
+// Devirtualized edge of stampVia's interface call keeps it reachable.
+type wallClock struct{}
+
+func (wallClock) Stamp() int64 {
+	return time.Now().UnixNano() // want `time.Now reached from deterministic root via detflow.Root -> detflow.stampVia -> \(detflow.wallClock\).Stamp -> time.Now`
+}
+
+// stampVia reaches its sink only through an interface method call.
+func stampVia(s stamper) int64 {
+	return s.Stamp()
 }
 
 // seeded draws from an explicitly seeded source — allowed.

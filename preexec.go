@@ -16,15 +16,17 @@
 // and the Suite runner evaluates many workloads concurrently across a
 // bounded worker pool with deterministic result ordering.
 //
-// The two simulation stages — Profiler and Simulator — are interfaces, so
-// alternative backends can be swapped in with WithProfiler and
-// WithSimulator; the defaults are the in-repo reference implementations
-// that reproduce the paper's results. Selection always runs the slice-tree
-// selector. Every timing run has one path: the Simulator records the
-// program's front-end trace once per program and timing.TraceSpan (the run
-// length plus the machine's rounded fetch-ahead), memoized in a StageCache,
-// and replays it for the base run and for every selection, diagnostic mode
-// and machine point of that span; the Profiler reads the same trace.
+// The stages are the in-repo reference implementations that reproduce the
+// paper's results: the slice-tree profiler, the aggregate-advantage
+// selector and the trace-replay timing simulator. Every timing run has one
+// path: the engine records the program's front-end trace once per program
+// and timing.TraceSpan (the run length plus the machine's rounded
+// fetch-ahead), memoized in a StageCache, and replays it for the base run
+// and for every selection, diagnostic mode and machine point of that span;
+// the profiler reads the same trace. Two hooks see the stages without
+// changing their results: a StageObserver (WithStageObserver) is called
+// around every stage execution, and a StageGate (WithStageGate) admits
+// every trace recording, timing run and profiling pass before it starts.
 package preexec
 
 import (
@@ -75,7 +77,6 @@ type TimingConfig = timing.Config
 // Trace is a recorded base-run event trace: the complete front-end input of
 // any timing simulation of its program under its recorded configuration
 // family (all modes, any selection), and of a profile of the same prefix.
-// See Simulator and Profiler.
 type Trace = timing.Trace
 
 // Mode selects what simulated p-threads are allowed to do; the diagnostic

@@ -193,13 +193,12 @@ func (f stageFanout) StageStart(stage, bench string) func() {
 	return func() { eb(); ea() }
 }
 
-// tracedEngine builds a sweep engine over the shared gated backends whose
-// observer records per-stage spans under the request's trace in addition to
-// feeding the latency histograms.
+// tracedEngine builds a sweep engine, admitted through the worker gate,
+// whose observer records per-stage spans under the request's trace in
+// addition to feeding the latency histograms.
 func (s *Server) tracedEngine(trace, parent string) *preexec.Engine {
 	return preexec.New(
-		preexec.WithProfiler(s.profiler),
-		preexec.WithSimulator(s.simulator),
+		preexec.WithStageGate(s.gate),
 		preexec.WithStageObserver(stageFanout{
 			a: s.obs,
 			b: &obs.SpanStages{Tracer: s.obs.tracer, Trace: trace, Parent: parent},

@@ -46,47 +46,18 @@ func (g *gate) inFlight() int { return len(g.slots) }
 // queueDepth is the number of stages blocked waiting for a slot.
 func (g *gate) queueDepth() int64 { return g.queued.Load() }
 
-// gatedProfiler runs the wrapped profiling backend inside a worker slot, one
-// slot per pass however many slice shapes it profiles. Only the computation
-// acquires: requests coalesced onto a cached flight never enter the gate,
-// and the engine resolves the pass's trace — waiting on another stage's
-// recording, or recording it through the gated simulator — before calling
-// Profile, so a pass never holds a slot while it waits for a trace.
-type gatedProfiler struct {
-	g *gate
-	p preexec.Profiler
-}
-
-func (gp gatedProfiler) Profile(ctx context.Context, t *preexec.Trace, opts []preexec.ProfileOptions) ([][]preexec.ProfileRegion, error) {
-	if err := gp.g.acquire(ctx); err != nil {
+// Admit implements preexec.StageGate: each trace recording, base run,
+// replay and profiling pass of every request-built engine holds one slot
+// while it runs — a pass one slot however many slice shapes it profiles.
+// The engine admits only computations: requests coalesced onto a memoized
+// flight never enter the gate, and a stage resolves its trace — waiting on
+// another stage's recording, or recording it under a slot of its own —
+// before it is admitted, so no slot is held while waiting for a trace.
+func (g *gate) Admit(ctx context.Context, _, _ string) (func(), error) {
+	if err := g.acquire(ctx); err != nil {
 		return nil, err
 	}
-	defer gp.g.release()
-	return gp.p.Profile(ctx, t, opts)
-}
-
-// gatedSimulator runs the wrapped timing backend's trace recordings and
-// replays inside a worker slot each, so no timing stage escapes the worker
-// pool.
-type gatedSimulator struct {
-	g *gate
-	s preexec.Simulator
-}
-
-func (gs gatedSimulator) RecordTrace(ctx context.Context, p *preexec.Program, cfg preexec.TimingConfig) (*preexec.Trace, error) {
-	if err := gs.g.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer gs.g.release()
-	return gs.s.RecordTrace(ctx, p, cfg)
-}
-
-func (gs gatedSimulator) Replay(ctx context.Context, t *preexec.Trace, pts []*preexec.PThread, cfg preexec.TimingConfig) (preexec.Stats, error) {
-	if err := gs.g.acquire(ctx); err != nil {
-		return preexec.Stats{}, err
-	}
-	defer gs.g.release()
-	return gs.s.Replay(ctx, t, pts, cfg)
+	return g.release, nil
 }
 
 // progKey identifies one built benchmark: canonical lower-case name plus the

@@ -65,13 +65,7 @@ type Server struct {
 	cache      *preexec.StageCache
 	cacheLimit int
 
-	// The stage backends shared by every request-built engine: the reference
-	// implementations gated through the worker pool. Sharing one backend set
-	// keeps the StageCache contract (all engines on one cache must use the
-	// same backends).
-	profiler  preexec.Profiler
-	simulator preexec.Simulator
-	// base carries the shared backends into Sweep.Plan.
+	// base carries the worker gate and the stage observer into Sweep.Plan.
 	base *preexec.Engine
 
 	// flights coalesces identical in-flight evaluate requests; it retains
@@ -157,14 +151,7 @@ func New(opts ...Option) *Server {
 	s.cache = preexec.NewStageCache(preexec.WithStageCacheLimit(s.cacheLimit))
 	s.gate = newGate(s.workers)
 	s.obs = newServerObs(s)
-	profiler, simulator := preexec.ReferenceStages()
-	s.profiler = gatedProfiler{g: s.gate, p: profiler}
-	s.simulator = gatedSimulator{g: s.gate, s: simulator}
-	s.base = preexec.New(
-		preexec.WithProfiler(s.profiler),
-		preexec.WithSimulator(s.simulator),
-		preexec.WithStageObserver(s.obs),
-	)
+	s.base = preexec.New(preexec.WithStageGate(s.gate), preexec.WithStageObserver(s.obs))
 	if len(s.backendAddrs) > 0 {
 		s.coord = newCoordinator(s, s.backendAddrs, s.fleetCfg)
 		s.obs.registerFleet(s.coord)
@@ -248,14 +235,13 @@ func (s *Server) Close() {
 // Cache returns the server's shared stage cache.
 func (s *Server) Cache() *preexec.StageCache { return s.cache }
 
-// engine builds the per-request engine: the submitted configuration over the
-// shared gated backends and the shared stage cache.
+// engine builds the per-request engine: the submitted configuration over
+// the shared stage cache, admitted through the worker gate.
 func (s *Server) engine(cfg preexec.Config) *preexec.Engine {
 	return preexec.New(
 		preexec.WithConfig(cfg),
-		preexec.WithProfiler(s.profiler),
-		preexec.WithSimulator(s.simulator),
 		preexec.WithStageCache(s.cache),
+		preexec.WithStageGate(s.gate),
 		preexec.WithStageObserver(s.obs),
 	)
 }

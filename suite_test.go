@@ -84,43 +84,22 @@ func TestSuiteProgressStreaming(t *testing.T) {
 	}
 }
 
-// failingSimulator errors on a chosen program to exercise suite error
-// propagation and cancellation of in-flight jobs.
-type failingSimulator struct {
-	failOn string
-	inner  preexec.Simulator
-}
+// failingGate fails every stage admission of the program named failOn, to
+// exercise suite error propagation and cancellation of in-flight jobs.
+type failingGate struct{ failOn string }
 
-// passthroughSimulator delegates to the reference timing backend behind a
-// type of its own, as a custom Simulator would.
-type passthroughSimulator struct{}
-
-func (passthroughSimulator) RecordTrace(ctx context.Context, p *preexec.Program, cfg preexec.TimingConfig) (*preexec.Trace, error) {
-	_, sim := preexec.ReferenceStages()
-	return sim.RecordTrace(ctx, p, cfg)
-}
-
-func (passthroughSimulator) Replay(ctx context.Context, t *preexec.Trace, pts []*preexec.PThread, cfg preexec.TimingConfig) (preexec.Stats, error) {
-	_, sim := preexec.ReferenceStages()
-	return sim.Replay(ctx, t, pts, cfg)
-}
-
-func (f *failingSimulator) RecordTrace(ctx context.Context, p *preexec.Program, cfg preexec.TimingConfig) (*preexec.Trace, error) {
-	if p.Name == f.failOn {
-		return nil, fmt.Errorf("injected failure for %s", p.Name)
+func (g failingGate) Admit(_ context.Context, _, bench string) (func(), error) {
+	if bench == g.failOn {
+		return nil, fmt.Errorf("injected failure for %s", bench)
 	}
-	return f.inner.RecordTrace(ctx, p, cfg)
-}
-
-func (f *failingSimulator) Replay(ctx context.Context, t *preexec.Trace, pts []*preexec.PThread, cfg preexec.TimingConfig) (preexec.Stats, error) {
-	return f.inner.Replay(ctx, t, pts, cfg)
+	return func() {}, nil
 }
 
 func TestSuiteErrorPropagates(t *testing.T) {
 	progs := suiteBenches(t, "vpr.p", "crafty", "vpr.r")
 	eng := preexec.New(
 		preexec.WithMachine(testMachine()),
-		preexec.WithSimulator(&failingSimulator{failOn: "crafty", inner: passthroughSimulator{}}),
+		preexec.WithStageGate(failingGate{failOn: "crafty"}),
 	)
 	_, err := (&preexec.Suite{Engine: eng, Workers: 2}).Evaluate(t.Context(), progs...)
 	if err == nil || !strings.Contains(err.Error(), "injected failure") {
@@ -158,7 +137,7 @@ func TestSuitePartialFailure(t *testing.T) {
 	progs := suiteBenches(t, "vpr.p", "crafty", "vpr.r")
 	eng := preexec.New(
 		preexec.WithMachine(testMachine()),
-		preexec.WithSimulator(&failingSimulator{failOn: "crafty", inner: passthroughSimulator{}}),
+		preexec.WithStageGate(failingGate{failOn: "crafty"}),
 	)
 	jobs := make([]preexec.Job, len(progs))
 	for i, p := range progs {

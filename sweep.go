@@ -110,9 +110,10 @@ type SweepResult struct {
 // profiling pass. Cell reports are bit-for-bit identical to evaluating
 // each cell alone.
 type Sweep struct {
-	// Engine supplies the stage backends (profiler and simulator) the
-	// cells run on (nil = the reference implementations). Its configuration
-	// is ignored: each cell evaluates under its ConfigPoint's.
+	// Engine supplies the stage observer and stage gate every cell runs
+	// under (nil = neither). Its configuration and stage cache are
+	// ignored: each cell evaluates under its ConfigPoint's, over the
+	// sweep's cache.
 	Engine *Engine
 	// Workers bounds concurrent cell evaluations (<= 0 = GOMAXPROCS).
 	Workers int
@@ -169,10 +170,9 @@ func (s *Sweep) Plan(benches []SweepBench, points []ConfigPoint, cache *StageCac
 			}
 			e := New(
 				WithConfig(cfg),
-				WithProfiler(base.profiler),
-				WithSimulator(base.simulator),
 				WithStageCache(cache),
 				WithStageObserver(base.observer),
+				WithStageGate(base.gate),
 			)
 			norm := e.cfg.Normalized()
 			plan.addShape(norm.profiledProgram(b.Program), norm.profileOptions())

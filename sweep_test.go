@@ -447,29 +447,27 @@ func TestSweepCacheConcurrentRuns(t *testing.T) {
 	}
 }
 
-// blockingFirstSimulator parks its first trace recording until the call's
-// context is cancelled (signalling started first); later calls delegate to
-// the real simulator. It orchestrates a cache flight that fails with one
-// caller's cancellation while another caller waits on it.
-type blockingFirstSimulator struct {
+// blockingFirstGate parks the first admission of its stage until the
+// call's context is cancelled (signalling started first), and admits every
+// other call. It orchestrates a memo flight that fails with one caller's
+// cancellation while another caller waits on it.
+type blockingFirstGate struct {
+	stage   string
 	once    sync.Once
 	started chan struct{}
-	inner   preexec.Simulator
 }
 
-func (s *blockingFirstSimulator) RecordTrace(ctx context.Context, p *preexec.Program, cfg preexec.TimingConfig) (*preexec.Trace, error) {
+func (g *blockingFirstGate) Admit(ctx context.Context, stage, _ string) (func(), error) {
 	first := false
-	s.once.Do(func() { first = true })
+	if stage == g.stage {
+		g.once.Do(func() { first = true })
+	}
 	if first {
-		close(s.started)
+		close(g.started)
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	return s.inner.RecordTrace(ctx, p, cfg)
-}
-
-func (s *blockingFirstSimulator) Replay(ctx context.Context, t *preexec.Trace, pts []*preexec.PThread, cfg preexec.TimingConfig) (preexec.Stats, error) {
-	return s.inner.Replay(ctx, t, pts, cfg)
+	return func() {}, nil
 }
 
 // TestStageCacheFailedFlightDoesNotPoisonWaiters is the regression test for
@@ -479,10 +477,10 @@ func (s *blockingFirstSimulator) Replay(ctx context.Context, t *preexec.Trace, p
 func TestStageCacheFailedFlightDoesNotPoisonWaiters(t *testing.T) {
 	prog := buildBench(t, "crafty")
 	cache := preexec.NewStageCache()
-	sim := &blockingFirstSimulator{started: make(chan struct{}), inner: passthroughSimulator{}}
+	gate := &blockingFirstGate{stage: "trace", started: make(chan struct{})}
 	mkEngine := func() *preexec.Engine {
 		return preexec.New(preexec.WithMachine(testMachine()),
-			preexec.WithSimulator(sim), preexec.WithStageCache(cache))
+			preexec.WithStageGate(gate), preexec.WithStageCache(cache))
 	}
 
 	ctxA, cancelA := context.WithCancel(context.Background())
@@ -491,7 +489,7 @@ func TestStageCacheFailedFlightDoesNotPoisonWaiters(t *testing.T) {
 		_, err := mkEngine().Evaluate(ctxA, prog)
 		aErr <- err
 	}()
-	<-sim.started // A is mid base-run compute
+	<-gate.started // A is mid base-run compute
 
 	bErr := make(chan error, 1)
 	var bRep preexec.Report
@@ -512,9 +510,7 @@ func TestStageCacheFailedFlightDoesNotPoisonWaiters(t *testing.T) {
 	if err := <-bErr; err != nil {
 		t.Fatalf("waiter adopted the canceller's failure: %v", err)
 	}
-	// The uncached reference goes through the same simulator backend.
-	want, err := preexec.New(preexec.WithMachine(testMachine()),
-		preexec.WithSimulator(passthroughSimulator{})).Evaluate(t.Context(), prog)
+	want, err := preexec.New(preexec.WithMachine(testMachine())).Evaluate(t.Context(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +527,7 @@ func TestSweepCellJSONCarriesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := preexec.New(preexec.WithSimulator(&failingSimulator{failOn: "crafty", inner: passthroughSimulator{}}))
+	eng := preexec.New(preexec.WithStageGate(failingGate{failOn: "crafty"}))
 	s := &preexec.Sweep{Engine: eng, Workers: 1}
 	res, err := s.Run(t.Context(), benches, selectionPoints(5_000, 10_000)[:1])
 	if err == nil || res == nil {
@@ -621,7 +617,7 @@ func TestSweepPartialFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := preexec.New(preexec.WithSimulator(&failingSimulator{failOn: "crafty", inner: passthroughSimulator{}}))
+	eng := preexec.New(preexec.WithStageGate(failingGate{failOn: "crafty"}))
 	s := &preexec.Sweep{Engine: eng, Workers: 1}
 	res, err := s.Run(t.Context(), benches, selectionPoints(5_000, 10_000)[:2])
 	if err == nil || !strings.Contains(err.Error(), "injected failure") {
@@ -646,21 +642,21 @@ func TestSweepPartialFailure(t *testing.T) {
 	}
 }
 
-// TestSweepCustomBackendCached proves the cache wraps whatever stage
-// backends the sweep's engine carries — a counting profiler sees one call
-// per benchmark, not one per cell.
+// TestSweepCustomBackendCached proves the stage cache sits in front of the
+// sweep engine's stage gate — a counting gate sees one profiling pass per
+// benchmark, not one per cell.
 func TestSweepCustomBackendCached(t *testing.T) {
 	benches, err := preexec.SweepBenches([]string{"vpr.p"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := &countingProfiler{}
-	s := &preexec.Sweep{Engine: preexec.New(preexec.WithProfiler(cp)), Workers: 1}
+	gate := &countingGate{}
+	s := &preexec.Sweep{Engine: preexec.New(preexec.WithStageGate(gate)), Workers: 1}
 	if _, err := s.Run(t.Context(), benches, selectionPoints(20_000, 60_000)); err != nil {
 		t.Fatal(err)
 	}
-	if n := cp.calls.Load(); n != 1 {
-		t.Errorf("custom profiler ran %d times for 4 cells, want 1", n)
+	if n := gate.admits("profile"); n != 1 {
+		t.Errorf("gate admitted %d profiling passes for 4 cells, want 1", n)
 	}
 }
 
@@ -781,28 +777,6 @@ func TestSweepReplayMemoSharesRepeatedSelections(t *testing.T) {
 	}
 }
 
-// blockingFirstReplay parks its first replay of a non-empty selection until
-// the call's context is cancelled (signalling started first); every other
-// call delegates to the reference simulator.
-type blockingFirstReplay struct {
-	passthroughSimulator
-	once    sync.Once
-	started chan struct{}
-}
-
-func (s *blockingFirstReplay) Replay(ctx context.Context, t *preexec.Trace, pts []*preexec.PThread, cfg preexec.TimingConfig) (preexec.Stats, error) {
-	first := false
-	if len(pts) > 0 {
-		s.once.Do(func() { first = true })
-	}
-	if first {
-		close(s.started)
-		<-ctx.Done()
-		return preexec.Stats{}, ctx.Err()
-	}
-	return s.passthroughSimulator.Replay(ctx, t, pts, cfg)
-}
-
 // TestSweepReplayMemoCancelledFlight: when the cell computing a shared
 // replay is cancelled mid-replay, a cell coalesced onto that replay must
 // retry with its own context and succeed, not adopt the cancellation.
@@ -813,8 +787,8 @@ func TestSweepReplayMemoCancelledFlight(t *testing.T) {
 	}
 	cfg := sweepConfig(10_000, 30_000)
 	points := []preexec.ConfigPoint{{Name: "a", Config: cfg}, {Name: "b", Config: cfg}}
-	sim := &blockingFirstReplay{started: make(chan struct{})}
-	eng := preexec.New(preexec.WithSimulator(sim))
+	gate := &blockingFirstGate{stage: "replay", started: make(chan struct{})}
+	eng := preexec.New(preexec.WithStageGate(gate))
 	jobs, err := (&preexec.Sweep{Engine: eng}).Plan(benches, points, preexec.NewStageCache())
 	if err != nil {
 		t.Fatal(err)
@@ -826,7 +800,7 @@ func TestSweepReplayMemoCancelledFlight(t *testing.T) {
 		_, err := jobs[0].Engine.Evaluate(ctxA, jobs[0].Program)
 		aErr <- err
 	}()
-	<-sim.started // A is mid-replay
+	<-gate.started // A is mid-replay
 
 	bErr := make(chan error, 1)
 	var bRep preexec.Report
