@@ -24,13 +24,14 @@
 // exposed where the API is.
 //
 // With -backends the process runs as a sweep coordinator: /v1/sweep cells
-// are consistent-hashed across the listed backend preexecds, retried with
-// backoff on failure, failed over away from ejected backends, and merged in
-// deterministic grid order — byte-identical to a single-node sweep. All
-// other endpoints still evaluate locally, which is also the sweep's
-// graceful-degradation path when every backend is down. The fleet knobs
-// (-probe-interval, -retries, -eject-after, -attempt-timeout) tune the
-// health probe and per-cell retry policy; see the README "Distributed
+// are homed by their program's trace key on a consistent-hash ring over the
+// listed backend preexecds, stolen by backends that run out of their own,
+// retried with backoff on failure, failed over away from ejected backends,
+// and merged in deterministic grid order — byte-identical to a single-node
+// sweep. All other endpoints still evaluate locally, which is also the
+// sweep's graceful-degradation path when every backend is down. The fleet
+// knobs (-probe-interval, -retries, -eject-after, -attempt-timeout) tune
+// the health probe and per-cell retry policy; see the README "Distributed
 // sweeps" section.
 //
 // SIGINT and SIGTERM drain in-flight requests (and cancel their

@@ -2,7 +2,7 @@
 // coordinator: a consistent-hash ring routing cells to backends, per-backend
 // health tracking with consecutive-failure ejection and probe re-admission,
 // and a retry orchestrator with exponential backoff, seeded jitter,
-// per-attempt timeouts, and ring-order failover.
+// per-attempt timeouts, and failover along a caller-given serving order.
 //
 // The package is deliberately transport-free: callers supply attempt and
 // probe callbacks, so the same machinery is unit-testable without a network
@@ -287,9 +287,9 @@ func (p *Pool) Snapshot() []BackendStatus {
 	return out
 }
 
-// pick chooses the backend for the next attempt: the home backend while it
-// is live (stage-cache locality beats load), otherwise the least-loaded
-// live backend from the failover sequence, ring order breaking ties.
+// pick chooses the backend for the next attempt: order[0] while it is live
+// (the caller chose it), otherwise the least-loaded live backend from the
+// rest of order, order breaking ties.
 func (p *Pool) pick(order []int) (int, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -348,27 +348,28 @@ type DoStats struct {
 	// the first.
 	Attempts int
 	Retries  int
-	// FailedOver reports that the serving backend was not the key's home
-	// backend.
+	// FailedOver reports that the call was served away from the backend
+	// the caller assigned (order[0]).
 	FailedOver bool
 	// Backend is the backend that served the call, -1 if none did.
 	Backend int
 }
 
-// Do runs fn against backends in key's preference order until it succeeds
-// or the retry budget is spent. Each attempt runs under its own timeout;
+// Do runs fn against the backends of order until it succeeds or the retry
+// budget is spent. order is the caller's serving order: the backend it
+// assigned first, then the failover sequence (for a ring-routed key, a
+// permutation of Order(key)). Each attempt runs under its own timeout;
 // failed attempts count against the backend's health (ejection included),
-// back off exponentially with seeded jitter, and — once the home backend is
-// ejected — fail over along the ring walk, preferring idle backends. When
+// back off exponentially with seeded jitter, and — once order[0] is
+// ejected — fail over along the rest of order, preferring idle backends. When
 // no backend is live the error matches ErrNoBackends; a cancelled ctx is
 // returned as its own error without consuming further budget, and an error
 // wrapped by Permanent returns immediately without charging the backend.
 // Each attempt counts as in flight against the backend it runs on for as
 // long as fn runs (see InFlight).
-func Do[T any](ctx context.Context, p *Pool, key string, fn func(ctx context.Context, backend int) (T, error)) (T, DoStats, error) {
+func Do[T any](ctx context.Context, p *Pool, order []int, fn func(ctx context.Context, backend int) (T, error)) (T, DoStats, error) {
 	var zero T
 	st := DoStats{Backend: -1}
-	order := p.Order(key)
 	var lastErr error
 	for attempt := 1; attempt <= p.cfg.RetryBudget; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -377,9 +378,9 @@ func Do[T any](ctx context.Context, p *Pool, key string, fn func(ctx context.Con
 		b, ok := p.pick(order)
 		if !ok {
 			if lastErr != nil {
-				return zero, st, fmt.Errorf("%w for %q after %d attempts (last: %v)", ErrNoBackends, key, st.Attempts, lastErr)
+				return zero, st, fmt.Errorf("%w after %d attempts (last: %v)", ErrNoBackends, st.Attempts, lastErr)
 			}
-			return zero, st, fmt.Errorf("%w for %q", ErrNoBackends, key)
+			return zero, st, ErrNoBackends
 		}
 		st.Attempts++
 		if attempt > 1 {
@@ -419,7 +420,7 @@ func Do[T any](ctx context.Context, p *Pool, key string, fn func(ctx context.Con
 			}
 		}
 	}
-	return zero, st, fmt.Errorf("fleet: retry budget (%d attempts) spent for %q: %w", p.cfg.RetryBudget, key, lastErr)
+	return zero, st, fmt.Errorf("fleet: retry budget (%d attempts) spent: %w", p.cfg.RetryBudget, lastErr)
 }
 
 // ProbeOnce probes every backend once, sequentially: a succeeding probe

@@ -132,7 +132,7 @@ func TestPoolLateSuccessKeepsLaterFailures(t *testing.T) {
 
 func TestDoFirstAttemptSuccess(t *testing.T) {
 	p := New([]string{"a", "b"}, fastCfg())
-	v, st, err := Do(context.Background(), p, "k", func(ctx context.Context, b int) (string, error) {
+	v, st, err := Do(context.Background(), p, p.Order("k"), func(ctx context.Context, b int) (string, error) {
 		return "ok", nil
 	})
 	if err != nil || v != "ok" {
@@ -146,6 +146,22 @@ func TestDoFirstAttemptSuccess(t *testing.T) {
 	}
 }
 
+// TestDoServesCallerOrder checks that Do serves order[0] even when it is
+// not the key's ring home, and that doing so is no failover.
+func TestDoServesCallerOrder(t *testing.T) {
+	p := New([]string{"a", "b"}, fastCfg())
+	ring := p.Order("k")
+	_, st, err := Do(context.Background(), p, []int{ring[1], ring[0]}, func(ctx context.Context, b int) (int, error) {
+		return b, nil
+	})
+	if err != nil || st.Backend != ring[1] || st.FailedOver {
+		t.Fatalf("Do: stats %+v, err %v; want served by backend %d, not failed over", st, err, ring[1])
+	}
+	if _, f := p.Stats(); f != 0 {
+		t.Fatalf("pool failovers %d, want 0", f)
+	}
+}
+
 // TestDoFailsOverAfterEjection drives the home backend to ejection and
 // requires the cell to complete on the failover backend within the default
 // budget, with the pool counters recording the retries and the failover.
@@ -154,7 +170,7 @@ func TestDoFailsOverAfterEjection(t *testing.T) {
 	p := New([]string{"a", "b"}, cfg)
 	home := p.Order("k")[0]
 	calls := 0
-	v, st, err := Do(context.Background(), p, "k", func(ctx context.Context, b int) (int, error) {
+	v, st, err := Do(context.Background(), p, p.Order("k"), func(ctx context.Context, b int) (int, error) {
 		calls++
 		if b == home {
 			return 0, errors.New("injected")
@@ -185,7 +201,7 @@ func TestDoFailsOverAfterEjection(t *testing.T) {
 func TestPoolInFlightFollowsAttempts(t *testing.T) {
 	p := New([]string{"a", "b"}, fastCfg())
 	home := p.Order("k")[0]
-	_, st, err := Do(context.Background(), p, "k", func(ctx context.Context, b int) (int, error) {
+	_, st, err := Do(context.Background(), p, p.Order("k"), func(ctx context.Context, b int) (int, error) {
 		for i, s := range p.Snapshot() {
 			want := int64(0)
 			if i == b {
@@ -215,14 +231,14 @@ func TestDoAllBackendsDeadIsErrNoBackends(t *testing.T) {
 	cfg.EjectAfter = 1
 	cfg.RetryBudget = 5
 	p := New([]string{"a", "b"}, cfg)
-	_, _, err := Do(context.Background(), p, "k", func(ctx context.Context, b int) (int, error) {
+	_, _, err := Do(context.Background(), p, p.Order("k"), func(ctx context.Context, b int) (int, error) {
 		return 0, errors.New("down")
 	})
 	if !errors.Is(err, ErrNoBackends) {
 		t.Fatalf("err = %v, want ErrNoBackends", err)
 	}
 	// Once ejected everywhere, further calls fail fast without attempts.
-	_, st, err := Do(context.Background(), p, "k2", func(ctx context.Context, b int) (int, error) {
+	_, st, err := Do(context.Background(), p, p.Order("k2"), func(ctx context.Context, b int) (int, error) {
 		t.Fatal("attempt against a fully-ejected pool")
 		return 0, nil
 	})
@@ -236,7 +252,7 @@ func TestDoBudgetSpentIsNotErrNoBackends(t *testing.T) {
 	cfg.EjectAfter = 100 // stays live, keeps failing
 	cfg.RetryBudget = 3
 	p := New([]string{"a"}, cfg)
-	_, st, err := Do(context.Background(), p, "k", func(ctx context.Context, b int) (int, error) {
+	_, st, err := Do(context.Background(), p, p.Order("k"), func(ctx context.Context, b int) (int, error) {
 		return 0, errors.New("flaky")
 	})
 	if err == nil || errors.Is(err, ErrNoBackends) {
@@ -251,7 +267,7 @@ func TestDoPermanentErrorReturnsImmediately(t *testing.T) {
 	p := New([]string{"a", "b"}, fastCfg())
 	cause := errors.New("cell rejected")
 	calls := 0
-	_, st, err := Do(context.Background(), p, "k", func(ctx context.Context, b int) (int, error) {
+	_, st, err := Do(context.Background(), p, p.Order("k"), func(ctx context.Context, b int) (int, error) {
 		calls++
 		return 0, Permanent(cause)
 	})
@@ -274,7 +290,7 @@ func TestDoHonorsCancellation(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	_, _, err := Do(ctx, p, "k", func(ctx context.Context, b int) (int, error) {
+	_, _, err := Do(ctx, p, p.Order("k"), func(ctx context.Context, b int) (int, error) {
 		<-ctx.Done()
 		return 0, ctx.Err()
 	})
@@ -326,7 +342,7 @@ func TestDoPrefersIdleFailover(t *testing.T) {
 	p.Failure(order[0]) // eject the home backend
 	p.SetLoad(order[1], 9)
 	p.SetLoad(order[2], 2)
-	_, st, err := Do(context.Background(), p, "k", func(ctx context.Context, b int) (int, error) {
+	_, st, err := Do(context.Background(), p, p.Order("k"), func(ctx context.Context, b int) (int, error) {
 		return b, nil
 	})
 	if err != nil {

@@ -134,7 +134,8 @@ func Decode(prog *program.Program) []Dec {
 }
 
 // LinkTo encodes the backward store link from record seq to the earlier
-// record j (-1 for none) as the distance seq-j, 0 meaning no link.
+// record j (-1 for none) as the distance seq-j, 0 meaning no link; a reader
+// decodes a nonzero distance d as record seq-d.
 // Consumers follow store links only a bounded distance back — the timing
 // backend within its in-flight window of a few hundred records, the
 // profiler within its slicing scope — so a target farther back than an
@@ -145,15 +146,6 @@ func LinkTo(seq, j int64) int32 {
 		return 0
 	}
 	return int32(seq - j)
-}
-
-// LinkBack decodes a LinkTo distance from record seq: the linked record's
-// sequence number, or -1 for no link.
-func LinkBack(seq int64, d int32) int64 {
-	if d == 0 {
-		return -1
-	}
-	return seq - int64(d)
 }
 
 // Renamer is a rename table over sequence numbers: the most recent writer

@@ -101,7 +101,11 @@ func TestMemoryDependence(t *testing.T) {
 		{4, 3},  // same word, different byte offset: still a dependence
 		{5, 3},  // a store links to the previous store to its word
 	} {
-		if p := LinkBack(c.seq, recs[c.seq].PrevStore); p != c.want {
+		p := int64(-1)
+		if d := recs[c.seq].PrevStore; d != 0 {
+			p = c.seq - int64(d)
+		}
+		if p != c.want {
 			t.Errorf("record %d: store link = %d, want %d", c.seq, p, c.want)
 		}
 	}

@@ -80,8 +80,9 @@ func (w *Window) Rename(seq int64, d *frontend.Dec) {
 // -1 for none.
 func (w *Window) producers(seq int64) [3]int64 {
 	r := &w.Recs[seq&w.Mask]
-	// LinkBack of a load's store link, spelled out: the method stays
-	// within the inlining budget, and most records have no link to test.
+	// A load's store link is a frontend.LinkTo distance, decoded here
+	// inline: the method stays within the inlining budget, and most
+	// records have no link to test.
 	mem := int64(-1)
 	if r.PrevStore != 0 && w.Text[r.PC].Op == isa.LD {
 		mem = seq - int64(r.PrevStore)

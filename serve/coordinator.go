@@ -44,9 +44,11 @@ const (
 )
 
 // coordinator fans /v1/sweep grids out across backend preexecds. Each cell
-// is routed by its stage-cache identity on a consistent-hash ring, so every
-// base timing run and profile lands on exactly one backend's StageCache; the
-// fleet package supplies retry, backoff, health ejection, and failover, and
+// is homed by its program's trace key on a consistent-hash ring, so the
+// recording, profiling pass, base runs and replays that read one trace land
+// on one backend's StageCache; a backend that runs out of home cells steals
+// queued ones from the tail of the longest queue (see dispatch). The fleet
+// package supplies retry, backoff, health ejection, and failover, and
 // an all-backends-dead sweep degrades to local evaluation through the
 // coordinator's own cache. Results merge in deterministic grid order and are
 // bit-identical to a single-node run — the cross-node extension of the
@@ -137,16 +139,16 @@ func (c *coordinator) probe(ctx context.Context, backend int) (int, error) {
 	return st.Gate.InFlight + int(st.Gate.Queued), nil
 }
 
-// routeKey joins a cell's base and profile stage keys: cells sharing all
-// their stage work land on one backend's cache together. A trace can serve
-// several base groups, which may then record it on several backends; the
-// merged counters model the single-node cache regardless. The keys come
-// from preexec.StageKeys, the single shared key source, so routing identity
-// cannot drift from local memoization: program pointers cannot cross
-// processes, so (benchmark name, scale) stands in for the program identity
-// — servers build programs once per (workload, scale), so the substitution
-// is exact.
-func routeKey(ks preexec.StageKeySet) string { return ks.Base + "\x00" + ks.Profile }
+// routeKey is a cell's trace key, the recording of its program that its
+// base run, profiling pass and replay all read: every cell sharing that
+// work has one home backend. Only a steal (see dispatch) or a failover
+// serves a cell elsewhere; the merged counters model the single-node cache
+// regardless. The key comes from preexec.StageKeys, the single shared key
+// source, so routing identity cannot drift from local memoization: program
+// pointers cannot cross processes, so (benchmark name, scale) stands in for
+// the program identity — servers build programs once per (workload, scale),
+// so the substitution is exact.
+func routeKey(ks preexec.StageKeySet) string { return ks.Trace }
 
 // coordCell is one grid cell as the coordinator schedules it.
 type coordCell struct {
@@ -157,15 +159,17 @@ type coordCell struct {
 	// the backend decodes it exactly as a direct client would.
 	raw json.RawMessage
 	// cfg is the decoded configuration, for the local-fallback engine.
-	cfg      preexec.Config
-	prog     *preexec.Program
-	routeKey string // see routeKey
+	cfg  preexec.Config
+	prog *preexec.Program
+	// ring is the cell's backend preference order for its routeKey: its
+	// home backend first, then the failover sequence.
+	ring []int
 }
 
 // sweep evaluates the grid across the fleet and merges the result in grid
 // order. Up to workers cells run at once, one per slot; each slot takes its
-// next cell by backend load (see dispatch), so no slot forwards to a busy
-// backend while another live backend idles with cells of its own queued.
+// next cell and the backend to serve it by backend load (see dispatch), so
+// no slot forwards to a busy backend while another live backend idles.
 // Progress events still carry each cell's grid index. raws aligns with
 // points (the submitted config fragments; nil for the implicit default
 // point). The merged CacheStats are modeled, not summed — exactly the
@@ -201,13 +205,13 @@ func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, p
 			traceGroups[ks.Trace] = true
 			traceGroups[ks.ProfileTrace] = true
 			cells = append(cells, coordCell{
-				bench:    name,
-				point:    pt.Name,
-				scale:    scale,
-				raw:      raws[pi],
-				cfg:      pt.Config,
-				prog:     b.Program,
-				routeKey: routeKey(ks),
+				bench: name,
+				point: pt.Name,
+				scale: scale,
+				raw:   raws[pi],
+				cfg:   pt.Config,
+				prog:  b.Program,
+				ring:  c.pool.Order(routeKey(ks)),
 			})
 		}
 	}
@@ -228,10 +232,14 @@ func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, p
 		mu   sync.Mutex // guards done and progress calls
 		done int
 	)
-	d := newDispatch(c.pool, cells)
+	homes := make([]int, len(cells))
+	for i, cl := range cells {
+		homes[i] = cl.ring[0]
+	}
+	d := newDispatch(c.pool, homes)
 	err := preexec.ParallelEach(ctx, workers, len(cells), func(ctx context.Context, _ int) error {
-		i := d.take()
-		rep, err := c.runCell(ctx, cells[i], func() { d.started(i) })
+		i, backend := d.take()
+		rep, err := c.runCell(ctx, cells[i], backend, func() { d.started(i) })
 		d.started(i)
 		if err == nil {
 			res.Cells[i].Report = rep
@@ -269,82 +277,100 @@ func (c *coordinator) sweep(ctx context.Context, benches []preexec.SweepBench, p
 	return res, err
 }
 
-// dispatch hands a sweep's cells to its slots by backend load. Each home
-// backend has a FIFO of its cells in grid order. A free slot takes the next
-// cell of the live home backend with the fewest forwards in flight, lowest
-// index first on ties; a cell whose home backend is ejected goes to the
-// first free slot, and fleet.Do picks where it fails over to. A taken cell
-// counts against its home from take until its first forward starts, when
-// the pool's in-flight count takes over, so two slots freed together do not
-// both pick the same idle backend.
+// dispatch hands a sweep's cells to its slots, each with the backend to
+// serve it. Each backend has a queue of its home cells in grid order. A free
+// slot serves on the live backend with the fewest forwards in flight,
+// preferring on ties one that still has home cells queued, then the lowest
+// index. That backend takes the front of its own queue; only when its queue
+// is empty does it steal from the tail of the longest live queue. Grids are
+// benchmark-major, so the tail holds the program the victim is least likely
+// to have started. A cell whose home backend is ejected goes to the first
+// free slot before any other, and fleet.Do fails it over. A taken cell
+// counts against the backend it was assigned from take until its first
+// forward starts, when the pool's in-flight count takes over, so two slots
+// freed together do not both pick the same idle backend.
 type dispatch struct {
 	pool *fleet.Pool
-	home []int // per cell: its home backend
 
 	mu      sync.Mutex
 	queues  [][]int // per home backend: its untaken cells' grid indices
-	claimed []int64 // per home backend: taken cells not yet forwarded
-	claim   []bool  // per cell: taken and not yet forwarded
+	claimed []int64 // per backend: cells assigned to it, not yet forwarded
+	claim   []int   // per cell: the backend it is claimed against, or -1
 }
 
-func newDispatch(pool *fleet.Pool, cells []coordCell) *dispatch {
-	n := len(pool.Names())
+// newDispatch queues each cell i on its home backend homes[i].
+func newDispatch(pool *fleet.Pool, homes []int) *dispatch {
 	d := &dispatch{
 		pool:    pool,
-		home:    make([]int, len(cells)),
-		queues:  make([][]int, n),
-		claimed: make([]int64, n),
-		claim:   make([]bool, len(cells)),
+		queues:  make([][]int, len(pool.Names())),
+		claimed: make([]int64, len(pool.Names())),
+		claim:   make([]int, len(homes)),
 	}
-	for i, cl := range cells {
-		h := pool.Order(cl.routeKey)[0]
-		d.home[i] = h
+	for i, h := range homes {
 		d.queues[h] = append(d.queues[h], i)
+		d.claim[i] = -1
 	}
 	return d
 }
 
-// take removes the next cell from its home's queue and returns its grid
-// index. Each call must be matched by a cell still queued.
-func (d *dispatch) take() int {
+// take removes the next cell from a queue and returns its grid index and
+// the backend to serve it. Each call must be matched by a cell still queued.
+func (d *dispatch) take() (cell, backend int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	home, best := -1, int64(0)
+	backend, victim, best := -1, -1, int64(0)
 	for b, q := range d.queues {
-		if len(q) == 0 {
+		if !d.pool.Live(b) {
+			if len(q) > 0 {
+				return d.claimFrom(b, 0, b)
+			}
 			continue
 		}
-		if !d.pool.Live(b) {
-			home = b
-			break
+		if load := d.pool.InFlight(b) + d.claimed[b]; backend < 0 || load < best ||
+			load == best && len(q) > 0 && len(d.queues[backend]) == 0 {
+			backend, best = b, load
 		}
-		if load := d.pool.InFlight(b) + d.claimed[b]; home < 0 || load < best {
-			home, best = b, load
+		if victim < 0 || len(q) > len(d.queues[victim]) {
+			victim = b
 		}
 	}
-	i := d.queues[home][0]
-	d.queues[home] = d.queues[home][1:]
-	d.claimed[home]++
-	d.claim[i] = true
-	return i
+	if len(d.queues[backend]) > 0 {
+		return d.claimFrom(backend, 0, backend)
+	}
+	return d.claimFrom(victim, len(d.queues[victim])-1, backend)
 }
 
-// started ends cell i's claim on its home backend: its first forward has
-// begun, or it finished without one. Later calls are no-ops.
+// claimFrom removes position pos, its front or its tail, of backend q's
+// queue and claims that cell against backend b.
+func (d *dispatch) claimFrom(q, pos, b int) (cell, backend int) {
+	cell = d.queues[q][pos]
+	if pos == 0 {
+		d.queues[q] = d.queues[q][1:]
+	} else {
+		d.queues[q] = d.queues[q][:pos]
+	}
+	d.claimed[b]++
+	d.claim[cell] = b
+	return cell, b
+}
+
+// started ends cell i's claim: its first forward has begun, or it finished
+// without one. Later calls are no-ops.
 func (d *dispatch) started(i int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.claim[i] {
-		d.claim[i] = false
-		d.claimed[d.home[i]]--
+	if b := d.claim[i]; b >= 0 {
+		d.claim[i] = -1
+		d.claimed[b]--
 	}
 }
 
-// runCell evaluates one cell: remotely on its home backend with retry,
-// backoff, and failover; locally through the coordinator's own engine and
-// StageCache when no backend is live (graceful degradation) or when the
-// fleet deterministically rejected the cell (e.g. a workload registered
-// only on the coordinator).
+// runCell evaluates one cell: remotely on backend, the one dispatch
+// assigned, with retry, backoff, and failover along the cell's ring walk;
+// locally through the coordinator's own engine and StageCache when no
+// backend is live (graceful degradation) or when the fleet
+// deterministically rejected the cell (e.g. a workload registered only on
+// the coordinator).
 //
 // When the request carries recording trace context, the cell's scheduling
 // unfolds as spans: one "route" span per cell, one "forward" child per
@@ -353,7 +379,7 @@ func (d *dispatch) started(i int) {
 // stitch underneath), and a "local-fallback" child when the coordinator
 // evaluates the cell itself. With tracing off every span below is nil and
 // each call a no-op. forwarding is called as each remote attempt starts.
-func (c *coordinator) runCell(ctx context.Context, cell coordCell, forwarding func()) (preexec.Report, error) {
+func (c *coordinator) runCell(ctx context.Context, cell coordCell, backend int, forwarding func()) (preexec.Report, error) {
 	tc := obs.TraceFrom(ctx)
 	if !tc.Record {
 		tc.Trace = ""
@@ -362,7 +388,13 @@ func (c *coordinator) runCell(ctx context.Context, cell coordCell, forwarding fu
 	route := tr.StartSpan(tc.Trace, tc.Parent, "route")
 	route.SetAttr("cell", cell.bench+"/"+cell.point)
 	defer route.End()
-	rep, st, err := fleet.Do(ctx, c.pool, cell.routeKey, func(ctx context.Context, backend int) (preexec.Report, error) {
+	order := append(make([]int, 0, len(cell.ring)), backend)
+	for _, b := range cell.ring {
+		if b != backend {
+			order = append(order, b)
+		}
+	}
+	rep, st, err := fleet.Do(ctx, c.pool, order, func(ctx context.Context, backend int) (preexec.Report, error) {
 		forwarding()
 		fw := tr.StartSpan(tc.Trace, route.SpanID(), "forward")
 		fw.SetAttr("backend", c.addrs[backend])
@@ -503,7 +535,8 @@ type fleetStats struct {
 	// Backends is each backend's health, in -backends order.
 	Backends []fleet.BackendStatus `json:"backends"`
 	// Retries counts remote cell attempts beyond each cell's first;
-	// Failovers counts cells served away from their home backend.
+	// Failovers counts cells served away from the backend dispatch
+	// assigned.
 	Retries   int64 `json:"retries"`
 	Failovers int64 `json:"failovers"`
 	// RemoteCells counts cells completed on a backend; LocalFallbacks

@@ -483,18 +483,21 @@ func namedFleet(t *testing.T, workers int, fc serve.FleetConfig, handlers ...htt
 // until the test releases it. It counts held forwards per backend and the
 // home cells of each backend not yet forwarded, and flags a forward that
 // lands on a backend already holding one while the other backend holds none
-// and still has home cells queued. A forward stops counting when it is
-// released, so a response racing back to the coordinator cannot leave a
-// stale count behind.
+// and still has home cells queued. It also records the cells forwarded to
+// each backend in arrival order, and how many arrived while the other
+// backend held one. A forward stops counting when it is released, so a
+// response racing back to the coordinator cannot leave a stale count behind.
 type holdFleet struct {
 	t        *testing.T
 	arrivals chan chan struct{} // one release channel per forward
 	stop     chan struct{}      // closed at cleanup: held forwards return unserved
 
-	mu     sync.Mutex
-	homes  map[string]int // cell name (bench/point) -> home backend
-	held   [2]int
-	queued [2]int
+	mu        sync.Mutex
+	homes     map[string]int // cell name (bench/point) -> home backend
+	held      [2]int
+	queued    [2]int
+	arrived   [2][]string // per backend: forwarded cells, in arrival order
+	otherBusy [2]int      // per backend: forwards that arrived while the other held one
 }
 
 // newHoldFleet holds the forwards of a grid of n cells. The caller closes
@@ -534,6 +537,10 @@ func (h *holdFleet) wrap(b int, next http.Handler) http.Handler {
 		h.mu.Lock()
 		h.queued[h.homes[cell]]--
 		h.held[b]++
+		h.arrived[b] = append(h.arrived[b], cell)
+		if h.held[o] > 0 {
+			h.otherBusy[b]++
+		}
 		if h.held[b] > 1 && h.held[o] == 0 && h.queued[o] > 0 {
 			h.t.Errorf("cell %s: second forward to backend %d while backend %d idles with %d cells queued", cell, b, o, h.queued[o])
 		}
@@ -736,5 +743,156 @@ func TestCoordinatorEjectionDrainsQueuedCells(t *testing.T) {
 		if got := metricValue(t, text, `preexec_fleet_backend_in_flight{backend="`+b.Name+`"}`); got != 0 {
 			t.Errorf("backend %s: /metrics in flight %d after the sweep, want 0", b.Name, got)
 		}
+	}
+}
+
+// TestCoordinatorIdleBackendStealsQueuedCells sweeps a grid whose every
+// cell is homed to one of two single-worker backends, with two slots.
+// Forwards are held and released one at a time, so both slots are busy
+// whenever one picks a cell. The other backend must serve forwards while
+// the home backend is busy, stealing the grid's last cells from the tail of
+// the home queue; stealing is no failover, and the merge must equal the
+// local sweep. A dispatch that only forwards to a cell's home leaves the
+// other backend idle.
+func TestCoordinatorIdleBackendStealsQueuedCells(t *testing.T) {
+	points := coordGridConfigs(t, dispatchGridPoints)
+	const cells = 6 // three benchmarks x two points
+	hf := newHoldFleet(t, cells)
+	var handlers []http.Handler
+	for b := 0; b < 2; b++ {
+		backend := serve.New(serve.WithWorkers(1))
+		t.Cleanup(backend.Close)
+		handlers = append(handlers, hf.wrap(b, backend))
+	}
+	coordURL, coord := namedFleet(t, 1, serve.FleetConfig{}, handlers...)
+	t.Cleanup(func() { close(hf.stop) })
+
+	// Three benchmarks homed to one backend; both points of a benchmark
+	// share its trace and so its home.
+	var byHome [2][]string
+	for _, bench := range []string{"bzip2", "crafty", "gap", "gcc", "mcf", "parser", "twolf", "vortex", "vpr.p", "vpr.r"} {
+		b := 0
+		if coord.CoordinatorHome(bench, 1, points[0].Config) == "http://backend-1" {
+			b = 1
+		}
+		byHome[b] = append(byHome[b], bench)
+	}
+	home := 0
+	if len(byHome[1]) > len(byHome[0]) {
+		home = 1
+	}
+	benches := byHome[home][:cells/len(points)]
+	var grid []string
+	homes := make(map[string]int)
+	for _, bench := range benches {
+		for i, pt := range points {
+			if coord.CoordinatorHome(bench, 1, pt.Config) != fmt.Sprintf("http://backend-%d", home) {
+				t.Fatalf("%s/%s is not homed with its benchmark's other point", bench, dispatchGridPoints[i].name)
+			}
+			cell := bench + "/" + dispatchGridPoints[i].name
+			grid = append(grid, cell)
+			homes[cell] = home
+		}
+	}
+	hf.route(homes)
+
+	done := postAsync(coordURL+"/v1/sweep", coordGridRequest(benches, dispatchGridPoints, false, ""))
+	hf.releaseAll(len(grid), 2)
+	res := <-done
+	if res.err != nil || res.status != http.StatusOK {
+		t.Fatalf("sweep: status %d, err %v: %s", res.status, res.err, res.body)
+	}
+	want := singleNodeGolden(t, benches, points)
+	if !bytes.Equal(res.body, want) {
+		t.Fatalf("coordinator sweep differs from the single-node run\ncoord:  %s\nsingle: %s",
+			firstDiffContext(res.body, want), firstDiffContext(want, res.body))
+	}
+
+	thief := 1 - home
+	hf.mu.Lock()
+	stolen, busy := hf.arrived[thief], hf.otherBusy[thief]
+	hf.mu.Unlock()
+	// Each release frees the slot of the backend that just served, which is
+	// then the idle one: the home backend takes its queue's front and the
+	// other backend steals, in turn.
+	if len(stolen) != cells/2 {
+		t.Fatalf("backend %d served %v and home backend %d served %v, want %d cells each", thief, stolen, home, hf.arrived[home], cells/2)
+	}
+	// The first two forwards leave together, so the first steal may reach
+	// its backend before the home backend's first forward does; every later
+	// one is sent while the home backend holds a forward.
+	if busy < len(stolen)-1 {
+		t.Errorf("backend %d: %d of its %d forwards arrived while backend %d was busy, want at least %d", thief, busy, len(stolen), home, len(stolen)-1)
+	}
+	for k, cell := range stolen {
+		if want := grid[len(grid)-1-k]; cell != want {
+			t.Errorf("steal %d took %s, want %s: steals take the grid's last cells, last first (stolen %v)", k, cell, want, stolen)
+		}
+	}
+	if st := coordFleetStats(t, coordURL); st.Failovers != 0 || st.Retries != 0 {
+		t.Errorf("failovers %d retries %d, want 0: a stolen cell is served where dispatch assigned it", st.Failovers, st.Retries)
+	}
+}
+
+// TestCoordinatorOneSlotStealsNothing sweeps four programs at two memory
+// latencies, which share each program's trace, through a one-slot
+// coordinator. Every take then finds both backends idle, so each backend
+// must serve exactly its own home cells: its trace recordings are exactly
+// the distinct trace keys homed to it, and no trace is recorded twice.
+func TestCoordinatorOneSlotStealsNothing(t *testing.T) {
+	benches := []string{"crafty", "gap", "mcf", "vpr.p"}
+	grid := machineGridPoints[:2]
+	points := coordGridConfigs(t, grid)
+	var backends [2]*serve.Server
+	var handlers []http.Handler
+	for b := range backends {
+		backends[b] = serve.New(serve.WithWorkers(1))
+		t.Cleanup(backends[b].Close)
+		handlers = append(handlers, backends[b])
+	}
+	coordURL, coord := namedFleet(t, 1, serve.FleetConfig{}, handlers...)
+
+	var homeTraces [2]map[string]bool
+	for b := range homeTraces {
+		homeTraces[b] = make(map[string]bool)
+	}
+	for _, bench := range benches {
+		for _, pt := range points {
+			b := 0
+			if coord.CoordinatorHome(bench, 1, pt.Config) == "http://backend-1" {
+				b = 1
+			}
+			ks := preexec.StageKeys(bench, 1, pt.Config)
+			homeTraces[b][ks.Trace] = true
+			homeTraces[b][ks.ProfileTrace] = true
+		}
+	}
+	if len(homeTraces[0]) == 0 || len(homeTraces[1]) == 0 {
+		t.Fatalf("trace homes %v leave a backend without cells", homeTraces)
+	}
+
+	body := strings.TrimSuffix(coordGridRequest(benches, grid, false, ""), "}") + `, "workers": 1}`
+	status, got := post(t, coordURL+"/v1/sweep", body)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, got)
+	}
+	want := singleNodeGolden(t, benches, points)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("coordinator sweep differs from the single-node run\ncoord:  %s\nsingle: %s",
+			firstDiffContext(got, want), firstDiffContext(want, got))
+	}
+	for b, backend := range backends {
+		ts := httptest.NewServer(backend)
+		var cache preexec.CacheStats
+		if err := json.Unmarshal(serverStats(t, ts.URL)["cache"], &cache); err != nil {
+			t.Fatal(err)
+		}
+		ts.Close()
+		if cache.TraceRuns != int64(len(homeTraces[b])) {
+			t.Errorf("backend %d recorded %d traces, want the %d trace keys homed to it", b, cache.TraceRuns, len(homeTraces[b]))
+		}
+	}
+	if st := coordFleetStats(t, coordURL); st.Failovers != 0 {
+		t.Errorf("failovers %d, want 0", st.Failovers)
 	}
 }

@@ -131,7 +131,7 @@ func (o *serverObs) registerFleet(c *coordinator) {
 	r.RegisterCounter("preexec_fleet_retries_total",
 		"Remote cell attempts beyond each cell's first.", retries)
 	r.RegisterCounter("preexec_fleet_failovers_total",
-		"Cells served away from their home backend.", failovers)
+		"Cells served away from the backend dispatch assigned.", failovers)
 	r.RegisterCounter("preexec_fleet_remote_cells_total",
 		"Sweep cells completed on a backend.", &c.remoteCells)
 	r.RegisterCounter("preexec_fleet_local_fallbacks_total",

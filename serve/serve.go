@@ -121,9 +121,11 @@ func WithCacheLimit(n int) Option { return func(s *Server) { s.cacheLimit = n } 
 
 // WithBackends turns the server into a sweep coordinator over the given
 // backend preexecd addresses (host:port or full base URLs): /v1/sweep cells
-// are consistent-hashed by their stage-cache identity across the fleet,
-// retried with backoff on failure, failed over from ejected backends, and
-// merged in deterministic grid order — byte-identical to a single-node run.
+// are homed across the fleet by consistent-hashing their program's trace
+// key, stolen from the tail of the longest queue by a backend that runs out
+// of home cells, retried with backoff on failure, failed over from ejected
+// backends, and merged in deterministic grid order — byte-identical to a
+// single-node run.
 // Call Server.Close when done to stop the background health probe.
 func WithBackends(addrs ...string) Option {
 	return func(s *Server) { s.backendAddrs = addrs }
