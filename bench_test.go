@@ -185,7 +185,7 @@ func vprPSelection(tb testing.TB) (*preexec.Program, []*preexec.PThread, timing.
 	return p, res.PThreads, cfg
 }
 
-// preexecOp streams vpr.p with its selected p-threads: the pre-execution
+// preexecOp runs vpr.p with its selected p-threads: the pre-execution
 // paths of the hot loop (launch, burst injection, p-thread memory traffic)
 // that the base-mode simOps never reach.
 func preexecOp(tb testing.TB) func() {
@@ -210,9 +210,9 @@ func recordOp(tb testing.TB) func() {
 	}
 }
 
-// replayOp replays the selection preexecOp streams against a recorded trace:
-// the two bracket the per-cell saving of replaying over streaming the front
-// end (results bit-identical).
+// replayOp replays the selection preexecOp runs against a recorded trace:
+// the two bracket the per-cell saving of replaying a recorded trace over
+// recording it first (results bit-identical).
 func replayOp(tb testing.TB) func() {
 	p, pts, cfg := vprPSelection(tb)
 	tr, err := timing.RecordTrace(context.Background(), p, cfg)

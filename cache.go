@@ -41,8 +41,8 @@ import (
 //     alone (see timing.RecordTrace), so every machine point, mode and
 //     selection of one run length shares one trace: memory latencies and
 //     widths up to 16 do. Every timing run and profiling pass looks its
-//     trace up here; a run too long to retain gets a trace without
-//     records.
+//     trace up here, whatever its length: a trace holds about 3 bytes
+//     per recorded instruction.
 //
 // Cached profile regions are shared by pointer: selection only reads the
 // slice forests (paths and bodies are copied out), so concurrent selections

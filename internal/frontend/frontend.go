@@ -13,8 +13,10 @@
 // fetch (= program) order in which the predictor trains — never on
 // p-threads, on the machine, or on the profiler's options. Record runs the
 // front end ahead once, so every consumer of a run's prefix can share one
-// recording; a consumer of a run too long to retain steps a fresh FrontEnd
-// instead and reads the same records.
+// recording. A Trace keeps its records compressed, about 3 bytes each, and
+// a Reader is the one way they leave it: each consumer decodes them in
+// order into a ring sized to the records it looks back at, so a run of any
+// length is read the same way.
 //
 // A record holds only what changes from one execution of an instruction to
 // the next: its PC, its store link, the predictor's verdict, and one data
@@ -34,6 +36,7 @@ package frontend
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 
 	"preexec/internal/branch"
@@ -212,69 +215,18 @@ func (l *Linker) Link(e *cpu.Exec, rec *Rec) {
 	}
 }
 
-// FrontEnd is the simulator's front end: the functional oracle and the
-// branch predictor fetch consults, plus the Linker.
-type FrontEnd struct {
-	Oracle *cpu.State
-	pred   *branch.Predictor
-	links  Linker
-}
-
-// New returns a front end at prog's entry.
-func New(prog *program.Program) *FrontEnd {
-	return &FrontEnd{
-		Oracle: cpu.New(prog),
-		pred:   branch.New(branch.DefaultConfig()),
-		links:  Linker{lastStore: make(map[int64]int64)},
-	}
-}
-
-// NewReplica returns prog's initial architectural state, which a consumer
-// of recorded records advances by applying each record's effect instead of
-// executing it.
-func NewReplica(prog *program.Program) *cpu.State { return cpu.New(prog) }
-
-// Step executes the next instruction and fills rec with its record. An
-// oracle error (running off the program's text) ends the stream: the
-// simulator's fetch stops there, and rec is untouched.
-func (f *FrontEnd) Step(rec *Rec) error {
-	e, err := f.Oracle.Step()
-	if err != nil {
-		return err
-	}
-	f.links.Link(&e, rec)
-	// Only branches and JR carry flags; neither has an address or a
-	// destination value, so Word is free for them.
-	switch {
-	case e.Inst.IsBranch():
-		if _, correct := f.pred.PredictAndTrain(e.PC, e.Taken); !correct {
-			rec.Word = FMispredict
-		} else if e.Taken {
-			rec.Word = FBreak
-		}
-	case e.Inst.Op == isa.JR:
-		if f.pred.BTBLookup(e.PC) != e.NextPC {
-			rec.Word = FMispredict
-			f.pred.BTBInsert(e.PC, e.NextPC)
-		}
-	}
-	return nil
-}
-
-// Trace is a recorded prefix of a program's record stream. A trace of
-// span 0 is streamed: it holds no records, and its consumers step a fresh
-// FrontEnd instead. Traces are immutable after recording and safe for
-// concurrent readers.
+// Trace is a recorded prefix of a program's record stream: its decode
+// table, and its records compressed into chunks of chunkSize bytes (see
+// encoder), which a Reader decodes one at a time in sequence order. Traces
+// are immutable after recording and safe for concurrent readers.
 type Trace struct {
 	prog    *program.Program
 	version string
 	dec     []Dec
-	recs    []Rec
-	// err is the oracle error that ended the recording before its span
-	// (running off the program's text), where a streamed run's fetch
-	// stops too. A trace without it ends at its span or at HALT.
-	err      error
-	streamed bool
+	chunks  [][]byte
+	n       int
+	err     error // see Err; a trace without it ends at its span or at HALT
+	halted  bool
 }
 
 // Program returns the program the trace was recorded from.
@@ -288,58 +240,184 @@ func (t *Trace) Version() string { return t.version }
 func (t *Trace) Decode() []Dec { return t.dec }
 
 // Records returns the number of recorded instructions.
-func (t *Trace) Records() int { return len(t.recs) }
+func (t *Trace) Records() int { return t.n }
 
-// Recs returns the recorded records, indexed by sequence number. Callers
-// must not modify them.
-func (t *Trace) Recs() []Rec { return t.recs }
-
-// Err returns the oracle error that ended the recording early, or nil.
+// Err returns the oracle error that ended the recording before its span
+// (running off the program's text, where the simulator's fetch stops too),
+// or nil.
 func (t *Trace) Err() error { return t.err }
 
-// Streamed reports whether the trace holds no records because its run is
-// too long to retain.
-func (t *Trace) Streamed() bool { return t.streamed }
-
 // Halted reports whether the recording ends with the program's HALT.
-func (t *Trace) Halted() bool {
-	return len(t.recs) > 0 && t.dec[t.recs[len(t.recs)-1].PC].flags&FHalt != 0
-}
+func (t *Trace) Halted() bool { return t.halted }
 
 // ctxCheckMask gates how often Record polls ctx.Done(): every 4096
 // instructions.
 const ctxCheckMask = 1<<12 - 1
 
-// Record steps a fresh front end over prog for span records (fewer if the
-// program halts or runs off its text), tagging the trace with version, the
-// fingerprint of the code that reads it. A span of 0 records nothing and
-// returns a streamed trace. The decode table is built here, before any
-// reader shares the trace.
+// Record runs the simulator's front end over prog for span records (fewer
+// if the program halts or runs off its text): the functional oracle, the
+// branch predictor fetch consults, and a Linker. It tags the trace with
+// version, the fingerprint of the code that reads it. A span at or past
+// the program's end records the whole run; the trace holds about 3 bytes
+// per record while it records and after. The decode table is built here,
+// before any reader shares the trace.
 func Record(ctx context.Context, prog *program.Program, span int64, version string) (*Trace, error) {
-	dec := Decode(prog)
-	if span <= 0 {
-		return &Trace{prog: prog, version: version, dec: dec, streamed: true}, nil
-	}
-	fe := New(prog)
-	t := &Trace{prog: prog, version: version, dec: dec, recs: make([]Rec, 0, span)}
+	t := &Trace{prog: prog, version: version, dec: Decode(prog)}
+	oracle, pred, links := cpu.New(prog), branch.New(branch.DefaultConfig()), NewLinker()
+	enc := encoder{pc: -1, last: make([]int64, len(prog.Insts))}
+	var rec Rec
 	done := ctx.Done()
-	for int64(len(t.recs)) < span && !fe.Oracle.Halted {
-		if done != nil && len(t.recs)&ctxCheckMask == 0 {
+	for int64(t.n) < span && !oracle.Halted {
+		if done != nil && t.n&ctxCheckMask == 0 {
 			select {
 			case <-done:
 				return nil, ctx.Err()
 			default:
 			}
 		}
-		n := len(t.recs)
-		t.recs = t.recs[:n+1] // within the span-sized capacity
-		if err := fe.Step(&t.recs[n]); err != nil {
+		e, err := oracle.Step()
+		if err != nil {
 			// The simulator's fetch stops at an oracle error; the stored
 			// error makes every consumer stop there the same way.
-			t.recs = t.recs[:n]
 			t.err = err
 			break
 		}
+		links.Link(&e, &rec)
+		// Only branches and JR carry flags; neither has an address or a
+		// destination value, so Word is free for them.
+		switch {
+		case e.Inst.IsBranch():
+			if _, correct := pred.PredictAndTrain(e.PC, e.Taken); !correct {
+				rec.Word = FMispredict
+			} else if e.Taken {
+				rec.Word = FBreak
+			}
+		case e.Inst.Op == isa.JR:
+			if pred.BTBLookup(e.PC) != e.NextPC {
+				rec.Word = FMispredict
+				pred.BTBInsert(e.PC, e.NextPC)
+			}
+		}
+		enc.put(&rec, &t.dec[rec.PC])
+		t.n++
 	}
+	// Copy the last chunk to its length: the trace retains no slack.
+	if n := len(enc.chunks); n > 0 {
+		enc.chunks[n-1] = append([]byte(nil), enc.chunks[n-1]...)
+	}
+	t.chunks, t.halted = enc.chunks, oracle.Halted
 	return t, nil
+}
+
+// chunkSize is the byte capacity of one chunk of compressed records.
+const chunkSize = 64 << 10
+
+// maxRecBytes bounds one compressed record. A chunk with less room left is
+// closed, so no record straddles two chunks.
+const maxRecBytes = 1 + binary.MaxVarintLen32 + binary.MaxVarintLen64 + binary.MaxVarintLen32
+
+// Header bits of a compressed record. The bits FMispredict and FBreak carry
+// the dynamic flags of a branch or a JR, whose Word holds nothing else.
+const (
+	hSeq  = 1 << iota // the PC is the previous record's plus one: no PC jump follows
+	hWord             // a word delta follows
+	hLink             // a store link follows
+)
+
+// encoder compresses records: a header byte, then varints for the PC's
+// jump from the previous record's PC, unless it is sequential (87-96% of
+// records); the word's delta from the word of the PC's previous record,
+// unless it is the same; and the store link, if any.
+type encoder struct {
+	chunks [][]byte
+	pc     int32   // the previous record's PC
+	last   []int64 // per PC, the word of its previous record
+}
+
+// put appends rec, whose decode-table entry is d.
+func (e *encoder) put(rec *Rec, d *Dec) {
+	n := len(e.chunks)
+	if n == 0 || cap(e.chunks[n-1])-len(e.chunks[n-1]) < maxRecBytes {
+		e.chunks = append(e.chunks, make([]byte, 0, chunkSize))
+		n++
+	}
+	b := e.chunks[n-1]
+	at := len(b)
+	b = append(b, 0)
+	var h byte
+	if rec.PC == e.pc+1 {
+		h |= hSeq
+	} else {
+		b = binary.AppendVarint(b, int64(rec.PC-e.pc))
+	}
+	e.pc = rec.PC
+	w := rec.Word
+	if d.dyn != 0 {
+		f := w & int64(d.dyn)
+		h |= byte(f)
+		w ^= f
+	}
+	if delta := w - e.last[rec.PC]; delta != 0 {
+		h |= hWord
+		b = binary.AppendVarint(b, delta)
+		e.last[rec.PC] = w
+	}
+	if rec.PrevStore != 0 {
+		h |= hLink
+		b = binary.AppendUvarint(b, uint64(uint32(rec.PrevStore)))
+	}
+	b[at] = h
+	e.chunks[n-1] = b
+}
+
+// Reader reads a trace's records in sequence order, each once. It is the
+// only way records leave a trace: a consumer decodes each into a ring of
+// its own, sized to the records it looks back at.
+type Reader struct {
+	chunks [][]byte // the chunks after buf
+	buf    []byte   // the unread part of the current chunk
+	pc     int32
+	last   []int64
+}
+
+// Reader returns a reader at the trace's first record.
+func (t *Trace) Reader() Reader {
+	return Reader{chunks: t.chunks, pc: -1, last: make([]int64, len(t.dec))}
+}
+
+// Next decodes the next record into rec and reports whether there was
+// one; at the end of the trace it leaves rec untouched.
+func (r *Reader) Next(rec *Rec) bool {
+	b := r.buf
+	if len(b) == 0 {
+		if len(r.chunks) == 0 {
+			return false
+		}
+		b, r.chunks = r.chunks[0], r.chunks[1:]
+	}
+	h := b[0]
+	b = b[1:]
+	pc := r.pc + 1
+	if h&hSeq == 0 {
+		v, n := binary.Uvarint(b) // binary.Varint's zigzag, which it does not inline
+		pc = r.pc + int32(int64(v>>1)^-int64(v&1))
+		b = b[n:]
+	}
+	r.pc = pc
+	w := r.last[pc]
+	if h&hWord != 0 {
+		v, n := binary.Uvarint(b)
+		w += int64(v>>1) ^ -int64(v&1)
+		r.last[pc] = w
+		b = b[n:]
+	}
+	var link int32
+	if h&hLink != 0 {
+		v, n := binary.Uvarint(b)
+		link = int32(v)
+		b = b[n:]
+	}
+	r.buf = b
+	*rec = Rec{Word: w | int64(h&(FMispredict|FBreak)), PrevStore: link, PC: pc}
+	return true
 }

@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"context"
+	"math"
 	"testing"
 	"unsafe"
 
@@ -139,9 +140,11 @@ func TestRenamerReset(t *testing.T) {
 	}
 }
 
-// TestRecordMatchesStreamedFrontEnd pins the recording to the front end it
-// runs ahead: the records equal a fresh front end's, step for step, and a
-// span of 0 records nothing.
+// TestRecordMatchesStreamedFrontEnd pins the recording to the execution it
+// runs ahead: the records a Reader decodes equal a fresh oracle's, linked
+// by a fresh Linker, step for step, with a branch's verdict consistent with
+// its outcome. They are compressed to under 8 bytes each, and a span of 0
+// records nothing.
 func TestRecordMatchesStreamedFrontEnd(t *testing.T) {
 	w, err := workload.ByName("vpr.p")
 	if err != nil {
@@ -152,34 +155,102 @@ func TestRecordMatchesStreamedFrontEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cap(tr.Recs()) != 20_000 {
-		t.Errorf("recording of span 20000 has capacity %d: it must hold its span and no more", cap(tr.Recs()))
+	if tr.Records() != 20_000 || tr.Err() != nil || tr.Halted() || tr.Version() != "v" {
+		t.Fatalf("recording: %d records, err %v, halted %v, version %q",
+			tr.Records(), tr.Err(), tr.Halted(), tr.Version())
 	}
-	if tr.Records() != 20_000 || tr.Err() != nil || tr.Halted() || tr.Streamed() || tr.Version() != "v" {
-		t.Fatalf("recording: %d records, err %v, halted %v, streamed %v, version %q",
-			tr.Records(), tr.Err(), tr.Halted(), tr.Streamed(), tr.Version())
+	var size int
+	for _, c := range tr.chunks {
+		size += cap(c)
 	}
-	fe := New(p)
-	var rec Rec
-	for i, want := range tr.Recs() {
-		if err := fe.Step(&rec); err != nil {
+	if size >= 8*tr.Records() {
+		t.Errorf("recording holds %d bytes for %d records: want under 8 per record", size, tr.Records())
+	}
+	oracle, links := cpu.New(p), NewLinker()
+	rd := tr.Reader()
+	var rec, want Rec
+	for i := 0; rd.Next(&rec); i++ {
+		e, err := oracle.Step()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if rec != want {
-			t.Fatalf("record %d: recorded %+v, streamed %+v", i, want, rec)
+		links.Link(&e, &want)
+		if d := &tr.dec[rec.PC]; d.dyn != 0 {
+			// The predictor's verdict: a correctly predicted branch ends
+			// the fetch group exactly when it is taken.
+			f := d.Flags(&rec)
+			if e.Inst.IsBranch() && f&FMispredict == 0 && (f&FBreak != 0) != e.Taken {
+				t.Fatalf("record %d: flags %06b for a branch taken=%v", i, f, e.Taken)
+			}
+			want.Word = rec.Word
 		}
+		if rec != want {
+			t.Fatalf("record %d: recorded %+v, executed %+v", i, rec, want)
+		}
+	}
+	if oracle.Count != 20_000 {
+		t.Errorf("reader decoded %d records, want 20000", oracle.Count)
 	}
 	st, err := Record(context.Background(), p, 0, "v")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Streamed() || st.Records() != 0 || st.Program() != p {
-		t.Errorf("span 0: streamed %v with %d records", st.Streamed(), st.Records())
+	rd = st.Reader()
+	if st.Records() != 0 || rd.Next(&rec) || st.Program() != p {
+		t.Errorf("span 0: recorded %d records", st.Records())
 	}
 }
 
-// TestRecLayout pins the record at 16 bytes: traces are most of a sweep's
-// retained memory, so a field added to Rec costs every cached program.
+// TestRecordCodecRoundTrip pins the compressed records to the words the
+// codec treats specially: a PC jump backward and forward, words that wrap
+// around int64, a branch's and a JR's flags beside a destination value
+// whose bits look like flags, and store links.
+func TestRecordCodecRoundTrip(t *testing.T) {
+	dec := Decode(&program.Program{Insts: []isa.Inst{
+		{Op: isa.LI, Rd: 1},
+		{Op: isa.BEQ},
+		{Op: isa.JR, Rs1: 31},
+		{Op: isa.ST, Rs1: 2, Rs2: 1},
+	}})
+	recs := []Rec{
+		{PC: 0, Word: math.MinInt64},
+		{PC: 1, Word: FMispredict},
+		{PC: 0, Word: math.MaxInt64},
+		{PC: 1, Word: FBreak},
+		{PC: 3, Word: 0x1000, PrevStore: math.MaxInt32},
+		{PC: 2, Word: FMispredict},
+		{PC: 0, Word: int64(FMispredict | FBreak)},
+		{PC: 1},
+		{PC: 3, Word: -8, PrevStore: 1},
+		{PC: 3, Word: -8},
+	}
+	enc := encoder{pc: -1, last: make([]int64, len(dec))}
+	for i := 0; i < chunkSize/maxRecBytes+1; i++ {
+		for j := range recs {
+			enc.put(&recs[j], &dec[recs[j].PC])
+		}
+	}
+	tr := &Trace{dec: dec, chunks: enc.chunks}
+	if len(tr.chunks) < 2 {
+		t.Fatalf("%d chunks: want the records to span several", len(tr.chunks))
+	}
+	rd := tr.Reader()
+	var got Rec
+	for i := 0; i < chunkSize/maxRecBytes+1; i++ {
+		for j, want := range recs {
+			if !rd.Next(&got) || got != want {
+				t.Fatalf("pass %d record %d: decoded %+v, want %+v", i, j, got, want)
+			}
+		}
+	}
+	if rd.Next(&got) {
+		t.Errorf("reader decoded %+v past the last record", got)
+	}
+}
+
+// TestRecLayout pins the decoded record at 16 bytes: the consumers' rings
+// hold records in this form, and every field a Rec gains is a field the
+// codec must carry.
 // Whatever is fixed by the PC belongs in Dec, and whatever follows from the
 // PC stream (register producers) in the consumers' Renamer.
 func TestRecLayout(t *testing.T) {
@@ -212,9 +283,11 @@ func TestDecodeFlags(t *testing.T) {
 	}
 	dec := tr.Decode()
 	var got []uint8
-	for i := range tr.Recs() {
-		rec := &tr.Recs()[i]
-		got = append(got, dec[rec.PC].Flags(rec))
+	var recs []Rec
+	rd := tr.Reader()
+	for rec := (Rec{}); rd.Next(&rec); {
+		got = append(got, dec[rec.PC].Flags(&rec))
+		recs = append(recs, rec)
 	}
 	// The first taken BEQ and the first JR mispredict: the predictor and the
 	// BTB start cold.
@@ -230,7 +303,7 @@ func TestDecodeFlags(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("record %d (pc %d): flags %06b, want %06b", i, tr.Recs()[i].PC, got[i], want[i])
+			t.Errorf("record %d (pc %d): flags %06b, want %06b", i, recs[i].PC, got[i], want[i])
 		}
 	}
 	if !tr.Halted() {

@@ -73,7 +73,8 @@ func TestRenamerMatchesOracle(t *testing.T) {
 			for i := range last {
 				last[i] = -1
 			}
-			for seq, rec := range tr.Recs() {
+			rd := tr.Reader()
+			for seq, rec := 0, (frontend.Rec{}); rd.Next(&rec); seq++ {
 				e, err := oracle.Step()
 				if err != nil {
 					t.Fatalf("oracle at %d: %v", seq, err)

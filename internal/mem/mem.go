@@ -117,12 +117,15 @@ func (m *Memory) Runs() []Run {
 
 // Clone returns a deep copy of the memory. The timing simulator clones the
 // post-initialization image so p-thread speculative state can never corrupt
-// the main thread's architectural memory.
+// the main thread's architectural memory. The copied pages share one
+// allocation.
 func (m *Memory) Clone() *Memory {
-	c := New()
+	c := &Memory{pages: make(map[uint64]*page, len(m.pages))}
+	pages := make([]page, len(m.pages))
 	for k, p := range m.pages {
-		cp := *p
-		c.pages[k] = &cp
+		i := len(c.pages)
+		pages[i] = *p
+		c.pages[k] = &pages[i]
 	}
 	return c
 }

@@ -20,11 +20,12 @@ import (
 // (refslice_test.go), which executes the program itself and rebuilds its
 // dataflow in a Tracker: over every built-in workload and every synth.Zoo
 // scenario, at two slicing scopes and two maximum lengths, whole-run and
-// regioned profiles must produce deeply equal forests, from both record
-// sources — the ring a standalone Profile streams through, and a recorded
-// trace profiled for one shape and for all four at once. Every forest must
-// also satisfy the slice-tree invariant, and since each miss is inserted
-// into exactly one tree, L2Misses must equal the trees' summed Misses.
+// regioned profiles must produce deeply equal forests, from a standalone
+// Profile, which records exactly its window, and from a trace recorded
+// twice as long, profiled for one shape and for all four at once. Every
+// forest must also satisfy the slice-tree invariant, and since each miss is
+// inserted into exactly one tree, L2Misses must equal the trees' summed
+// Misses.
 func TestBackwardMatchesReference(t *testing.T) {
 	measure := int64(20_000)
 	if testing.Short() {
@@ -34,7 +35,7 @@ func TestBackwardMatchesReference(t *testing.T) {
 	for _, pr := range equivPrograms(t) {
 		t.Run(pr.name, func(t *testing.T) {
 			t.Parallel()
-			tr := recordFor(t, pr.p, 5_000+measure)
+			tr := recordFor(t, pr.p, 2*(5_000+measure))
 			for _, region := range []int64{0, measure / 4} {
 				var shapes []slice.ProfileOptions
 				for _, scope := range []int{64, 1024} {
@@ -55,7 +56,7 @@ func TestBackwardMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s (reference): %v", cell, err)
 					}
-					ring, err := slice.Profile(pr.p, opts)
+					standalone, err := slice.Profile(pr.p, opts)
 					if err != nil {
 						t.Fatalf("%s: %v", cell, err)
 					}
@@ -63,7 +64,7 @@ func TestBackwardMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", cell, err)
 					}
-					for name, got := range map[string][]slice.Region{"streamed": ring, "recorded": one[0], "several shapes": several[i]} {
+					for name, got := range map[string][]slice.Region{"standalone": standalone, "recorded": one[0], "several shapes": several[i]} {
 						if len(got) != len(want) {
 							t.Fatalf("%s %s: %d regions, reference %d", cell, name, len(got), len(want))
 						}
@@ -239,15 +240,20 @@ func TestBackwardSteadyStateAllocs(t *testing.T) {
 	}
 	p := w.Build(1)
 	tr := recordFor(t, p, 30_000)
-	win := &slice.Window{Recs: tr.Recs(), Mask: -1, Scope: 1024, Text: p.Insts}
+	win := &slice.Window{Recs: make([]frontend.Rec, 1024), Mask: 1023, Scope: 1024, Text: p.Insts}
 	// The first load after 20k instructions, sliced with a full window.
-	miss := int64(20_000)
 	dec := tr.Decode()
-	for isa.Class(dec[win.Recs[miss].PC].Class) != isa.ClassLoad {
-		miss++
-	}
-	for seq := int64(0); seq <= miss; seq++ {
-		win.Rename(seq, &dec[win.Recs[seq].PC])
+	rd := tr.Reader()
+	miss := int64(0)
+	for ; ; miss++ {
+		rec := &win.Recs[miss&win.Mask]
+		if !rd.Next(rec) {
+			t.Fatal("no load after 20k instructions")
+		}
+		win.Rename(miss, &dec[rec.PC])
+		if miss >= 20_000 && isa.Class(dec[rec.PC].Class) == isa.ClassLoad {
+			break
+		}
 	}
 	sl := &slice.Slicer{MaxLen: 32}
 	if n := len(sl.Backward(win, miss)); n < 2 {
@@ -278,7 +284,7 @@ func TestProfileShapesMatchesPerShape(t *testing.T) {
 	for _, pr := range equivPrograms(t) {
 		t.Run(pr.name, func(t *testing.T) {
 			t.Parallel()
-			tr := recordFor(t, pr.p, 5_000+measure)
+			tr := recordFor(t, pr.p, 2*(5_000+measure))
 			for name, set := range sets {
 				for _, region := range []int64{0, measure / 4} {
 					base := slice.ProfileOptions{WarmInsts: 5_000, MaxInsts: measure, RegionInsts: region}
@@ -329,11 +335,10 @@ func TestProfileShapesRejectsMixedOptions(t *testing.T) {
 	}
 }
 
-// TestProfileStreamedSource pins the streamed record source on a run too
-// long to record: with MaxInsts unbounded, a halting workload's timing
-// trace is streamed, and its profile — records stepped from a fresh front
-// end through a ring — must deeply equal both the profile of a recording of
-// the whole run and the frozen reference.
+// TestProfileStreamedSource pins the profile of a whole run: with MaxInsts
+// unbounded, a halting workload's timing trace records up to HALT, and its
+// profile must deeply equal both the standalone profiler's, which records
+// the run itself, and the frozen reference.
 func TestProfileStreamedSource(t *testing.T) {
 	ctx := context.Background()
 	w, err := workload.ByName("crafty")
@@ -341,26 +346,19 @@ func TestProfileStreamedSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := w.BuildTest(1)
-	streamed, err := timing.RecordTrace(ctx, p, timing.Config{WarmInsts: 5_000})
+	whole, err := timing.RecordTrace(ctx, p, timing.Config{WarmInsts: 5_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !streamed.Streamed() {
-		t.Fatalf("unbounded run recorded %d records, want a streamed trace", streamed.Records())
+	oracle := cpu.New(p)
+	if _, err := oracle.Run(1 << 62); err != nil {
+		t.Fatal(err)
 	}
-	// Count the whole run, then record all of it.
-	fe := frontend.New(p)
-	var rec frontend.Rec
-	var n int64
-	for ; !fe.Oracle.Halted; n++ {
-		if err := fe.Step(&rec); err != nil {
-			t.Fatal(err)
-		}
+	if !whole.Halted() || whole.Err() != nil || int64(whole.Records()) != oracle.Count {
+		t.Fatalf("unbounded run recorded %d records (halted %v, err %v), want all %d to HALT",
+			whole.Records(), whole.Halted(), whole.Err(), oracle.Count)
 	}
-	whole := recordFor(t, p, n)
-	if !whole.Halted() {
-		t.Fatalf("recording of %d records does not end at HALT", whole.Records())
-	}
+	n := oracle.Count
 	for _, opts := range []slice.ProfileOptions{
 		{WarmInsts: 5_000, Scope: 64, MaxSlice: 8},
 		{WarmInsts: 5_000, RegionInsts: n / 3},
@@ -369,19 +367,19 @@ func TestProfileStreamedSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := slice.ProfileShapes(ctx, streamed, []slice.ProfileOptions{opts})
+		got, err := slice.ProfileShapes(ctx, whole, []slice.ProfileOptions{opts})
 		if err != nil {
 			t.Fatal(err)
 		}
-		recorded, err := slice.ProfileShapes(ctx, whole, []slice.ProfileOptions{opts})
+		standalone, err := slice.ProfileContext(ctx, p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, recorded) {
-			t.Errorf("%+v: streamed profile differs from the recorded one", opts)
+		if !reflect.DeepEqual(got[0], standalone) {
+			t.Errorf("%+v: whole-run profile differs from the standalone one", opts)
 		}
 		if !reflect.DeepEqual(got[0], want) {
-			t.Errorf("%+v: streamed profile differs from the reference profiler", opts)
+			t.Errorf("%+v: whole-run profile differs from the reference profiler", opts)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math"
 
 	"preexec/internal/cache"
 	"preexec/internal/frontend"
@@ -63,11 +64,19 @@ const ctxCheckMask = 1<<12 - 1
 
 // ProfileContext is Profile honouring ctx: a cancelled or expired context
 // stops the functional run within a few thousand instructions and returns
-// ctx.Err(). It streams the program's records from a fresh front end; a
-// caller holding a recorded trace of the run profiles it with ProfileShapes
-// instead, for the same regions.
+// ctx.Err(). It records the run's records, then profiles the recording; a
+// caller holding a recorded trace of the run profiles it with
+// ProfileShapes instead, for the same regions.
 func ProfileContext(ctx context.Context, p *program.Program, opts ProfileOptions) ([]Region, error) {
-	regs, err := profileShapes(ctx, p, nil, []ProfileOptions{opts})
+	span := opts.WarmInsts + opts.MaxInsts
+	if opts.MaxInsts <= 0 || span < 0 {
+		span = math.MaxInt64 // to HALT
+	}
+	t, err := frontend.Record(ctx, p, span, "")
+	if err != nil {
+		return nil, err
+	}
+	regs, err := ProfileShapes(ctx, t, []ProfileOptions{opts})
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +89,7 @@ func ProfileContext(ctx context.Context, p *program.Program, opts ProfileOptions
 // ProfileContext returns for t's program and that entry alone. It fails if
 // the options differ in any other field. It reads the records
 // [0, WarmInsts+MaxInsts), so t must cover them or end at HALT or at an
-// oracle error; a streamed trace is served from a fresh front end.
+// oracle error.
 //
 // One pass serves every shape because Backward visits the in-scope producer
 // closure in strictly decreasing Seq order and a producer is always older
@@ -90,12 +99,7 @@ func ProfileContext(ctx context.Context, p *program.Program, opts ProfileOptions
 // counts do not depend on the scope, so the pass slices each miss once at
 // the widest scope and length, and cuts that slice per shape.
 func ProfileShapes(ctx context.Context, t *frontend.Trace, opts []ProfileOptions) ([][]Region, error) {
-	return profileShapes(ctx, t.Program(), t, opts)
-}
-
-// profileShapes is ProfileShapes over p's records: t's, or streamed from a
-// fresh front end when t is nil or streamed.
-func profileShapes(ctx context.Context, p *program.Program, t *frontend.Trace, opts []ProfileOptions) ([][]Region, error) {
+	p := t.Program()
 	if len(opts) == 0 {
 		return nil, fmt.Errorf("profile %s: no slice shapes", p.Name)
 	}
@@ -113,7 +117,7 @@ func profileShapes(ctx context.Context, p *program.Program, t *frontend.Trace, o
 		shape.fill()
 		shapes[i] = shape
 	}
-	return profile(ctx, p, t, shapes)
+	return profile(ctx, t, shapes)
 }
 
 // unshaped returns o without its slice shape.
@@ -122,89 +126,28 @@ func unshaped(o ProfileOptions) ProfileOptions {
 	return o
 }
 
-// records is the profiler's record source: a recorded trace read in place,
-// or a ring fed by a fresh front end.
-type records struct {
-	w  *Window
-	fe *frontend.FrontEnd // nil: w.Recs is the recording
-	t  *frontend.Trace
-}
-
-// next returns the record of sequence number seq, the one after the last
-// returned: it steps the front end into the ring, or reads the recording,
-// where a recording that ends before seq ends the stream with its oracle
-// error, or with an error of its own if it was too short.
-func (r *records) next(seq int64) (*frontend.Rec, error) {
-	if r.fe != nil {
-		rec := &r.w.Recs[seq&r.w.Mask]
-		if err := r.fe.Step(rec); err != nil {
-			return nil, err
-		}
-		return rec, nil
-	}
-	if seq >= int64(len(r.w.Recs)) {
-		if err := r.t.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("trace of %d records too short", len(r.w.Recs))
-	}
-	return &r.w.Recs[seq], nil
-}
-
-// profile is profileShapes over filled shapes that differ only in Scope and
-// MaxSlice. It slices each miss at the widest of both.
-func profile(ctx context.Context, p *program.Program, t *frontend.Trace, shapes []ProfileOptions) ([][]Region, error) {
+// profile is ProfileShapes over filled shapes that differ only in Scope
+// and MaxSlice. It slices each miss at the widest of both.
+func profile(ctx context.Context, t *frontend.Trace, shapes []ProfileOptions) ([][]Region, error) {
 	done := ctx.Done()
 	opts := shapes[0]
+	p := t.Program()
 	w := &Window{First: opts.WarmInsts, Text: p.Insts}
 	wide := &Slicer{}
 	for _, s := range shapes {
 		w.Scope = max(w.Scope, int64(s.Scope))
 		wide.MaxLen = max(wide.MaxLen, s.MaxSlice)
 	}
-	src := records{w: w, t: t}
-	var dec []frontend.Dec // the decode table, indexed by a record's PC
-	if t == nil || t.Streamed() {
-		// The ring holds every record a slice can reach: the widest
-		// scope's worth up to the miss.
-		n := int64(1)
-		for n < w.Scope {
-			n <<= 1
-		}
-		src.fe = frontend.New(p)
-		dec = frontend.Decode(p)
-		w.Recs, w.Mask = make([]frontend.Rec, n), n-1
-	} else {
-		dec = t.Decode()
-		w.Recs, w.Mask = t.Recs(), -1
+	// The ring holds every record a slice can reach: the widest scope's
+	// worth up to the miss.
+	size := int64(1)
+	for size < w.Scope {
+		size <<= 1
 	}
+	w.Recs, w.Mask = make([]frontend.Rec, size), size-1
+	rd := t.Reader()
+	dec := t.Decode() // indexed by a record's PC
 	h := cache.DefaultHierarchy()
-
-	// Warm-up: train the caches without recording anything. Its records
-	// go through the rename table too, so every producer the window holds
-	// is the true most recent writer; one in warm-up is a live-in.
-	var n int64 // instructions executed, the next record's sequence number
-	halted := false
-	for n < opts.WarmInsts && !halted {
-		if done != nil && n&ctxCheckMask == 0 {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
-		}
-		rec, err := src.next(n)
-		if err != nil {
-			return nil, fmt.Errorf("profile %s (warm-up): %w", p.Name, err)
-		}
-		d := &dec[rec.PC]
-		w.Rename(n, d)
-		n++
-		if c := isa.Class(d.Class); c == isa.ClassLoad || c == isa.ClassStore {
-			h.Access(rec.Word, c == isa.ClassStore)
-		}
-		halted = isa.Class(d.Class) == isa.ClassHalt
-	}
 
 	regions := make([][]Region, len(shapes))
 	forests := make([]*Forest, len(shapes))
@@ -214,8 +157,8 @@ func profile(ctx context.Context, p *program.Program, t *frontend.Trace, shapes 
 	var cutBuf []Inst // scratch of the per-shape cuts, reused across misses
 	// Region boundaries are absolute dynamic instruction indices (the
 	// timing simulator gates launches on absolute trigger positions), so
-	// after warm-up the measured window starts at n.
-	regionStart := n
+	// the measured window starts after the warm-up.
+	regionStart := opts.WarmInsts
 	var regionMeasured, loads, misses int64
 	// trig counts each static instruction's executions in the open region;
 	// every shape's forest gets its own copy.
@@ -243,7 +186,8 @@ func profile(ctx context.Context, p *program.Program, t *frontend.Trace, shapes 
 		regionMeasured, loads, misses = 0, 0, 0
 	}
 
-	for measured := int64(0); measured < opts.MaxInsts && !halted; measured++ {
+	var n int64 // records read, the next record's sequence number
+	for halted := false; !halted && n-opts.WarmInsts < opts.MaxInsts; {
 		if done != nil && n&ctxCheckMask == 0 {
 			select {
 			case <-done:
@@ -251,17 +195,35 @@ func profile(ctx context.Context, p *program.Program, t *frontend.Trace, shapes 
 			default:
 			}
 		}
-		rec, err := src.next(n)
-		if err != nil {
+		// A recording that ends early ends the stream with its oracle
+		// error, or with an error of its own if it was too short.
+		rec := &w.Recs[n&w.Mask]
+		if !rd.Next(rec) {
+			err := t.Err()
+			if err == nil {
+				err = fmt.Errorf("trace of %d records too short", t.Records())
+			}
 			return nil, fmt.Errorf("profile %s: %w", p.Name, err)
 		}
 		seq := n
 		n++
-		regionMeasured++
-		trig[rec.PC]++
+		// Every record goes through the rename table, warm-up included, so
+		// every producer the window holds is the true most recent writer;
+		// one in warm-up is a live-in.
 		d := &dec[rec.PC]
 		w.Rename(seq, d)
-		switch isa.Class(d.Class) {
+		c := isa.Class(d.Class)
+		halted = c == isa.ClassHalt
+		if seq < opts.WarmInsts {
+			// Warm-up: train the caches without recording anything.
+			if c == isa.ClassLoad || c == isa.ClassStore {
+				h.Access(rec.Word, c == isa.ClassStore)
+			}
+			continue
+		}
+		regionMeasured++
+		trig[rec.PC]++
+		switch c {
 		case isa.ClassStore:
 			h.Access(rec.Word, true)
 		case isa.ClassLoad:
@@ -278,11 +240,12 @@ func profile(ctx context.Context, p *program.Program, t *frontend.Trace, shapes 
 				}
 			}
 		}
-		halted = isa.Class(d.Class) == isa.ClassHalt
 		if opts.RegionInsts > 0 && n-regionStart >= opts.RegionInsts {
 			closeRegion(n)
 		}
 	}
+	// A run that halts in its warm-up has one empty region, at its end.
+	regionStart = min(regionStart, n)
 	if n > regionStart || len(regions[0]) == 0 {
 		closeRegion(n)
 	}

@@ -30,14 +30,12 @@ type Inst struct {
 }
 
 // Window is the backward slicer's view of a front-end record stream. The
-// record of sequence number seq is Recs[seq&Mask]: Mask is -1 (all ones)
-// over a whole recording, indexed by sequence number, and len(Recs)-1 over
-// a ring of a power-of-two length at least Scope, which holds the Scope
-// records up to the miss being sliced. Text is the program's instructions,
-// indexed by Rec.PC. Records carry their store links; their register
-// producers come from the window's own rename table, which Rename runs
-// over every record in program order into a producer ring as long as the
-// record ring, or the power of two at least Scope over a whole recording.
+// record of sequence number seq is Recs[seq&Mask], a ring of a power-of-two
+// length at least Scope, which holds the Scope records up to the miss being
+// sliced; Mask is len(Recs)-1. Text is the program's instructions, indexed
+// by Rec.PC. Records carry their store links; their register producers come
+// from the window's own rename table, which Rename runs over every record
+// in program order into a producer ring as long as the record ring.
 //
 // The window implements the paper's slicing scope — the length of dynamic
 // trace the p-thread constructor may examine (§4.4, Figure 4): a producer
@@ -51,28 +49,20 @@ type Window struct {
 	Scope int64
 	Text  []isa.Inst
 
-	prods    [][2]int64 // record seq's register producers at seq&prodMask
-	prodMask int64
-	ren      frontend.Renamer
+	prods [][2]int64 // record seq's register producers at seq&Mask
+	ren   frontend.Renamer
 }
 
 // Rename enters record seq, whose decode-table entry is d, into the
 // window's rename table and keeps its register producers for slicing.
 // Every record of the stream must be renamed, once and in sequence order,
 // before a slice reaches it. The first call sizes the producer ring, so
-// Recs, Mask and Scope must be set by then.
+// Recs must be set by then.
 func (w *Window) Rename(seq int64, d *frontend.Dec) {
 	if w.prods == nil {
-		n := int64(len(w.Recs))
-		if w.Mask < 0 {
-			n = 1
-			for n < w.Scope {
-				n <<= 1
-			}
-		}
-		w.prods, w.prodMask = make([][2]int64, n), n-1
+		w.prods = make([][2]int64, len(w.Recs))
 	}
-	w.prods[seq&w.prodMask] = w.ren.Link(seq, d)
+	w.prods[seq&w.Mask] = w.ren.Link(seq, d)
 }
 
 // producers returns the sequence numbers of record seq's register producers,
@@ -87,7 +77,7 @@ func (w *Window) producers(seq int64) [3]int64 {
 	if r.PrevStore != 0 && w.Text[r.PC].Op == isa.LD {
 		mem = seq - int64(r.PrevStore)
 	}
-	p := &w.prods[seq&w.prodMask]
+	p := &w.prods[seq&w.Mask]
 	return [3]int64{p[0], p[1], mem}
 }
 

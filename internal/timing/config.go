@@ -13,8 +13,8 @@
 // launches are not simulated — the one deliberate divergence from the paper,
 // whose own selection model also ignores wrong-path triggers (§4.3).
 //
-// Performance invariant: the one backend (replay.go), fed by the streamed or
-// recorded front end (internal/frontend), is heavily optimized — slot
+// Performance invariant: the one backend (replay.go), fed by a recorded
+// front-end trace (internal/frontend), is heavily optimized — slot
 // rings, event-driven issue scheduling, idle-cycle fast-forward — but
 // optimizations must preserve bit-for-bit identical Stats. The frozen
 // pre-optimization core in refsim_test.go and the equivalence tests in

@@ -156,7 +156,7 @@ func TestNoReplicaWithoutLaunch(t *testing.T) {
 		{"latency-only/selected", ModeLatencyOnly, pts, true},
 	} {
 		cfg.Mode = c.mode
-		r := newReplay(prog, tr, c.pts, cfg.withDefaults())
+		r := newReplay(tr, c.pts, cfg.withDefaults())
 		if got := r.arch != nil; got != c.replica {
 			t.Errorf("%s: replica built = %v, want %v", c.name, got, c.replica)
 		}

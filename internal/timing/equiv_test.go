@@ -144,10 +144,11 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 // TestSteadyStateAllocs pins the core's zero-steady-state-allocation
-// property for both front-end sources: growing the measured window by 100k
-// instructions must not grow the per-run allocation count of a streamed
-// Run or of a Replay (everything per-instruction lives in the slot and
-// record rings, the p-thread arena, and reused scratch; remaining
+// property: growing the measured window by 100k instructions must not grow
+// the per-run allocation count of a Run (a recording, then its replay) or
+// of a Replay by more than a little (everything per-instruction lives in
+// the slot and record rings, the p-thread arena, and reused scratch; the
+// recording adds one 64 KB chunk per ~20k instructions, and the remaining
 // allocations are setup — memory image, caches, predictor — and are
 // window-independent).
 func TestSteadyStateAllocs(t *testing.T) {
@@ -184,7 +185,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		})
 	}
 	// 100k extra instructions under the original per-uop core cost >100k
-	// allocations; both sources must stay flat. A little slack covers
+	// allocations; both must stay flat. A little slack covers
 	// lazily mapped memory pages and map growth in the larger footprint.
 	for _, c := range []struct {
 		name   string

@@ -57,9 +57,10 @@ func TestDynamicIndicesAre64Bit(t *testing.T) {
 }
 
 // TestStreamedRunPast32Bits runs the whole machine with every dynamic
-// counter (oracle sequence, fetch position, window order, retired count)
-// starting just below 2^31, so the run crosses it, and requires the same
-// timing as a run from zero.
+// counter (fetch position, window order, retired count) starting just
+// below 2^31, so the run crosses it, and requires the same timing as a run
+// from zero. The records are the trace's: a record's store link is a
+// distance, so its stream does not depend on where the count starts.
 func TestStreamedRunPast32Bits(t *testing.T) {
 	w, err := workload.ByName("vpr.p")
 	if err != nil {
@@ -76,9 +77,8 @@ func TestStreamedRunPast32Bits(t *testing.T) {
 	}
 
 	cfg = cfg.withDefaults()
-	r := newReplay(prog, nil, pts, cfg)
+	r := newReplay(recordFor(t, prog, cfg), pts, cfg)
 	const start = edge31 - 10_000
-	r.fe.Oracle.Count = start
 	r.pos, r.winSeq, r.stats.Retired = start, start, start
 	// The livelock guard scales with the offset run's total, so a narrowed
 	// index that wedges the machine is cut off by the deadline instead.

@@ -14,27 +14,25 @@ import (
 
 // This file is the simulator's backend: the fetch, rename, schedule,
 // issue, complete and retire stages of the SMT pipeline. Its front-end
-// records (internal/frontend) come from one of two sources that produce
-// identical streams: RunContext steps the functional oracle and the branch
-// predictor inside fetch, and Replay reads a Trace recorded ahead of time,
-// so one base-run recording re-times any selection in any mode. Either way
-// the Stats equal the frozen reference core's (refsim_test.go), pinned by
-// equiv_test.go, replay_equiv_test.go and the synth corpus differentials
-// in synth_equiv_test.go.
+// records (internal/frontend) come from a Trace recorded ahead of time,
+// which fetch decodes one record at a time, so one base-run recording
+// re-times any selection in any mode. The Stats equal the frozen reference
+// core's (refsim_test.go), pinned by equiv_test.go, replay_equiv_test.go
+// and the synth corpus differentials in synth_equiv_test.go.
 //
 // The hot path is built around three ideas, none of which changes Stats:
 //
 //  1. Zero steady-state allocation. Main-thread instructions live in a ring
-//     of slots indexed by dynamic sequence number; their front-end records
-//     sit in a ring of the same size when streaming and in the recorded
-//     trace when replaying. No free list and no reference counts: every
-//     reference to a main-thread slot dies by the time it retires (the
-//     waiter chain drains at issue, producer links resolve against issued or
-//     retired producers, the ROB entry leaves at retire), and the rings span
-//     the maximum fetch-ahead, so a slot cannot be overwritten while
-//     reachable. Only p-thread slots, whose lifetime is not program-ordered,
-//     are reference-counted in an arena recycled through a free list. The
-//     front-end queue and ROB are rings, and launches reuse per-run scratch.
+//     of slots indexed by dynamic sequence number; fetch decodes their
+//     front-end records into a ring of the same size. No free list and no
+//     reference counts: every reference to a main-thread slot dies by the
+//     time it retires (the waiter chain drains at issue, producer links
+//     resolve against issued or retired producers, the ROB entry leaves at
+//     retire), and the rings span the maximum fetch-ahead, so a slot cannot
+//     be overwritten while reachable. Only p-thread slots, whose lifetime is
+//     not program-ordered, are reference-counted in an arena recycled
+//     through a free list. The front-end queue and ROB are rings, and
+//     launches reuse per-run scratch.
 //  2. Event-driven scheduling. A slot waiting on an unissued producer parks
 //     on that producer's waiter list; once all its producers have issued,
 //     their completion times fold into its ready time and it waits in a
@@ -53,7 +51,7 @@ import (
 //     one per-cycle statistic, FetchStalls, is accounted for explicitly).
 //
 // Dynamic indices (sequence numbers, window order, the retired count) are
-// int64 throughout: a streamed run has no instruction cap.
+// int64 throughout: a run has no instruction cap.
 
 // rslot is one in-flight instruction, main-thread or p-thread. Producer
 // references (prod) are either p-thread slot ids (>= 0, always in the arena
@@ -163,10 +161,7 @@ type readyQ struct {
 }
 
 func newReadyQ(capacity int) readyQ {
-	c := int64(64)
-	for int(c) < capacity {
-		c <<= 1
-	}
+	c := int64(ceilPow2(64, capacity))
 	return readyQ{idOf: make([]int32, c), bits: make([]uint64, c/64), mask: c - 1}
 }
 
@@ -246,11 +241,16 @@ type i32ring struct {
 }
 
 func newI32Ring(capacity int) i32ring {
-	c := 8
-	for c < capacity {
-		c <<= 1
+	return i32ring{buf: make([]int32, ceilPow2(8, capacity))}
+}
+
+// ceilPow2 returns the least power of two that is at least n and at least
+// lo, itself a power of two.
+func ceilPow2(lo, n int) int {
+	for lo < n {
+		lo <<= 1
 	}
-	return i32ring{buf: make([]int32, c)}
+	return lo
 }
 
 func (r *i32ring) len() int     { return r.size }
@@ -294,8 +294,8 @@ type ptBodyMeta struct {
 	latAdd []uint8
 }
 
-// replaySim is one timing simulation: the backend state plus the front-end
-// source feeding it.
+// replaySim is one timing simulation: the backend state plus the trace
+// reader feeding it.
 type replaySim struct {
 	cfg   Config
 	prog  *program.Program
@@ -319,26 +319,22 @@ type replaySim struct {
 	ringSz   int32
 	slotMask int64
 
-	// Front end. Records come from fe when streaming and from trace when
-	// replaying (exactly one is set). rec(seq) is the record of sequence
-	// number seq: recs is a ring beside the slot ring when streaming
-	// (recMask = slotMask) and the recorded trace itself when replaying
-	// (recMask all ones); dec is the program's decode table, indexed by a
+	// Front end. src reads trace's records in order; rec(seq) is the record
+	// of sequence number seq, which fetch decoded into recs, a ring beside
+	// the slot ring. dec is the program's decode table, indexed by a
 	// record's PC. pos is the next sequence number to fetch. arch is the
 	// architectural state at the fetch frontier that p-thread launches
-	// read: the oracle itself when streaming, a replica the records'
-	// effects are applied to when replaying, and nil when replaying a run
+	// read: a replica the records' effects are applied to, or nil in a run
 	// in which no launch reads it. read marks the replica's registers whose
 	// value anything reads — a p-thread body's live-ins and every store's
 	// data register — so a replay reads a load's value from the replica's
 	// memory only into those.
-	fe        *frontend.FrontEnd
+	src       frontend.Reader
 	trace     *Trace
 	arch      *cpu.State
 	dec       []frontend.Dec
 	read      [isa.NumRegs]bool
 	recs      []frontend.Rec
-	recMask   int64
 	pos       int64
 	fetchQ    i32ring
 	blocker   int32
@@ -387,43 +383,38 @@ type replaySim struct {
 // have been recorded under the same TraceVersion and cover TraceSpan(cfg)
 // records — a recording under any Config with at least that span does, for
 // any machine — or end where the program's fetch stream ends; a too-short
-// trace returns an error, never silently wrong numbers. A
-// streamed trace (a run over the recording cap) is served by stepping the
-// front end exactly as RunContext does.
+// trace returns an error, never silently wrong numbers.
 func Replay(ctx context.Context, t *Trace, pts []*pthread.PThread, cfg Config) (Stats, error) {
 	if t.Version() != TraceVersion {
 		return Stats{}, fmt.Errorf("timing: trace version %q does not match simulator %q", t.Version(), TraceVersion)
 	}
 	cfg = cfg.withDefaults()
 	total := runTotal(cfg)
-	if t.Streamed() {
-		return newReplay(t.Program(), nil, pts, cfg).run(ctx, total)
-	}
 	// A trace ending in HALT (or truncated by an oracle error) covers the
 	// whole fetch stream; an extent-bounded trace must cover this run's
 	// total plus its maximum fetch-ahead.
 	complete := t.Err() != nil || t.Halted()
-	if !complete && total+traceExtent(cfg) > int64(t.Records()) {
+	if !complete && TraceSpan(cfg) > int64(t.Records()) {
 		return Stats{}, fmt.Errorf("timing: trace of %d records too short for a %d-instruction run", t.Records(), total)
 	}
-	return newReplay(t.Program(), t, pts, cfg).run(ctx, total)
+	return newReplay(t, pts, cfg).run(ctx, total)
 }
 
-// newReplay prepares a simulation of prog fed from the recorded trace t, or
-// streamed from a fresh front end when t is nil. cfg has its defaults
-// applied.
-func newReplay(prog *program.Program, t *Trace, pts []*pthread.PThread, cfg Config) *replaySim {
+// newReplay prepares a simulation fed from the recorded trace t. cfg has
+// its defaults applied.
+func newReplay(t *Trace, pts []*pthread.PThread, cfg Config) *replaySim {
+	prog := t.Program()
 	// The slot and record rings must span the maximum distance between the
 	// retirement watermark and the fetch frontier: ROB occupancy plus the
 	// fetch queue's high-water mark (under 3xWidth).
-	sz := int32(8)
-	for int(sz) < cfg.ROB+4*cfg.Width {
-		sz <<= 1
-	}
+	sz := int32(ceilPow2(8, cfg.ROB+4*cfg.Width))
 	r := &replaySim{
 		cfg:             cfg,
 		prog:            prog,
+		src:             t.Reader(),
 		trace:           t,
+		dec:             t.Decode(),
+		recs:            make([]frontend.Rec, sz),
 		frontEndDepth:   int64(cfg.FrontEndDepth),
 		redirectPenalty: int64(cfg.RedirectPenalty),
 		agenLat:         int64(cfg.AgenLat),
@@ -482,25 +473,16 @@ func newReplay(prog *program.Program, t *Trace, pts []*pthread.PThread, cfg Conf
 		}
 		r.launchRegs = make([]int64, isa.PtRegs)
 	}
-	if t == nil {
-		r.fe = frontend.New(prog)
-		r.arch = r.fe.Oracle
-		r.dec = frontend.Decode(prog)
-		r.recs, r.recMask = make([]frontend.Rec, sz), r.slotMask
-	} else {
-		// Only a launch that executes its body reads the architectural
-		// state: with no trigger, or under ModeOverheadSequence, the
-		// replay needs no replica and applies no record's effect.
-		r.dec = t.Decode()
-		if r.trig != nil && cfg.Mode != ModeOverheadSequence {
-			r.arch = frontend.NewReplica(prog)
-			for _, d := range r.dec {
-				if isa.Class(d.Class) == isa.ClassStore {
-					r.read[d.Rs2] = true
-				}
+	// Only a launch that executes its body reads the architectural state:
+	// with no trigger, or under ModeOverheadSequence, the replay needs no
+	// replica and applies no record's effect.
+	if r.trig != nil && cfg.Mode != ModeOverheadSequence {
+		r.arch = cpu.New(prog)
+		for _, d := range r.dec {
+			if isa.Class(d.Class) == isa.ClassStore {
+				r.read[d.Rs2] = true
 			}
 		}
-		r.recs, r.recMask = t.Recs(), -1
 	}
 	return r
 }
@@ -590,7 +572,7 @@ func (r *replaySim) run(ctx context.Context, total int64) (Stats, error) {
 		}
 	}
 	if r.exhausted {
-		return r.stats, fmt.Errorf("timing: trace of %d records exhausted mid-run (%s)", len(r.recs), r.prog.Name)
+		return r.stats, fmt.Errorf("timing: trace of %d records exhausted mid-run (%s)", r.trace.Records(), r.prog.Name)
 	}
 	st := subStats(r.stats, warm)
 	st.Cycles = r.cycle - warmCycle
@@ -752,29 +734,21 @@ func (r *replaySim) fetch() bool {
 	return work
 }
 
-// next returns the front-end record at r.pos and its decode-table entry,
-// or nils at the end of the stream. Streaming steps the oracle, which leaves its registers and memory
-// at the new fetch frontier; replaying applies the recorded record's
-// architectural effect to the replica, if there is one. The replica is the
-// oracle's state at this point of fetch order, so a load's value is the
-// replica's memory word and a store's value its data register; a load into
-// a register nothing reads leaves it stale. The stream ends where the
-// oracle errors out, which a recording marks as truncation; a recording
-// ending anywhere else was too short for this run, which fails the replay
-// rather than letting it diverge.
+// next decodes the front-end record at r.pos into its ring slot and
+// returns it with its decode-table entry, or nils at the end of the
+// stream. It applies the record's architectural effect to the replica, if
+// there is one. The replica is the oracle's state at this point of fetch
+// order, so a load's value is the replica's memory word and a store's
+// value its data register; a load into a register nothing reads leaves it
+// stale. The stream ends where the oracle errored out, which a recording
+// marks as truncation; a recording ending anywhere else was too short for
+// this run, which fails the replay rather than letting it diverge.
 func (r *replaySim) next() (*frontend.Rec, *frontend.Dec) {
-	if r.fe != nil {
-		rec := r.rec(r.pos)
-		if r.fe.Step(rec) != nil {
-			return nil, nil
-		}
-		return rec, &r.dec[rec.PC]
-	}
-	if r.pos >= int64(len(r.recs)) {
+	rec := r.rec(r.pos)
+	if !r.src.Next(rec) {
 		r.exhausted = r.trace.Err() == nil
 		return nil, nil
 	}
-	rec := r.rec(r.pos)
 	d := &r.dec[rec.PC]
 	if a := r.arch; a != nil {
 		switch {
@@ -793,8 +767,8 @@ func (r *replaySim) next() (*frontend.Rec, *frontend.Dec) {
 }
 
 // rec returns the front-end record of main-thread instruction seq, which
-// must be fetched and not yet overwritten (in flight, when streaming).
-func (r *replaySim) rec(seq int64) *frontend.Rec { return &r.recs[seq&r.recMask] }
+// must be fetched and not yet retired.
+func (r *replaySim) rec(seq int64) *frontend.Rec { return &r.recs[seq&r.slotMask] }
 
 // rename moves instructions from the front end into the backend, injects
 // p-thread bursts (stealing sequencing slots), and launches p-threads when

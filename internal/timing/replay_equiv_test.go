@@ -29,9 +29,21 @@ func recordFor(t *testing.T, prog *program.Program, cfg Config) *Trace {
 	return tr
 }
 
-// TestReplayMatchesSimulation pins replay to full simulation on all ten
-// workloads in all five modes, one recorded trace per workload serving every
-// mode, with selected p-threads in play.
+// recordTwice records twice the records a run under cfg needs.
+func recordTwice(t *testing.T, prog *program.Program, cfg Config) *Trace {
+	t.Helper()
+	tr, err := frontend.Record(context.Background(), prog, 2*TraceSpan(cfg), TraceVersion)
+	if err != nil {
+		t.Fatalf("Record: %v", err)
+	}
+	return tr
+}
+
+// TestReplayMatchesSimulation pins replay of a longer recording to
+// RunContext, which replays a recording of exactly the run's span, on all
+// ten workloads in all five modes: one trace per workload, recorded at
+// twice the span, serves every mode with selected p-threads in play, and
+// the records past the run change nothing.
 func TestReplayMatchesSimulation(t *testing.T) {
 	const warm, measure = 10_000, 40_000
 	for _, w := range workload.All() {
@@ -42,10 +54,10 @@ func TestReplayMatchesSimulation(t *testing.T) {
 			pts := selectFor(t, prog, warm, measure)
 			cfg := DefaultConfig()
 			cfg.WarmInsts, cfg.MaxInsts = warm, measure
-			tr := recordFor(t, prog, cfg)
+			tr := recordTwice(t, prog, cfg)
 			for _, mode := range allModes {
 				cfg.Mode = mode
-				want, err := Run(prog, pts, cfg)
+				want, err := RunContext(context.Background(), prog, pts, cfg)
 				if err != nil {
 					t.Fatalf("%s/%s: simulation: %v", w.Name, mode, err)
 				}
@@ -110,7 +122,7 @@ func TestNoLaunchIsBaseRun(t *testing.T) {
 // same way the optimized-vs-reference edge suite stresses the core: tiny
 // backends, starved store queues, context-count extremes, throttle off, and
 // memory-latency extremes. The trace is re-recorded per geometry (the
-// extent depends on ROB/Width).
+// extent depends on ROB/Width), at twice the run's span.
 func TestReplayMatchesSimulationEdgeConfigs(t *testing.T) {
 	const warm, measure = 5_000, 25_000
 	mutate := []struct {
@@ -139,7 +151,7 @@ func TestReplayMatchesSimulationEdgeConfigs(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.WarmInsts, cfg.MaxInsts = warm, measure
 			m.fn(&cfg)
-			tr := recordFor(t, prog, cfg)
+			tr := recordTwice(t, prog, cfg)
 			for _, mode := range []Mode{ModeBase, ModeNormal} {
 				cfg.Mode = mode
 				want, err := Run(prog, pts, cfg)
@@ -160,8 +172,8 @@ func TestReplayMatchesSimulationEdgeConfigs(t *testing.T) {
 
 // TestReplayTruncatedTrace pins the oracle-error parity: a program that runs
 // off the end of its text truncates the trace, and replay of the truncated
-// trace matches the simulator (whose fetch swallows the same error at the
-// same instruction).
+// trace matches the frozen reference core (whose fetch swallows the same
+// error at the same instruction).
 func TestReplayTruncatedTrace(t *testing.T) {
 	b := program.NewBuilder("runs-off-end")
 	b.Li(1, 0).Li(2, 500)
@@ -179,9 +191,9 @@ func TestReplayTruncatedTrace(t *testing.T) {
 	if tr.Err() == nil {
 		t.Fatalf("trace not truncated: %d records", tr.Records())
 	}
-	want, err := Run(p, nil, cfg)
+	want, err := refRun(p, nil, cfg)
 	if err != nil {
-		t.Fatalf("simulation: %v", err)
+		t.Fatalf("reference: %v", err)
 	}
 	got, err := Replay(context.Background(), tr, nil, cfg)
 	if err != nil {
@@ -250,16 +262,16 @@ func haltingStride(t *testing.T, iters int64) *program.Program {
 	return p
 }
 
-// TestReplayUntraceableRun pins the over-cap path: a run longer than the
-// recording cap — here the unbounded MaxInsts default — records a streamed
-// trace with no records, and Replay of it equals RunContext for the base
-// run and for a pre-execution run with a selection.
+// TestReplayUntraceableRun pins the unbounded run: with the MaxInsts
+// default, the recording runs to HALT, and Replay of it equals RunContext
+// for the base run and for a pre-execution run with a selection.
 func TestReplayUntraceableRun(t *testing.T) {
 	prog := haltingStride(t, 4000)
 	cfg := DefaultConfig() // MaxInsts stays the unbounded 1<<62 default
 	tr := recordFor(t, prog, cfg)
-	if n := tr.Records(); n != 0 {
-		t.Fatalf("trace of an unbounded run holds %d records, want 0", n)
+	if !tr.Halted() || tr.Err() != nil || tr.Records() < 4000*9 {
+		t.Fatalf("trace of an unbounded run: %d records, halted %v, err %v; want the whole run to HALT",
+			tr.Records(), tr.Halted(), tr.Err())
 	}
 	pts := selectFor(t, prog, 0, cfg.MaxInsts)
 	if len(pts) == 0 {
@@ -279,7 +291,7 @@ func TestReplayUntraceableRun(t *testing.T) {
 			t.Fatalf("%s: replay: %v", c.mode, err)
 		}
 		if got != want {
-			t.Errorf("%s: streamed-trace replay diverges from simulation\n got: %+v\nwant: %+v", c.mode, got, want)
+			t.Errorf("%s: whole-run replay diverges from simulation\n got: %+v\nwant: %+v", c.mode, got, want)
 		}
 		if c.mode == ModeNormal && got.Launches == 0 {
 			t.Errorf("%s: no p-thread launched", c.mode)

@@ -2,6 +2,7 @@ package timing
 
 import (
 	"context"
+	"math"
 
 	"preexec/internal/program"
 	"preexec/internal/pthread"
@@ -15,21 +16,23 @@ func Run(prog *program.Program, pts []*pthread.PThread, cfg Config) (Stats, erro
 // RunContext simulates prog with the static p-threads pts (ignored in
 // ModeBase) to completion, honouring ctx: a cancelled or expired context
 // stops the simulation within a few thousand iterations and returns
-// ctx.Err(). The front end streams: fetch steps the functional oracle and
-// the branch predictor as it consumes instructions, so a run of any length
-// needs neither a recorded trace nor an instruction cap.
+// ctx.Err(). It records the run's trace and replays it, so a run of any
+// length holds its trace, about 3 bytes per instruction, while it runs.
 func RunContext(ctx context.Context, prog *program.Program, pts []*pthread.PThread, cfg Config) (Stats, error) {
-	cfg = cfg.withDefaults()
-	return newReplay(prog, nil, pts, cfg).run(ctx, runTotal(cfg))
+	t, err := RecordTrace(ctx, prog, cfg)
+	if err != nil {
+		return Stats{}, err
+	}
+	return Replay(ctx, t, pts, cfg)
 }
 
-// runTotal returns the run's instruction total, warm-up included. The
-// unbounded MaxInsts default would overflow the sum, so it stands alone.
+// runTotal returns the run's instruction total, warm-up included,
+// saturating at math.MaxInt64 where the sum would overflow.
 func runTotal(cfg Config) int64 {
 	if total := cfg.WarmInsts + cfg.MaxInsts; total >= 0 {
 		return total
 	}
-	return cfg.MaxInsts
+	return math.MaxInt64
 }
 
 // ctxCheckMask gates how often the simulation loop polls ctx.Done(): every

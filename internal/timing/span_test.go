@@ -3,6 +3,7 @@ package timing_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -90,5 +91,69 @@ func TestOneTraceServesItsSpan(t *testing.T) {
 				t.Errorf("width 32 replay of the width-8 recording: err = %v, want a too-short error", err)
 			}
 		})
+	}
+}
+
+// TestTraceSpanSaturates pins TraceSpan on unbounded runs: the MaxInsts
+// default plus a warm-up spans the whole run, and a sum past int64
+// saturates instead of wrapping to a negative span.
+func TestTraceSpanSaturates(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		warm, insts int64
+		atLeast     int64
+	}{
+		{"unbounded+warm", 30_000, 1 << 62, 30_000 + 1<<62},
+		{"max+warm", 30_000, math.MaxInt64, math.MaxInt64},
+		{"max warm", math.MaxInt64, 1 << 62, math.MaxInt64},
+	} {
+		cfg := timing.DefaultConfig()
+		cfg.WarmInsts, cfg.MaxInsts = c.warm, c.insts
+		if span := timing.TraceSpan(cfg); span < c.atLeast {
+			t.Errorf("%s: TraceSpan %d, want at least %d", c.name, span, c.atLeast)
+		}
+	}
+}
+
+// TestRunPastFourMillion runs vpr.p at scale 16 for 4.4M measured
+// instructions after a 30k warm-up, past the 4M-instruction cap above which
+// runs once stepped a live front end instead of recording. Two memory
+// latencies share one StageCache, so the engine records one trace for
+// both, and each base run must equal the frozen reference core's.
+func TestRunPastFourMillion(t *testing.T) {
+	w, err := workload.ByName("vpr.p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := w.Build(16)
+	cache := preexec.NewStageCache()
+	t.Run("memlat", func(t *testing.T) {
+		for _, memLat := range []int{70, 140} {
+			t.Run(fmt.Sprint(memLat), func(t *testing.T) {
+				t.Parallel()
+				m := preexec.DefaultMachine()
+				m.MemLat, m.WarmInsts, m.MeasureInsts = memLat, 30_000, 4_400_000
+				eng := preexec.New(preexec.WithMachine(m), preexec.WithStageCache(cache))
+				got, err := eng.Simulate(context.Background(), prog, nil, preexec.ModeBase)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := timing.DefaultConfig()
+				cfg.MemLat, cfg.WarmInsts, cfg.MaxInsts = memLat, m.WarmInsts, m.MeasureInsts
+				want, err := timing.RefRun(prog, nil, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("base run diverges from the reference core\n got: %+v\nwant: %+v", got, want)
+				}
+				if got.Retired < m.MeasureInsts {
+					t.Errorf("retired %d instructions, want at least %d", got.Retired, m.MeasureInsts)
+				}
+			})
+		}
+	})
+	if st := cache.Stats(); st.TraceRuns != 1 {
+		t.Errorf("two memory latencies recorded %d traces, want 1", st.TraceRuns)
 	}
 }

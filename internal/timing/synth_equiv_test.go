@@ -1,9 +1,8 @@
 package timing_test
 
-// Reference differentials over the synthetic corpus. RunContext and Replay
-// share one backend, so comparing them checks only the streamed front end
-// against the recorded one; both are pinned here to the frozen reference
-// core instead, over the curated synth.Zoo scenarios and — via a fuzz
+// Reference differentials over the synthetic corpus. RunContext is a
+// recording and its replay, so RunContext and Replay share one record path
+// and one backend; both are pinned here to the frozen reference core, over the curated synth.Zoo scenarios and — via a fuzz
 // target — over arbitrary programs the .prx assembler accepts. This is an
 // external test package because synth imports timing.
 

@@ -2,17 +2,17 @@ package timing
 
 import (
 	"context"
+	"math"
 
 	"preexec/internal/frontend"
 	"preexec/internal/program"
 )
 
 // The simulator's front end and its recording live in internal/frontend,
-// which the slice-tree profiler reads too. The backend (replay.go) consumes
-// front-end records without caring where they come from: RunContext steps
-// a frontend.FrontEnd inside fetch, and RecordTrace runs it ahead once so
-// Replay can re-time every selection and every p-thread mode against the
-// same recorded stream, with Stats bit-identical to RunContext's.
+// which the slice-tree profiler reads too. RecordTrace runs the front end
+// ahead once, and Replay re-times any selection in any p-thread mode
+// against the recorded stream, decoding its records into the backend's
+// record ring (replay.go). RunContext is the two in sequence.
 
 // TraceVersion is the simulator fingerprint baked into every recorded trace.
 // Replay refuses a trace recorded under a different version, and the stage
@@ -20,21 +20,13 @@ import (
 // semantics invalidates recorded traces cleanly: bump the version whenever
 // the front end (internal/frontend), the backend (replay.go), memsys.go, or
 // the predictor change behaviour.
-const TraceVersion = "rt3-2026-10"
+const TraceVersion = "rt4-2026-10"
 
 // Trace is a recorded base-run event stream: the complete front-end input of
 // any timing simulation of its program whose TraceSpan the recording covers
-// (any machine, all modes, any selection). A run too long to retain (over
-// maxTraceInsts) yields a streamed trace, which holds no records: Replay
-// steps its front end afresh, as RunContext does.
+// (any machine, all modes, any selection). A run of any length records: a
+// trace holds about 3 bytes per instruction (see frontend.Record).
 type Trace = frontend.Trace
-
-// maxTraceInsts bounds recorded runs: beyond this the trace's memory
-// footprint (16 bytes/record) is unreasonable for a long-lived stage cache,
-// so RecordTrace returns a streamed trace instead. 4M instructions caps a
-// trace near 64MB and comfortably covers the evaluation windows the suite
-// and the service sweep (tens of thousands to ~1M instructions).
-const maxTraceInsts = int64(4) << 20
 
 // traceExtent returns how many instructions past the measured total the
 // recording must extend. The machine's fetch runs
@@ -48,27 +40,25 @@ const maxTraceInsts = int64(4) << 20
 // the same recording: with the default 128-entry ROB, every width from 1 to
 // 16 needs 256 records past the total.
 func traceExtent(cfg Config) int64 {
-	e := int64(1)
-	for e < int64(cfg.ROB+8*cfg.Width) {
-		e <<= 1
-	}
-	return e
+	return int64(ceilPow2(1, cfg.ROB+8*cfg.Width))
 }
 
 // TraceSpan returns the number of records a run under cfg needs from its
 // trace: the run's instruction total plus the maximum fetch-ahead
-// (traceExtent), or 0 for a run over maxTraceInsts, whose trace is
-// streamed. RecordTrace records exactly this many records (fewer if the
-// program halts or runs off its text), and nothing else of cfg reaches the
-// recording, so a trace serves every machine whose span it covers: the
-// span, with the program and TraceVersion, is a trace's whole identity.
+// (traceExtent), saturating at math.MaxInt64 rather than overflowing. A
+// run with the unbounded MaxInsts default spans past any program's end, so
+// its trace records the whole run. RecordTrace records exactly this many
+// records (fewer if the program halts or runs off its text), and nothing
+// else of cfg reaches the recording, so a trace serves every machine whose
+// span it covers: the span, with the program and TraceVersion, is a
+// trace's whole identity.
 func TraceSpan(cfg Config) int64 {
 	cfg = cfg.withDefaults()
-	total := runTotal(cfg)
-	if total <= 0 || total > maxTraceInsts {
-		return 0
+	total, extent := runTotal(cfg), traceExtent(cfg)
+	if total > math.MaxInt64-extent {
+		return math.MaxInt64
 	}
-	return total + traceExtent(cfg)
+	return total + extent
 }
 
 // RecordTrace records the front-end stream a simulation of prog under cfg
@@ -76,9 +66,7 @@ func TraceSpan(cfg Config) int64 {
 // TraceSpan(cfg) records, the run's instruction total plus the maximum
 // fetch-ahead. The front end depends on the program alone, so cfg only
 // sizes the recording, and the trace serves every machine and mode with
-// the same or a smaller span. A run over maxTraceInsts (the unbounded
-// MaxInsts default included) records nothing and returns a streamed trace,
-// so every run length takes the same RecordTrace-then-Replay path.
+// the same or a smaller span.
 func RecordTrace(ctx context.Context, prog *program.Program, cfg Config) (*Trace, error) {
 	return frontend.Record(ctx, prog, TraceSpan(cfg), TraceVersion)
 }

@@ -8,10 +8,10 @@ import (
 	"preexec/synth"
 )
 
-// checkStreamed requires rep's timing runs to equal timing.RunContext of
+// checkRunContext requires rep's timing runs to equal timing.RunContext of
 // prog under the timing configuration the engine derives from cfg: the
 // base run without p-threads, the pre-execution run with rep's selection.
-func checkStreamed(t *testing.T, prog *preexec.Program, cfg preexec.Config, rep preexec.Report) {
+func checkRunContext(t *testing.T, prog *preexec.Program, cfg preexec.Config, rep preexec.Report) {
 	t.Helper()
 	base, err := timing.RunContext(t.Context(), prog, nil, preexec.TimingFor(cfg, preexec.ModeBase))
 	if err != nil {
@@ -22,19 +22,18 @@ func checkStreamed(t *testing.T, prog *preexec.Program, cfg preexec.Config, rep 
 		t.Fatal(err)
 	}
 	if rep.Base != base {
-		t.Errorf("base run diverges from the streamed run\n got: %+v\nwant: %+v", rep.Base, base)
+		t.Errorf("base run diverges from RunContext\n got: %+v\nwant: %+v", rep.Base, base)
 	}
 	if rep.Pre != pre {
-		t.Errorf("pre-execution run diverges from the streamed run\n got: %+v\nwant: %+v", rep.Pre, pre)
+		t.Errorf("pre-execution run diverges from RunContext\n got: %+v\nwant: %+v", rep.Pre, pre)
 	}
 }
 
-// TestEngineMatchesStreamedReference pins the engine's timing runs to the
-// streamed simulator on every golden case, and vpr.p's diagnostic-mode
-// runs too. The engine never streams a run short enough to record — every
-// run replays a recorded trace — so this is the end-to-end check that
-// recording plus replay equals streaming under the engine's own
-// configurations and selections.
+// TestEngineMatchesStreamedReference pins the engine's timing runs to
+// timing.RunContext, which records and replays each run on its own, on
+// every golden case, and vpr.p's diagnostic-mode runs too: the end-to-end
+// check that the engine's memoized traces, base runs and replays equal a
+// standalone run under the engine's own configurations and selections.
 func TestEngineMatchesStreamedReference(t *testing.T) {
 	benches, err := preexec.SweepBenches(nil, 1)
 	if err != nil {
@@ -53,7 +52,7 @@ func TestEngineMatchesStreamedReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkStreamed(t, b.Program, cfg, rep)
+			checkRunContext(t, b.Program, cfg, rep)
 			if c.name != "vpr.p" {
 				return
 			}
@@ -70,18 +69,18 @@ func TestEngineMatchesStreamedReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got != want {
-					t.Errorf("%s: Simulate diverges from the streamed run\n got: %+v\nwant: %+v", mode, got, want)
+					t.Errorf("%s: Simulate diverges from RunContext\n got: %+v\nwant: %+v", mode, got, want)
 				}
 			}
 		})
 	}
 }
 
-// TestEvaluateOverTraceCap evaluates a run longer than the trace-recording
-// cap (4M instructions): a small synthetic program that halts, measured
-// over 5M instructions. Its trace holds no records and replay streams the
-// front end, on the same engine path a short run takes; the report must
-// still equal the streamed runs.
+// TestEvaluateOverTraceCap evaluates a run whose window is longer than 4M
+// instructions, where traces were once not recorded: a small synthetic
+// program that halts, measured over 5M instructions. Its trace records up
+// to HALT, on the same engine path a short run takes, and the report must
+// equal RunContext's runs.
 func TestEvaluateOverTraceCap(t *testing.T) {
 	prog := synth.MustGenerate(synth.Spec{Family: "hash", Seed: 1, FootprintWords: 1 << 16, Iters: 4000, Depth: 1})
 	cfg := preexec.DefaultConfig()
@@ -96,5 +95,5 @@ func TestEvaluateOverTraceCap(t *testing.T) {
 	if rep.Pre.Launches == 0 {
 		t.Fatal("no p-thread launched; the pre-execution run is not exercised")
 	}
-	checkStreamed(t, prog, cfg, rep)
+	checkRunContext(t, prog, cfg, rep)
 }

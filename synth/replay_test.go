@@ -1,12 +1,12 @@
 package synth
 
-// Replay-versus-run differentials over the synthetic corpus. RunContext and
-// Replay share one timing backend, so these tests pin the recorded front
-// end (one trace per program serving all five modes) to the streamed one
-// over the curated Zoo scenarios and — via the shared .prx fuzz corpus — over
-// arbitrary programs the assembler accepts. The independent check of both
-// against the frozen reference core is internal/timing's
-// synth_equiv_test.go.
+// Replay-versus-run differentials over the synthetic corpus. RunContext
+// replays a recording of exactly its run's span; these tests replay one
+// recording of twice that span per program, serving all five modes, and
+// require the same Stats, over the curated Zoo scenarios and — via the
+// shared .prx fuzz corpus — over arbitrary programs the assembler accepts.
+// The independent check against the frozen reference core is
+// internal/timing's synth_equiv_test.go.
 
 import (
 	"context"
@@ -14,6 +14,7 @@ import (
 
 	"preexec"
 	"preexec/internal/advantage"
+	"preexec/internal/frontend"
 	"preexec/internal/selector"
 	"preexec/internal/slice"
 	"preexec/internal/timing"
@@ -26,6 +27,11 @@ var replayModes = []timing.Mode{
 	timing.ModeOverheadExecute,
 	timing.ModeOverheadSequence,
 	timing.ModeLatencyOnly,
+}
+
+// recordTwice records twice the records a run of prog under cfg needs.
+func recordTwice(prog *preexec.Program, cfg timing.Config) (*timing.Trace, error) {
+	return frontend.Record(context.Background(), prog, 2*timing.TraceSpan(cfg), timing.TraceVersion)
 }
 
 // replaySelect mirrors the timing package's test selection helper: profile
@@ -41,10 +47,10 @@ func replaySelect(prog *preexec.Program, warm, measure int64) []*preexec.PThread
 	return res.PThreads
 }
 
-// TestReplayMatchesSimulationZoo pins replay to the streamed simulation
-// across the whole curated corpus: for each Zoo scenario, one trace
-// recorded at the run's windows serves all five modes bit-identically,
-// selected p-threads in play.
+// TestReplayMatchesSimulationZoo pins replay to RunContext across the
+// whole curated corpus: for each Zoo scenario, one trace recorded at twice
+// the run's span serves all five modes bit-identically, selected p-threads
+// in play.
 func TestReplayMatchesSimulationZoo(t *testing.T) {
 	const warm, measure = 4_000, 12_000
 	for _, z := range Zoo() {
@@ -55,13 +61,13 @@ func TestReplayMatchesSimulationZoo(t *testing.T) {
 			pts := replaySelect(prog, warm, measure)
 			cfg := timing.DefaultConfig()
 			cfg.WarmInsts, cfg.MaxInsts = warm, measure
-			tr, err := timing.RecordTrace(context.Background(), prog, cfg)
+			tr, err := recordTwice(prog, cfg)
 			if err != nil {
-				t.Fatalf("RecordTrace: %v", err)
+				t.Fatalf("Record: %v", err)
 			}
 			for _, mode := range replayModes {
 				cfg.Mode = mode
-				want, err := timing.Run(prog, pts, cfg)
+				want, err := timing.RunContext(context.Background(), prog, pts, cfg)
 				if err != nil {
 					t.Fatalf("%s: simulation: %v", mode, err)
 				}
@@ -77,10 +83,10 @@ func TestReplayMatchesSimulationZoo(t *testing.T) {
 	}
 }
 
-// FuzzReplayEquivalence is the replay-vs-streamed-simulation differential
-// over arbitrary source: anything the assembler accepts must replay from a
-// recorded trace with Stats byte-for-byte equal to RunContext, in every
-// mode. It starts from the same .prx seed corpus as the assembler targets,
+// FuzzReplayEquivalence is the replay-vs-run differential over arbitrary
+// source: anything the assembler accepts must replay from a trace recorded
+// at twice the run's span with Stats byte-for-byte equal to RunContext, in
+// every mode. It starts from the same .prx seed corpus as the assembler targets,
 // so the mutator explores real instruction mixes rather than noise.
 func FuzzReplayEquivalence(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
@@ -95,9 +101,9 @@ func FuzzReplayEquivalence(f *testing.F) {
 		pts := replaySelect(p, warm, measure)
 		cfg := timing.DefaultConfig()
 		cfg.WarmInsts, cfg.MaxInsts = warm, measure
-		tr, err := timing.RecordTrace(context.Background(), p, cfg)
+		tr, err := recordTwice(p, cfg)
 		if err != nil {
-			t.Fatalf("RecordTrace: %v\n--- source:\n%s", err, src)
+			t.Fatalf("Record: %v\n--- source:\n%s", err, src)
 		}
 		for _, mode := range replayModes {
 			cfg.Mode = mode
